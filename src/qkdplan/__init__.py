@@ -16,30 +16,23 @@ from .advmodel import (
     UnboundedSecurityError,
     advantage_bound,
     bound_at,
-    guessing_from_distinguishing,
-    rho_approx,
     security_level_bits,
 )
 from .empirics import (
     EmpiricalResult,
     ToyCipherParams,
     TrialConfig,
-    cbc_decrypt,
     cbc_encrypt,
-    ctr_decrypt,
     ctr_encrypt,
     ecbc_mac,
     estimate_collision_probability,
     toy_prp,
-    toy_prp_batch,
-    toy_prp_inverse,
 )
 from .exactmath import (
     DegenerateBoundError,
     FixedDecimal,
     Natural,
     Rational,
-    isqrt,
     log2_rational,
     max_q_quadratic,
 )
@@ -106,32 +99,25 @@ __all__ = [
     "benefit",
     "blocks_per_file",
     "bound_at",
-    "cbc_decrypt",
     "cbc_encrypt",
     "compute_q_star",
-    "ctr_decrypt",
     "ctr_encrypt",
     "data_volume_bytes",
     "ecbc_mac",
     "encrypt_file",
     "estimate_collision_probability",
     "export_events",
-    "guessing_from_distinguishing",
     "improvement_bits",
     "ingest_keys",
-    "isqrt",
     "load_state",
     "log2_rational",
     "max_q_quadratic",
     "open_session",
     "persist_state",
-    "rho_approx",
     "security_level_bits",
     "simulate_pool",
     "sweep_k",
     "toy_prp",
-    "toy_prp_batch",
-    "toy_prp_inverse",
     "volume_kb",
     "volume_mb",
 ]

@@ -16,6 +16,11 @@ ECBC's denominator D is configurable: the collision analysis gives D = 2N,
 while D = N reproduces a common more conservative printed form; both are kept
 selectable so planned figures can be matched either way.
 
+``bound_terms`` is the only place these formulas are written down: it returns
+each mode's integer coefficients of lin*Q/s_min + (quad*Q^2 + const)/D.  The
+bound, the planner's quadratic budget, the Monte Carlo birthday bound and the
+rotation gain are all derived from that record.
+
 Everything is an exact Fraction.  Values are clamped into [0, 1] with a
 ``saturated`` flag rather than silently returned above 1, since an advantage
 above 1 only means the bound became vacuous.
@@ -40,8 +45,9 @@ __all__ = [
     "SecurityParams",
     "AdvantageValue",
     "UnboundedSecurityError",
-    "guessing_from_distinguishing",
-    "rho_approx",
+    "BoundTerms",
+    "bound_terms",
+    "budget_quadratic",
     "bound_at",
     "advantage_bound",
     "security_level_bits",
@@ -63,6 +69,38 @@ class EcbcDenominator(enum.Enum):
 
 class UnboundedSecurityError(ValueError):
     """A zero advantage has no finite bit level."""
+
+
+@dataclass(frozen=True)
+class BoundTerms:
+    """One mode's advantage bound as integer coefficients:
+
+        bound(Q) = lin*Q/s_min + (quad*Q^2 + const)/den
+    """
+
+    lin: int
+    quad: int
+    const: int
+    den: int
+
+
+def bound_terms(
+    mode: Mode,
+    blocks_per_file: int,
+    domain_size: int,
+    ecbc_denominator: EcbcDenominator = EcbcDenominator.TWO_N,
+) -> BoundTerms:
+    """The per-mode bound table for files of blocks_per_file blocks over a
+    block domain of domain_size values."""
+    l = blocks_per_file
+    if mode is Mode.CTR:
+        return BoundTerms(lin=l, quad=2 * l, const=0, den=domain_size)
+    if mode is Mode.CBC:
+        return BoundTerms(lin=l, quad=2 * l * l, const=0, den=domain_size)
+    if mode is Mode.ECBC_MAC:
+        den = 2 * domain_size if ecbc_denominator is EcbcDenominator.TWO_N else domain_size
+        return BoundTerms(lin=2 * l, quad=l * l + 1, const=2, den=den)
+    raise TypeError(f"unknown mode: {mode!r}")
 
 
 @dataclass(frozen=True)
@@ -127,9 +165,11 @@ class SecurityParams:
 
     @property
     def ecbc_domain(self) -> int:
-        if self.ecbc_denominator is EcbcDenominator.TWO_N:
-            return 2 * self.domain_size
-        return self.domain_size
+        return self.terms(Mode.ECBC_MAC).den
+
+    def terms(self, mode: Mode) -> BoundTerms:
+        """This problem's row of the bound table for mode."""
+        return bound_terms(mode, self.blocks_per_file, self.domain_size, self.ecbc_denominator)
 
 
 @dataclass(frozen=True)
@@ -150,19 +190,6 @@ class AdvantageValue:
         return cls(raw)
 
 
-def guessing_from_distinguishing(adv: Fraction) -> AdvantageValue:
-    """Key-guessing success from distinguishing advantage: half of it."""
-    adv = Fraction(adv)
-    if not 0 <= adv <= 1:
-        raise ValueError("advantage must lie in [0, 1]")
-    return AdvantageValue(adv / 2)
-
-
-def rho_approx(params: SecurityParams, q_blocks: int) -> AdvantageValue:
-    """Min-entropy leakage term after q_blocks cipher invocations."""
-    return AdvantageValue.clamped(Fraction(as_natural(q_blocks), params.s_min))
-
-
 def bound_at(mode: Mode, params: SecurityParams, q_files: Fraction) -> Fraction:
     """Raw (unclamped) advantage bound at a possibly fractional file count.
 
@@ -172,17 +199,21 @@ def bound_at(mode: Mode, params: SecurityParams, q_files: Fraction) -> Fraction:
     q = Fraction(q_files)
     if q < 0:
         raise ValueError("q_files must be >= 0")
-    n = params.domain_size
-    s = params.s_min
-    l = params.blocks_per_file
-    if mode is Mode.CTR:
-        return q * l / s + 2 * q * q * l / n
-    if mode is Mode.CBC:
-        return q * l / s + 2 * q * q * l * l / n
-    if mode is Mode.ECBC_MAC:
-        d = params.ecbc_domain
-        return 2 * q * l / s + (q * q * (l * l + 1) + 2) / d
-    raise TypeError(f"unknown mode: {mode!r}")
+    t = params.terms(mode)
+    return t.lin * q / params.s_min + (t.quad * q * q + t.const) / t.den
+
+
+def budget_quadratic(mode: Mode, params: SecurityParams) -> tuple[Fraction, Fraction, Fraction]:
+    """(a, b, c) with bound_at(Q) <= eps_max exactly when a*Q^2 + b*Q <= c.
+
+    c is negative when the bound's constant term alone exceeds eps_max.
+    """
+    t = params.terms(mode)
+    return (
+        Fraction(t.quad, t.den),
+        Fraction(t.lin, params.s_min),
+        params.eps_max - Fraction(t.const, t.den),
+    )
 
 
 def advantage_bound(mode: Mode, params: SecurityParams, q_files: int) -> AdvantageValue:

@@ -18,9 +18,9 @@ import re
 import sys
 from fractions import Fraction
 
-from .advmodel import EcbcDenominator, Mode, SecurityParams
+from .advmodel import EcbcDenominator, Mode, SecurityParams, budget_quadratic
 from .empirics import TrialConfig, ToyCipherParams, estimate_collision_probability
-from .exactmath import FixedDecimal, parse_rational
+from .exactmath import FixedDecimal, max_q_unit_scan, parse_rational
 from .planner import (
     InfeasibleTargetError,
     benefit,
@@ -191,8 +191,9 @@ def cmd_improve(args: argparse.Namespace) -> int:
         ("delta_bits", str(report.delta_bits)),
         ("lower_log2k", str(report.lower_bound_bits)),
         ("upper_2log2k", str(report.upper_bound_bits)),
-        ("closed_form_bits", str(report.closed_form_bits)),
-        ("direct_difference_bits", str(report.direct_difference_bits)),
+        # legacy keys: the gain is computed once, so both repeat delta_bits
+        ("closed_form_bits", str(report.delta_bits)),
+        ("direct_difference_bits", str(report.delta_bits)),
     ]
     _emit(args.format, fields)
     return 0
@@ -280,7 +281,7 @@ def _reference_checks() -> list[tuple[str, bool, str]]:
         )
     )
     ecbc2 = compute_q_star(Mode.ECBC_MAC, params(), 1536)
-    scan = _linear_scan_q_star(Mode.ECBC_MAC, params())
+    scan = max_q_unit_scan(*budget_quadratic(Mode.ECBC_MAC, params()))
     results.append(
         (
             "ecbc-q-star-exact-scan",
@@ -309,46 +310,6 @@ def _reference_checks() -> list[tuple[str, bool, str]]:
         ok = abs(got - Fraction(mb, 10)) < Fraction(1, 2)
         results.append((name, ok, f"{float(got):.1f} MB expected ~{mb / 10:.1f} MB"))
     return results
-
-
-def _linear_scan_q_star(mode: Mode, params: SecurityParams) -> int:
-    """Independent maximizer: unit-step integer scan, no bisection involved.
-
-    The mode bound cleared of denominators is an integer quadratic f(q); the
-    scan walks q upward adding the finite difference f(q+1) - f(q), so each
-    step is two big-integer additions.  The boundary is double-checked
-    against the exact rational bound before returning.
-    """
-    from math import lcm
-
-    from .advmodel import bound_at
-
-    n, s, l = params.domain_size, params.s_min, params.blocks_per_file
-    eps = params.eps_max
-    if mode is Mode.CTR:
-        quad, lin, dom = 2 * l, l, n
-    elif mode is Mode.CBC:
-        quad, lin, dom = 2 * l * l, l, n
-    else:
-        dom = params.ecbc_domain
-        quad, lin = l * l + 1, 2 * l
-    m = lcm(dom, s, eps.denominator)
-    a = quad * (m // dom)
-    b = lin * (m // s)
-    c = eps.numerator * (m // eps.denominator)
-    if mode is Mode.ECBC_MAC:
-        c -= 2 * (m // dom)
-
-    f = 0
-    q = 0
-    step = a + b  # f(1) - f(0)
-    while f + step <= c:
-        f += step
-        step += 2 * a
-        q += 1
-    assert bound_at(mode, params, Fraction(q)) <= eps
-    assert bound_at(mode, params, Fraction(q + 1)) > eps
-    return q
 
 
 def cmd_simulate(args: argparse.Namespace) -> int:

@@ -1,11 +1,11 @@
 """Scaled-down empirical validation of the birthday terms.
 
-The planning bounds charge 2*Q^2*l/N (CTR) and 2*Q^2*l^2/N (CBC) for
-collision events.  At real parameters those are astronomically small, so this
-module shrinks the block domain to 8..24 bits, runs Monte Carlo trials, and
-checks the measured collision fraction sits below the same formula evaluated
-at the small domain, without being so far below that the experiment proves
-nothing.
+The planning bounds charge a birthday term quad*Q^2/N for collision events
+(the quad coefficient of advmodel's bound table).  At real parameters it is
+astronomically small, so this module shrinks the block domain to 8..24 bits,
+runs Monte Carlo trials, and checks the measured collision fraction sits below
+the same term evaluated at the small domain, without being so far below that
+the experiment proves nothing.
 
 Collision events mirror what the bounds actually charge for:
 
@@ -29,7 +29,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .advmodel import Mode
+from .advmodel import Mode, bound_terms
 from .exactmath import as_natural
 
 __all__ = [
@@ -40,12 +40,8 @@ __all__ = [
     "mix64",
     "draw64",
     "toy_prp",
-    "toy_prp_inverse",
-    "toy_prp_batch",
     "ctr_encrypt",
-    "ctr_decrypt",
     "cbc_encrypt",
-    "cbc_decrypt",
     "ecbc_mac",
     "estimate_collision_probability",
 ]
@@ -66,6 +62,11 @@ _DEFAULT_ROUNDS = 6
 _P_IV = 1
 _P_KEY = 2
 _P_PLAINTEXT = 3
+
+# CBC plaintext block j of file i draws from slot i*_PLAINTEXT_SLOTS + j, so
+# files stay apart only while blocks_per_file <= _PLAINTEXT_SLOTS.  With
+# q*l <= 2**24 that also keeps every slot below 2**32, clear of the purpose.
+_PLAINTEXT_SLOTS = 256
 
 
 def mix64(x: int) -> int:
@@ -153,22 +154,6 @@ def _permute(block_bits: int, rounds: int, key: int, x: int) -> int:
     return (left << w_right) | right
 
 
-def _unpermute(block_bits: int, rounds: int, key: int, y: int) -> int:
-    w_left = block_bits // 2
-    w_right = block_bits - w_left
-    widths = []
-    for _ in range(rounds):
-        widths.append((w_left, w_right))
-        w_left, w_right = w_right, w_left
-    x = y
-    for rk, (wl, wr) in zip(reversed(_round_keys(rounds, key)), reversed(widths)):
-        # a forward round at widths (wl, wr) maps (L, R) to (R, L ^ f(R))
-        r = x >> wl
-        masked = x & ((1 << wl) - 1)
-        x = ((masked ^ (mix64(r ^ rk) & ((1 << wl) - 1))) << wr) | r
-    return x
-
-
 def _permute_np(block_bits: int, rounds: int, keys: np.ndarray, x: np.ndarray) -> np.ndarray:
     w_left = block_bits // 2
     w_right = block_bits - w_left
@@ -194,16 +179,6 @@ def toy_prp(params: ToyCipherParams, block: int) -> int:
     return _permute(params.block_bits, params.rounds, params.key_seed, _check_block(params.block_bits, block))
 
 
-def toy_prp_inverse(params: ToyCipherParams, block: int) -> int:
-    return _unpermute(params.block_bits, params.rounds, params.key_seed, _check_block(params.block_bits, block))
-
-
-def toy_prp_batch(params: ToyCipherParams, blocks: np.ndarray, key: int | None = None) -> np.ndarray:
-    """Vectorized toy_prp, optionally under an explicit 64-bit key."""
-    k = params.key_seed if key is None else key
-    return _permute_np(params.block_bits, params.rounds, np.uint64(k), blocks.astype(np.uint64))
-
-
 # ------------------------------------------------------------ mode operations
 
 
@@ -226,10 +201,6 @@ def ctr_encrypt(params: ToyCipherParams, key: int, iv: int, blocks: list[int]) -
     return out
 
 
-def ctr_decrypt(params: ToyCipherParams, key: int, iv: int, blocks: list[int]) -> list[int]:
-    return ctr_encrypt(params, key, iv, blocks)  # XOR masking is an involution
-
-
 def cbc_encrypt(params: ToyCipherParams, key: int, iv: int, blocks: list[int]) -> list[int]:
     _check_key(key)
     _check_block(params.block_bits, iv, "iv")
@@ -239,18 +210,6 @@ def cbc_encrypt(params: ToyCipherParams, key: int, iv: int, blocks: list[int]) -
         _check_block(params.block_bits, block)
         prev = _permute(params.block_bits, params.rounds, key, block ^ prev)
         out.append(prev)
-    return out
-
-
-def cbc_decrypt(params: ToyCipherParams, key: int, iv: int, blocks: list[int]) -> list[int]:
-    _check_key(key)
-    _check_block(params.block_bits, iv, "iv")
-    prev = iv
-    out = []
-    for block in blocks:
-        _check_block(params.block_bits, block)
-        out.append(_unpermute(params.block_bits, params.rounds, key, block) ^ prev)
-        prev = block
     return out
 
 
@@ -293,6 +252,8 @@ class TrialConfig:
             raise ValueError("q_files and blocks_per_file must be >= 1")
         if self.q_files * self.blocks_per_file > 1 << self.block_bits:
             raise ValueError("q_files * blocks_per_file exceeds the block domain")
+        if self.mode is Mode.CBC and self.blocks_per_file > _PLAINTEXT_SLOTS:
+            raise ValueError(f"CBC trials support at most {_PLAINTEXT_SLOTS} blocks_per_file")
         as_natural(self.trials)
         as_natural(self.rng_seed)
 
@@ -329,8 +290,9 @@ def _cbc_collisions(config: TrialConfig, lo: int, hi: int) -> int:
     keys = _draw_grid(config.rng_seed, _P_KEY, np.zeros(1, dtype=np.uint64), trials)  # (T, 1)
     prev = _draw_grid(config.rng_seed, _P_IV, slots, trials) & mask  # (T, Q)
     blocks = np.empty((len(trials), q * l), dtype=np.uint32)
+    plaintext_slots = slots * np.uint64(_PLAINTEXT_SLOTS)
     for j in range(l):
-        pt = _draw_grid(config.rng_seed, _P_PLAINTEXT, slots * np.uint64(256) + np.uint64(j), trials) & mask
+        pt = _draw_grid(config.rng_seed, _P_PLAINTEXT, plaintext_slots + np.uint64(j), trials) & mask
         prev = _permute_np(config.block_bits, _DEFAULT_ROUNDS, keys, pt ^ prev)
         blocks[:, j::l] = prev.astype(np.uint32)
     blocks.sort(axis=1)
@@ -353,12 +315,9 @@ def estimate_collision_probability(config: TrialConfig) -> EmpiricalResult:
     for lo in range(0, config.trials, _CHUNK):
         collisions += count_chunk(config, lo, min(lo + _CHUNK, config.trials))
 
-    n = 1 << config.block_bits
-    q, l = config.q_files, config.blocks_per_file
-    if config.mode is Mode.CTR:
-        bound = Fraction(2 * q * q * l, n)
-    else:
-        bound = Fraction(2 * q * q * l * l, n)
+    # the bound's birthday term at the scaled-down domain
+    terms = bound_terms(config.mode, config.blocks_per_file, 1 << config.block_bits)
+    bound = Fraction(terms.quad * config.q_files**2, terms.den)
 
     fraction = collisions / config.trials
     half_width = Z_99 * math.sqrt(fraction * (1.0 - fraction) / config.trials)

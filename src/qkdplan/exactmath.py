@@ -14,6 +14,9 @@ The two primitives:
     Clears denominators once, then brackets and bisects on integers.  The
     answer is re-verified by exact rational evaluation at Q and Q+1, so a
     bracketing bug cannot produce a silently wrong result.
+    ``max_q_unit_scan`` solves the same cleared quadratic by walking Q up one
+    step at a time; it shares the clearing and the certificate, not the
+    bracket or the bisection.
 
 ``log2_rational``
     log2 of a positive rational to a requested number of decimal digits,
@@ -36,12 +39,10 @@ __all__ = [
     "DEFAULT_PRECISION",
     "DegenerateBoundError",
     "as_natural",
-    "parse_natural",
-    "natural_to_hex",
     "parse_rational",
     "render_rational",
-    "isqrt",
     "max_q_quadratic",
+    "max_q_unit_scan",
     "log2_rational",
 ]
 
@@ -68,17 +69,6 @@ def as_natural(value: int) -> int:
     if value < 0:
         raise ValueError(f"natural number required, got {value}")
     return value
-
-
-def parse_natural(text: str) -> int:
-    """Parse a natural from a decimal or 0x-prefixed hex string."""
-    s = text.strip()
-    value = int(s, 16) if s.lower().startswith("0x") else int(s)
-    return as_natural(value)
-
-
-def natural_to_hex(value: int) -> str:
-    return format(as_natural(value), "#x")
 
 
 def parse_rational(text: str | int | Fraction) -> Fraction:
@@ -175,6 +165,27 @@ class FixedDecimal:
         return a <= b
 
 
+def _cleared(a: Fraction, b: Fraction, c: Fraction) -> tuple[int, int, int]:
+    """Integers (ai, bi, ci) with ai*Q^2 + bi*Q <= ci iff a*Q^2 + b*Q <= c."""
+    if a < 0 or b < 0 or c < 0:
+        raise ValueError("coefficients must be nonnegative")
+    if a == 0 and b == 0:
+        raise DegenerateBoundError("constraint has no Q dependence; any Q works")
+    den = lcm(a.denominator, b.denominator, c.denominator)
+    return (
+        a.numerator * (den // a.denominator),
+        b.numerator * (den // b.denominator),
+        c.numerator * (den // c.denominator),
+    )
+
+
+def _certified(a: Fraction, b: Fraction, c: Fraction, q: int) -> int:
+    """Maximality certificate, in the original rationals: Q fits, Q+1 does not."""
+    if not a * q * q + b * q <= c < a * (q + 1) * (q + 1) + b * (q + 1):
+        raise AssertionError(f"Q={q} is not the largest solution of {a}*Q^2 + {b}*Q <= {c}")
+    return q
+
+
 def max_q_quadratic(a: Fraction, b: Fraction, c: Fraction) -> int:
     """Largest natural Q with a*Q^2 + b*Q <= c; 0 when even Q=1 fails.
 
@@ -184,18 +195,7 @@ def max_q_quadratic(a: Fraction, b: Fraction, c: Fraction) -> int:
     returned Q is confirmed maximal by exact evaluation at Q and Q+1.
     """
     a, b, c = Fraction(a), Fraction(b), Fraction(c)
-    if a < 0 or b < 0 or c < 0:
-        raise ValueError("coefficients must be nonnegative")
-    if a == 0 and b == 0:
-        raise DegenerateBoundError("constraint has no Q dependence; any Q works")
-
-    den = lcm(a.denominator, b.denominator, c.denominator)
-    ai = a.numerator * (den // a.denominator)
-    bi = b.numerator * (den // b.denominator)
-    ci = c.numerator * (den // c.denominator)
-
-    def ok(q: int) -> bool:
-        return ai * q * q + bi * q <= ci
+    ai, bi, ci = _cleared(a, b, c)
 
     # Upper bracket: any feasible Q satisfies Q <= sqrt(c/a) (if a > 0) and
     # Q <= c/b (if b > 0), and floor(sqrt(p/q)) == isqrt(p // q) exactly.
@@ -209,16 +209,28 @@ def max_q_quadratic(a: Fraction, b: Fraction, c: Fraction) -> int:
 
     while hi - lo > 1:
         mid = (lo + hi) // 2
-        if ok(mid):
+        if ai * mid * mid + bi * mid <= ci:
             lo = mid
         else:
             hi = mid
+    return _certified(a, b, c, lo)
 
-    # Maximality certificate, in the original rationals.
-    q = lo
-    assert a * q * q + b * q <= c
-    assert a * (q + 1) * (q + 1) + b * (q + 1) > c
-    return q
+
+def max_q_unit_scan(a: Fraction, b: Fraction, c: Fraction) -> int:
+    """max_q_quadratic by a unit-step walk: no bracket and no bisection.
+
+    Each step adds the finite difference f(Q+1) - f(Q) of the cleared
+    quadratic f, so the walk costs Q big-integer additions.
+    """
+    a, b, c = Fraction(a), Fraction(b), Fraction(c)
+    ai, bi, ci = _cleared(a, b, c)
+    f = q = 0
+    step = ai + bi  # f(1) - f(0)
+    while f + step <= ci:
+        f += step
+        step += 2 * ai
+        q += 1
+    return _certified(a, b, c, q)
 
 
 def _floor_log2(value: Fraction) -> int:

@@ -1,19 +1,15 @@
 """Rotation planning: how many files one key may encrypt, and what splitting
 the schedule across k keys buys.
 
-``compute_q_star`` reduces each mode's advantage bound to a quadratic
-constraint a*Q^2 + b*Q <= eps and maximizes exactly.  ``improvement_bits``
-quantifies the security gained by encrypting Q*/k files under each of k keys
-instead of Q* under one, two independent ways:
-
-  closed form   log2(k) + log2(1 + X), with X the mode-specific correction
-  direct        level(Q*/k) - level(Q*), evaluated straight off the bounds
-
-Both reduce to log2 of the same exact rational, so they agree to roundoff;
-computing them separately keeps either formula honest about the other.  The
-gain always lies strictly between log2(k) and 2*log2(k) for k >= 2: rotation
-at least halves the effective exposure per key but cannot beat the square-law
-limit of the birthday terms.
+``compute_q_star`` turns the mode's advantage bound (advmodel's bound table)
+into the quadratic constraint a*Q^2 + b*Q <= c and maximizes exactly.
+``improvement_bits`` quantifies the security gained by encrypting Q*/k files
+under each of k keys instead of Q* under one: the gain is
+log2(bound(Q*) / bound(Q*/k)), computed once from one exact rational.  That
+ratio always lies strictly between k and k^2 for k >= 2, so the gain lies
+between log2(k) and 2*log2(k): rotation at least halves the effective
+exposure per key but cannot beat the square-law limit of the birthday terms.
+The bracket is checked on the exact ratio before any rounding.
 """
 
 from __future__ import annotations
@@ -21,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .advmodel import Mode, SecurityParams, bound_at
+from .advmodel import Mode, SecurityParams, bound_at, budget_quadratic
 from .exactmath import (
     DEFAULT_PRECISION,
     FixedDecimal,
@@ -74,8 +70,6 @@ class ImprovementReport:
     delta_bits: FixedDecimal
     lower_bound_bits: FixedDecimal  # log2(k)
     upper_bound_bits: FixedDecimal  # 2*log2(k)
-    closed_form_bits: FixedDecimal
-    direct_difference_bits: FixedDecimal
 
 
 @dataclass(frozen=True)
@@ -115,29 +109,6 @@ def volume_mb(size_bytes: int) -> Fraction:
     return Fraction(as_natural(size_bytes), 1024 * 1024)
 
 
-def _quadratic_coefficients(
-    mode: Mode, params: SecurityParams
-) -> tuple[Fraction, Fraction, Fraction]:
-    """Coefficients (a, b, c) of a*Q^2 + b*Q <= c equivalent to the mode bound."""
-    n = params.domain_size
-    s = params.s_min
-    l = params.blocks_per_file
-    eps = params.eps_max
-    if mode is Mode.CTR:
-        return Fraction(2 * l, n), Fraction(l, s), eps
-    if mode is Mode.CBC:
-        return Fraction(2 * l * l, n), Fraction(l, s), eps
-    if mode is Mode.ECBC_MAC:
-        d = params.ecbc_domain
-        c = eps - Fraction(2, d)
-        if c < 0:
-            raise InfeasibleTargetError(
-                "advantage ceiling is below the ECBC-MAC constant floor 2/D"
-            )
-        return Fraction(l * l + 1, d), Fraction(2 * l, s), c
-    raise TypeError(f"unknown mode: {mode!r}")
-
-
 def compute_q_star(
     mode: Mode,
     params: SecurityParams,
@@ -164,7 +135,11 @@ def compute_q_star(
                 f"{params.blocks_per_file}"
             )
 
-    a, b, c = _quadratic_coefficients(mode, params)
+    a, b, c = budget_quadratic(mode, params)
+    if c < 0:
+        raise InfeasibleTargetError(
+            "advantage ceiling is below the bound's constant floor const/D"
+        )
     q_star = max_q_quadratic(a, b, c)
     if q_star == 0:
         raise InfeasibleTargetError(
@@ -180,26 +155,6 @@ def compute_q_star(
         file_size_bytes=file_size_bytes,
         max_data_volume_bytes=data_volume_bytes(q_star, file_size_bytes),
     )
-
-
-def _closed_form_ratio(mode: Mode, params: SecurityParams, q_star: int, k: int) -> Fraction:
-    """1 + X: the residual factor the closed-form gain multiplies onto k."""
-    n = params.domain_size
-    s = params.s_min
-    l = params.blocks_per_file
-    q = Fraction(q_star)
-    if mode is Mode.CTR:
-        x = Fraction(2 * (k - 1)) * q * s / (k * n + 2 * q * s)
-    elif mode is Mode.CBC:
-        x = Fraction(2 * (k - 1)) * q * l * s / (k * n + 2 * q * l * s)
-    elif mode is Mode.ECBC_MAC:
-        d = params.ecbc_domain
-        num = q * q * (l * l + 1) * (1 - Fraction(1, k)) + 2 * (1 - k)
-        den = 2 * d * q * l / s + q * q * (l * l + 1) / k + 2 * k
-        x = num / den
-    else:
-        raise TypeError(f"unknown mode: {mode!r}")
-    return 1 + x
 
 
 def improvement_bits(
@@ -221,29 +176,31 @@ def improvement_bits(
 
     zero = FixedDecimal(0, precision_digits)
     if k == 1:
-        return ImprovementReport(1, zero, zero, zero, zero, zero)
+        return ImprovementReport(1, zero, zero, zero)
 
-    ratio = _closed_form_ratio(mode, params, q_star, k)
-    # Strict bracket, checked exactly before any rounding: the full-schedule
-    # to split-schedule bound ratio is k*(1+X), and log2 k < gain < 2 log2 k
-    # iff k < k*(1+X) < k*k.
-    assert 1 < ratio < k
-
+    ratio = bound_at(mode, params, Fraction(q_star)) / bound_at(mode, params, Fraction(q_star, k))
+    # log2 k < gain < 2 log2 k iff k < ratio < k^2; checked before rounding.
+    if not k < ratio < k * k:
+        raise AssertionError(f"bound ratio {ratio} at k={k} lies outside ({k}, {k * k})")
+    # Rounded as log2 k + log2(ratio / k): both terms round into [0, log2 k],
+    # so the reported gain cannot step outside the reported bracket.
     log2_k = log2_rational(Fraction(k), precision_digits)
-    closed = log2_k + log2_rational(ratio, precision_digits)
-
-    level_full = -log2_rational(bound_at(mode, params, Fraction(q_star)), precision_digits)
-    level_split = -log2_rational(bound_at(mode, params, Fraction(q_star, k)), precision_digits)
-    direct = level_split - level_full
-
     return ImprovementReport(
         k=k,
-        delta_bits=closed.rescale(precision_digits),
+        delta_bits=log2_k + log2_rational(ratio / k, precision_digits),
         lower_bound_bits=log2_k,
         upper_bound_bits=2 * log2_k,
-        closed_form_bits=closed.rescale(precision_digits),
-        direct_difference_bits=direct.rescale(precision_digits),
     )
+
+
+def _benefit_value(
+    report: ImprovementReport, q_star: int, key_cost: Fraction, precision_digits: int
+) -> FixedDecimal:
+    """Q* * delta / (k * cost), rounded to precision_digits."""
+    if key_cost <= 0:
+        raise ValueError("key_cost must be > 0")
+    value = report.delta_bits.as_fraction() * q_star / (report.k * key_cost)
+    return FixedDecimal.from_fraction(value, precision_digits)
 
 
 def benefit(
@@ -256,11 +213,8 @@ def benefit(
 ) -> BenefitReport:
     """Security gained per unit of key material spent: Q* * delta / (k * cost)."""
     key_cost = Fraction(key_cost)
-    if key_cost <= 0:
-        raise ValueError("key_cost must be > 0")
     report = improvement_bits(mode, params, q_star, k)
-    value = report.delta_bits.as_fraction() * q_star / (k * key_cost)
-    return BenefitReport(k, key_cost, FixedDecimal.from_fraction(value, precision_digits))
+    return BenefitReport(k, key_cost, _benefit_value(report, q_star, key_cost, precision_digits))
 
 
 def sweep_k(
@@ -271,17 +225,17 @@ def sweep_k(
     key_cost: Fraction = Fraction(1),
 ) -> list[SweepRow]:
     """Improvement and benefit for each k, in the given order."""
+    key_cost = Fraction(key_cost)
     rows = []
     for k in k_values:
         report = improvement_bits(mode, params, q_star, k)
-        cost_row = benefit(mode, params, q_star, k, key_cost)
         rows.append(
             SweepRow(
                 k=k,
                 delta_bits=report.delta_bits,
                 lower_bound_bits=report.lower_bound_bits,
                 upper_bound_bits=report.upper_bound_bits,
-                benefit=cost_row.benefit,
+                benefit=_benefit_value(report, q_star, key_cost, DEFAULT_PRECISION),
             )
         )
     return rows

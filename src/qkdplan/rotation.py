@@ -79,7 +79,6 @@ class KeyRecord:
     key_id: int
     key_material: bytes | None
     cost: Fraction
-    consumed: bool = False
 
 
 class KeyPool:
@@ -112,7 +111,6 @@ class KeyPool:
                 raise PoolExhaustedError(f"pool {self.source or '<anonymous>'} is empty")
             record = self._records[self._cursor]
             self._cursor += 1
-            record.consumed = True
             return record
 
 
@@ -384,13 +382,14 @@ def load_state(path: str) -> SessionState:
     """Rebuild a detached session from a state file, re-checking invariants.
 
     Raises FileNotFoundError for a missing path and StateError for anything
-    malformed: wrong schema version, missing fields, counters that violate
-    the plan the stored parameters imply.
+    malformed: non-ASCII or non-JSON bytes, wrong schema version, missing
+    fields, counters or an event log that differ from the lazy rotation
+    schedule the stored parameters imply.
     """
     with open(path, encoding="ascii") as handle:
         try:
             document = json.load(handle)
-        except json.JSONDecodeError as exc:
+        except (json.JSONDecodeError, UnicodeDecodeError, RecursionError) as exc:
             raise StateError(f"{path}: not a JSON document ({exc})") from exc
 
     try:
@@ -455,16 +454,21 @@ def load_state(path: str) -> SessionState:
             f"{path}: files_under_current_key {files_under} violates the "
             f"per-key cap {per_key_cap}"
         )
-    if files_under > total_files:
-        raise StateError(f"{path}: files_under_current_key exceeds total_files")
-    last = -1
+    # Lazy rotation fixes the schedule: event i fires once (i+1)*cap files
+    # are done, and the current key holds the rest, at least one file.
+    if total_files != len(events) * per_key_cap + files_under or (total_files and not files_under):
+        raise StateError(
+            f"{path}: total_files {total_files} is not {len(events)} rotations of "
+            f"{per_key_cap} files plus files_under_current_key {files_under} >= 1"
+        )
+    key_id = events[0].old_key_id if events else current_key_id
     for i, event in enumerate(events):
-        if event.event_index != i or event.old_key_id == event.new_key_id:
-            raise StateError(f"{path}: event log entry {i} is inconsistent")
-        if not last < event.at_file_count <= total_files:
-            raise StateError(f"{path}: event log file counts are not increasing")
-        last = event.at_file_count
-    if events and events[-1].new_key_id != current_key_id:
+        if event.event_index != i or event.at_file_count != (i + 1) * per_key_cap:
+            raise StateError(f"{path}: event log entry {i} is off the lazy rotation schedule")
+        if event.old_key_id != key_id or event.new_key_id == key_id:
+            raise StateError(f"{path}: event log entry {i} breaks the key chain")
+        key_id = event.new_key_id
+    if key_id != current_key_id:
         raise StateError(f"{path}: current key does not match the last rotation")
     if total_cost != (len(events) + 1) * key_cost:
         raise StateError(f"{path}: total_key_cost fails the per-key accounting identity")
@@ -476,7 +480,7 @@ def load_state(path: str) -> SessionState:
         per_key_cap=per_key_cap,
         key_cost=key_cost,
         pool=None,
-        current_key=KeyRecord(current_key_id, None, key_cost, consumed=True),
+        current_key=KeyRecord(current_key_id, None, key_cost),
         total_files=total_files,
         files_under_current_key=files_under,
         events=events,

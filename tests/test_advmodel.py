@@ -20,8 +20,6 @@ from qkdplan.advmodel import (
     UnboundedSecurityError,
     advantage_bound,
     bound_at,
-    guessing_from_distinguishing,
-    rho_approx,
     security_level_bits,
 )
 
@@ -72,21 +70,6 @@ def test_advantage_value_clamping():
         AdvantageValue(Fraction(-1, 2))
     with pytest.raises(ValueError):
         AdvantageValue(Fraction(2))
-
-
-def test_guessing_is_half_of_distinguishing():
-    assert guessing_from_distinguishing(Fraction(1, 4)).value == Fraction(1, 8)
-    assert guessing_from_distinguishing(Fraction(1)).value == Fraction(1, 2)
-    with pytest.raises(ValueError):
-        guessing_from_distinguishing(Fraction(5, 4))
-
-
-def test_rho_approx_counts_blocks_against_entropy_floor():
-    p = reference_params()
-    assert rho_approx(p, 0).value == 0
-    assert rho_approx(p, 96).value == Fraction(96, 1 << 121)
-    big = rho_approx(p, 1 << 125)
-    assert big.value == 1 and big.saturated
 
 
 def test_bound_formulas_exact_small_case():

@@ -104,8 +104,9 @@ def test_improve_reports_both_paths(capsys):
     assert code == 0
     data = json.loads(out)
     assert data["delta_bits"].startswith("1.9999237460")
+    # legacy keys: the gain is computed once and both repeat it
     assert data["closed_form_bits"] == data["delta_bits"]
-    assert abs(float(data["direct_difference_bits"]) - float(data["delta_bits"])) < 1e-9
+    assert data["direct_difference_bits"] == data["delta_bits"]
     assert data["lower_log2k"] == "1.000000000000"
     assert data["upper_2log2k"] == "2.000000000000"
 
@@ -193,6 +194,15 @@ def test_simulate_rejects_tiny_trials(capsys):
     )
     assert code == 2
     assert "1000" in err
+
+
+def test_simulate_rejects_aliasing_cbc_file_length(capsys):
+    code, _, err = run(
+        capsys, "simulate", "--mode", "cbc", "--block-bits", "16", "--q", "2",
+        "--l", "257", "--trials", "1000",
+    )
+    assert code == 2
+    assert "256 blocks_per_file" in err
 
 
 def test_simulate_bound_violation_exits_4(capsys, monkeypatch):

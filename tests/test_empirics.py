@@ -20,19 +20,53 @@ from qkdplan.empirics import (
     ToyCipherParams,
     TrialConfig,
     Z_99,
-    cbc_decrypt,
     cbc_encrypt,
-    ctr_decrypt,
     ctr_encrypt,
     draw64,
     ecbc_mac,
     estimate_collision_probability,
     mix64,
     toy_prp,
-    toy_prp_batch,
-    toy_prp_inverse,
 )
-from qkdplan.empirics import _draw_grid
+from qkdplan.empirics import _draw_grid, _permute_np, _round_keys
+
+
+# Oracles for the round-trip and scalar-vs-vector tests; the package keeps
+# only the encrypting direction and the vectorized kernel.
+
+
+def toy_prp_batch(params: ToyCipherParams, blocks: np.ndarray, key: int | None = None) -> np.ndarray:
+    k = params.key_seed if key is None else key
+    return _permute_np(params.block_bits, params.rounds, np.uint64(k), blocks.astype(np.uint64))
+
+
+def _unpermute(block_bits: int, rounds: int, key: int, y: int) -> int:
+    w_left = block_bits // 2
+    w_right = block_bits - w_left
+    widths = []
+    for _ in range(rounds):
+        widths.append((w_left, w_right))
+        w_left, w_right = w_right, w_left
+    x = y
+    for rk, (wl, wr) in zip(reversed(_round_keys(rounds, key)), reversed(widths)):
+        # a forward round at widths (wl, wr) maps (L, R) to (R, L ^ f(R))
+        r = x >> wl
+        masked = x & ((1 << wl) - 1)
+        x = ((masked ^ (mix64(r ^ rk) & ((1 << wl) - 1))) << wr) | r
+    return x
+
+
+def toy_prp_inverse(params: ToyCipherParams, block: int) -> int:
+    return _unpermute(params.block_bits, params.rounds, params.key_seed, block)
+
+
+def cbc_decrypt(params: ToyCipherParams, key: int, iv: int, blocks: list[int]) -> list[int]:
+    prev = iv
+    out = []
+    for block in blocks:
+        out.append(_unpermute(params.block_bits, params.rounds, key, block) ^ prev)
+        prev = block
+    return out
 
 
 def test_mix64_deterministic_and_injective_sample():
@@ -68,6 +102,7 @@ def test_toy_prp_is_permutation_all_widths():
 
 
 def test_toy_prp_inverse_round_trip():
+    # past 16 bits construction checks nothing; an inverse shows injectivity
     rng = random.Random(31)
     for bits in (8, 13, 16, 24):
         params = ToyCipherParams(bits, key_seed=rng.getrandbits(64))
@@ -102,7 +137,7 @@ def test_ctr_round_trip_and_wraparound():
     blocks = [0, 1, 4095, 2048]
     iv = 4094  # counters 4094, 4095, 0, 1: wraps mod N
     ct = ctr_encrypt(params, 77, iv, blocks)
-    assert ctr_decrypt(params, 77, iv, ct) == blocks
+    assert ctr_encrypt(params, 77, iv, ct) == blocks  # XOR masking is an involution
     assert ct != blocks
 
 
@@ -188,6 +223,12 @@ def test_trial_config_validation():
         TrialConfig(Mode.CTR, 16, 0, 4, 1000, 0)
     with pytest.raises(ValueError):
         TrialConfig(Mode.CTR, 30, 4, 4, 1000, 0)
+    # CBC file i's block j draws plaintext slot i*256 + j: at 257 blocks,
+    # file 0's last block would share file 1's first plaintext
+    TrialConfig(Mode.CBC, 16, 4, 256, 1000, 0)
+    with pytest.raises(ValueError, match="256 blocks_per_file"):
+        TrialConfig(Mode.CBC, 16, 4, 257, 1000, 0)
+    TrialConfig(Mode.CTR, 16, 4, 257, 1000, 0)  # CTR draws no plaintext
 
 
 def test_estimate_rejects_tiny_trial_counts():

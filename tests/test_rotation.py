@@ -112,7 +112,6 @@ def test_open_session_dispenses_first_key():
     assert session.plan.q_star == 3
     assert session.per_key_cap == 3
     assert session.current_key.key_id == 0
-    assert session.current_key.consumed
     assert pool.remaining() == 1
     assert session.total_files == 0 and session.files_under_current_key == 0
     assert session.keys_consumed == 1
@@ -259,9 +258,10 @@ def test_load_missing_file_is_distinct():
 
 def test_load_rejects_garbage_and_wrong_version(tmp_path):
     bad = tmp_path / "bad.json"
-    bad.write_text("{not json")
-    with pytest.raises(StateError, match="not a JSON document"):
-        load_state(str(bad))
+    for garbage in ("{not json", "[" * 200_000):  # the second overflows the parser's stack
+        bad.write_text(garbage)
+        with pytest.raises(StateError, match="not a JSON document"):
+            load_state(str(bad))
     session = toy_session()
     path = tmp_path / "state.json"
     persist_state(session, str(path))
@@ -298,6 +298,67 @@ def test_load_rejects_tampered_q_star(tmp_path):
     document["per_key_cap"] = "1000"
     path.write_text(json.dumps(document))
     with pytest.raises(StateError, match="recomputed"):
+        load_state(str(path))
+
+
+def persisted(tmp_path, target_bits, files):
+    """A toy CTR session after `files` files, persisted: (path, document).
+
+    Targets 10 and 7 bits give per-key caps of 2 and 7 files.
+    """
+    params = SecurityParams.from_bits(16, 14, 4, target_bits=target_bits)
+    session = open_session(simulate_pool(10, 128, 1), Mode.CTR, params, 8, cipher=TOY_CIPHER)
+    for _ in range(files):
+        encrypt_file(session, b"x")
+    path = tmp_path / "state.json"
+    persist_state(session, str(path))
+    load_state(str(path))  # the untampered state loads
+    return path, json.loads(path.read_text())
+
+
+def load_tampered(path, document):
+    path.write_text(json.dumps(document))
+    return load_state(str(path))
+
+
+def test_load_rejects_files_beyond_the_schedule(tmp_path):
+    path, document = persisted(tmp_path, 10, 2)
+    assert (document["per_key_cap"], document["events"]) == ("2", [])
+    document["counters"]["total_files"] = "1000"  # one key over 1000 files
+    with pytest.raises(StateError, match="total_files"):
+        load_tampered(path, document)
+    path, document = persisted(tmp_path, 10, 4)
+    document["counters"]["files_under_current_key"] = "0"
+    document["counters"]["total_files"] = "2"  # a rotation with no file after it
+    with pytest.raises(StateError, match=">= 1"):
+        load_tampered(path, document)
+
+
+def test_load_rejects_rotation_off_schedule(tmp_path):
+    path, document = persisted(tmp_path, 7, 10)
+    assert document["events"][0]["at_file_count"] == 7
+    document["events"][0]["at_file_count"] = 49  # one key over 49 files
+    document["counters"]["total_files"] = "52"
+    with pytest.raises(StateError):
+        load_tampered(path, document)
+    document["events"][0]["at_file_count"] = 5  # counters consistent, rotation early
+    document["counters"]["total_files"] = "10"
+    with pytest.raises(StateError, match="lazy rotation schedule"):
+        load_tampered(path, document)
+
+
+def test_load_rejects_broken_key_chain(tmp_path):
+    path, document = persisted(tmp_path, 10, 7)
+    assert [e["at_file_count"] for e in document["events"]] == [2, 4, 6]
+    document["events"][1]["old_key_id"] = 5
+    with pytest.raises(StateError, match="key chain"):
+        load_tampered(path, document)
+
+
+def test_load_rejects_non_ascii_state(tmp_path):
+    path = tmp_path / "state.json"
+    path.write_bytes('{"version": 1, "mode": "CTR\u00e9"}'.encode("utf-8"))
+    with pytest.raises(StateError, match="not a JSON document"):
         load_state(str(path))
 
 

@@ -12,8 +12,10 @@ import random
 from fractions import Fraction
 
 import pytest
+from paper_formulas import paper_bound, paper_one_plus_x
 
 from qkdplan.advmodel import EcbcDenominator, Mode, SecurityParams, bound_at
+from qkdplan.exactmath import log2_rational
 from qkdplan.planner import (
     InfeasibleTargetError,
     benefit,
@@ -136,6 +138,27 @@ def test_improvement_frozen_k2():
         assert str(report.delta_bits).startswith(prefix), (mode, denom)
         # and every one of them is within the coarser published rounding
         assert abs(report.delta_bits.as_fraction() - Fraction(199996, 100000)) < Fraction(1, 10000) or mode is not Mode.ECBC_MAC
+
+
+def test_improvement_closed_and_direct_agree():
+    # The gain by the paper's closed form, log2(k) + log2(1 + X), and by the
+    # direct difference log2 bound(Q*) - log2 bound(Q*/k), both taken from
+    # tests/paper_formulas.py, agree with the reported delta_bits.
+    p = reference_params()
+    for mode in Mode:
+        plan = compute_q_star(mode, p, FILE_BYTES)
+        for k in (2, 3, 16, 1024):
+            r = improvement_bits(mode, p, plan.q_star, k)
+            digits = r.delta_bits.digits
+            closed = log2_rational(Fraction(k), digits) + log2_rational(
+                paper_one_plus_x(mode, p, plan.q_star, k), digits
+            )
+            direct = log2_rational(paper_bound(mode, p, Fraction(plan.q_star)), digits) - log2_rational(
+                paper_bound(mode, p, Fraction(plan.q_star, k)), digits
+            )
+            for path in (closed, direct):
+                gap = (r.delta_bits - path).as_fraction()
+                assert abs(gap) < Fraction(1, 10**9), (mode, k)
 
 
 def test_improvement_bracket_random_small_params():

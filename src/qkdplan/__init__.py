@@ -9,14 +9,10 @@ plans into auditable rotation schedules.
 """
 
 from .advmodel import (
-    AdvantageValue,
     EcbcDenominator,
     Mode,
     SecurityParams,
-    UnboundedSecurityError,
-    advantage_bound,
     bound_at,
-    security_level_bits,
 )
 from .empirics import (
     EmpiricalResult,
@@ -31,8 +27,6 @@ from .empirics import (
 from .exactmath import (
     DegenerateBoundError,
     FixedDecimal,
-    Natural,
-    Rational,
     log2_rational,
     max_q_quadratic,
 )
@@ -45,7 +39,6 @@ from .planner import (
     benefit,
     blocks_per_file,
     compute_q_star,
-    data_volume_bytes,
     improvement_bits,
     sweep_k,
     volume_kb,
@@ -71,7 +64,6 @@ from .rotation import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "AdvantageValue",
     "BenefitReport",
     "DegenerateBoundError",
     "EcbcDenominator",
@@ -82,10 +74,8 @@ __all__ = [
     "KeyPool",
     "KeyRecord",
     "Mode",
-    "Natural",
     "OversizedFileError",
     "PoolExhaustedError",
-    "Rational",
     "RotationEvent",
     "RotationPlan",
     "SecurityParams",
@@ -94,15 +84,12 @@ __all__ = [
     "SweepRow",
     "ToyCipherParams",
     "TrialConfig",
-    "UnboundedSecurityError",
-    "advantage_bound",
     "benefit",
     "blocks_per_file",
     "bound_at",
     "cbc_encrypt",
     "compute_q_star",
     "ctr_encrypt",
-    "data_volume_bytes",
     "ecbc_mac",
     "encrypt_file",
     "estimate_collision_probability",
@@ -114,7 +101,6 @@ __all__ = [
     "max_q_quadratic",
     "open_session",
     "persist_state",
-    "security_level_bits",
     "simulate_pool",
     "sweep_k",
     "toy_prp",

@@ -19,11 +19,8 @@ selectable so planned figures can be matched either way.
 ``bound_terms`` is the only place these formulas are written down: it returns
 each mode's integer coefficients of lin*Q/s_min + (quad*Q^2 + const)/D.  The
 bound, the planner's quadratic budget, the Monte Carlo birthday bound and the
-rotation gain are all derived from that record.
-
-Everything is an exact Fraction.  Values are clamped into [0, 1] with a
-``saturated`` flag rather than silently returned above 1, since an advantage
-above 1 only means the bound became vacuous.
+rotation gain are all derived from that record.  Everything is an exact
+Fraction.
 """
 
 from __future__ import annotations
@@ -32,25 +29,16 @@ import enum
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .exactmath import (
-    DEFAULT_PRECISION,
-    FixedDecimal,
-    as_natural,
-    log2_rational,
-)
+from .exactmath import as_natural
 
 __all__ = [
     "Mode",
     "EcbcDenominator",
     "SecurityParams",
-    "AdvantageValue",
-    "UnboundedSecurityError",
     "BoundTerms",
     "bound_terms",
     "budget_quadratic",
     "bound_at",
-    "advantage_bound",
-    "security_level_bits",
 ]
 
 
@@ -65,10 +53,6 @@ class EcbcDenominator(enum.Enum):
 
     TWO_N = "two-n"
     PAPER_COMPAT_N = "paper-compat-n"
-
-
-class UnboundedSecurityError(ValueError):
-    """A zero advantage has no finite bit level."""
 
 
 @dataclass(frozen=True)
@@ -163,35 +147,13 @@ class SecurityParams:
         b = self.s_min.bit_length() - 1
         return b if self.s_min == 1 << b else None
 
-    @property
-    def ecbc_domain(self) -> int:
-        return self.terms(Mode.ECBC_MAC).den
-
     def terms(self, mode: Mode) -> BoundTerms:
         """This problem's row of the bound table for mode."""
         return bound_terms(mode, self.blocks_per_file, self.domain_size, self.ecbc_denominator)
 
 
-@dataclass(frozen=True)
-class AdvantageValue:
-    """Advantage in [0, 1]; saturated means the raw bound exceeded 1."""
-
-    value: Fraction
-    saturated: bool = False
-
-    def __post_init__(self) -> None:
-        if not 0 <= self.value <= 1:
-            raise ValueError("advantage must lie in [0, 1]")
-
-    @classmethod
-    def clamped(cls, raw: Fraction) -> "AdvantageValue":
-        if raw > 1:
-            return cls(Fraction(1), saturated=True)
-        return cls(raw)
-
-
 def bound_at(mode: Mode, params: SecurityParams, q_files: Fraction) -> Fraction:
-    """Raw (unclamped) advantage bound at a possibly fractional file count.
+    """Advantage bound at a possibly fractional file count.
 
     The rational q_files form exists so callers can evaluate at Q/k exactly
     when comparing rotated against unrotated schedules.
@@ -215,18 +177,3 @@ def budget_quadratic(mode: Mode, params: SecurityParams) -> tuple[Fraction, Frac
         params.eps_max - Fraction(t.const, t.den),
     )
 
-
-def advantage_bound(mode: Mode, params: SecurityParams, q_files: int) -> AdvantageValue:
-    """Advantage bound after q_files whole files, clamped into [0, 1]."""
-    return AdvantageValue.clamped(bound_at(mode, params, Fraction(as_natural(q_files))))
-
-
-def security_level_bits(
-    eps: AdvantageValue | Fraction,
-    precision_digits: int = DEFAULT_PRECISION,
-) -> FixedDecimal:
-    """-log2 of an advantage, as a fixed-point decimal bit count."""
-    value = eps.value if isinstance(eps, AdvantageValue) else Fraction(eps)
-    if value == 0:
-        raise UnboundedSecurityError("zero advantage has unbounded security level")
-    return -log2_rational(value, precision_digits)

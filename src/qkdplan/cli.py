@@ -352,16 +352,16 @@ def _read_manifest(path: str) -> list[tuple[str, int]]:
                 continue
             parts = line.split()
             try:
-                if len(parts) == 1:
-                    entries.append((f"line-{lineno}", int(parts[0])))
-                elif len(parts) == 2:
-                    entries.append((parts[0], int(parts[1])))
-                else:
+                if len(parts) not in (1, 2):
+                    raise ValueError
+                size = int(parts[-1])
+                if size < 0:
                     raise ValueError
             except ValueError:
                 raise ValueError(
-                    f"{path}:{lineno}: manifest lines are 'size' or 'name size'"
+                    f"{path}:{lineno}: manifest lines are 'size' or 'name size', size >= 0"
                 ) from None
+            entries.append((parts[0] if len(parts) == 2 else f"line-{lineno}", size))
     return entries
 
 

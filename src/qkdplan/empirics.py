@@ -118,7 +118,7 @@ class ToyCipherParams:
 
     block_bits: int
     key_seed: int
-    rounds: int = 6
+    rounds: int = _DEFAULT_ROUNDS
 
     def __post_init__(self) -> None:
         if not 8 <= self.block_bits <= 24:

@@ -33,8 +33,6 @@ from fractions import Fraction
 from math import isqrt, lcm
 
 __all__ = [
-    "Natural",
-    "Rational",
     "FixedDecimal",
     "DEFAULT_PRECISION",
     "DegenerateBoundError",
@@ -45,11 +43,6 @@ __all__ = [
     "max_q_unit_scan",
     "log2_rational",
 ]
-
-# Python ints are arbitrary precision; these aliases exist so signatures say
-# what they mean.  "Natural" values are validated at construction boundaries.
-Natural = int
-Rational = Fraction
 
 DEFAULT_PRECISION = 9
 
@@ -115,11 +108,6 @@ class FixedDecimal:
 
     def as_fraction(self) -> Fraction:
         return Fraction(self.scaled, 10**self.digits)
-
-    def rescale(self, digits: int) -> "FixedDecimal":
-        if digits >= self.digits:
-            return FixedDecimal(self.scaled * 10 ** (digits - self.digits), digits)
-        return FixedDecimal.from_fraction(self.as_fraction(), digits)
 
     def __float__(self) -> float:
         return self.scaled / 10**self.digits

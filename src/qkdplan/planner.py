@@ -33,7 +33,6 @@ __all__ = [
     "BenefitReport",
     "SweepRow",
     "blocks_per_file",
-    "data_volume_bytes",
     "volume_kb",
     "volume_mb",
     "compute_q_star",
@@ -59,7 +58,10 @@ class RotationPlan:
     eps_at_q_star: Fraction
     worst_case_bits: FixedDecimal
     file_size_bytes: int
-    max_data_volume_bytes: int
+
+    @property
+    def max_data_volume_bytes(self) -> int:
+        return self.q_star * self.file_size_bytes
 
 
 @dataclass(frozen=True)
@@ -95,10 +97,6 @@ def blocks_per_file(file_size_bytes: int, block_bits: int) -> int:
     if block_bits < 8 or block_bits % 8:
         raise ValueError("block_bits must be a positive multiple of 8")
     return (file_size_bytes * 8 + block_bits - 1) // block_bits
-
-
-def data_volume_bytes(q_star: int, file_size_bytes: int) -> int:
-    return as_natural(q_star) * as_natural(file_size_bytes)
 
 
 def volume_kb(size_bytes: int) -> Fraction:
@@ -153,7 +151,6 @@ def compute_q_star(
         eps_at_q_star=eps_at,
         worst_case_bits=-log2_rational(eps_at, DEFAULT_PRECISION),
         file_size_bytes=file_size_bytes,
-        max_data_volume_bytes=data_volume_bytes(q_star, file_size_bytes),
     )
 
 
@@ -162,7 +159,6 @@ def improvement_bits(
     params: SecurityParams,
     q_star: int,
     k: int,
-    precision_digits: int = _IMPROVEMENT_PRECISION,
 ) -> ImprovementReport:
     """Security-level gain of a k-way rotation, with its strict bracket.
 
@@ -174,7 +170,7 @@ def improvement_bits(
     if k > as_natural(q_star):
         raise ValueError(f"k={k} exceeds q_star={q_star}; keys would sit idle")
 
-    zero = FixedDecimal(0, precision_digits)
+    zero = FixedDecimal(0, _IMPROVEMENT_PRECISION)
     if k == 1:
         return ImprovementReport(1, zero, zero, zero)
 
@@ -184,23 +180,21 @@ def improvement_bits(
         raise AssertionError(f"bound ratio {ratio} at k={k} lies outside ({k}, {k * k})")
     # Rounded as log2 k + log2(ratio / k): both terms round into [0, log2 k],
     # so the reported gain cannot step outside the reported bracket.
-    log2_k = log2_rational(Fraction(k), precision_digits)
+    log2_k = log2_rational(Fraction(k), _IMPROVEMENT_PRECISION)
     return ImprovementReport(
         k=k,
-        delta_bits=log2_k + log2_rational(ratio / k, precision_digits),
+        delta_bits=log2_k + log2_rational(ratio / k, _IMPROVEMENT_PRECISION),
         lower_bound_bits=log2_k,
         upper_bound_bits=2 * log2_k,
     )
 
 
-def _benefit_value(
-    report: ImprovementReport, q_star: int, key_cost: Fraction, precision_digits: int
-) -> FixedDecimal:
-    """Q* * delta / (k * cost), rounded to precision_digits."""
+def _benefit_value(report: ImprovementReport, q_star: int, key_cost: Fraction) -> FixedDecimal:
+    """Q* * delta / (k * cost), rounded to DEFAULT_PRECISION."""
     if key_cost <= 0:
         raise ValueError("key_cost must be > 0")
     value = report.delta_bits.as_fraction() * q_star / (report.k * key_cost)
-    return FixedDecimal.from_fraction(value, precision_digits)
+    return FixedDecimal.from_fraction(value, DEFAULT_PRECISION)
 
 
 def benefit(
@@ -209,12 +203,11 @@ def benefit(
     q_star: int,
     k: int,
     key_cost: Fraction,
-    precision_digits: int = DEFAULT_PRECISION,
 ) -> BenefitReport:
     """Security gained per unit of key material spent: Q* * delta / (k * cost)."""
     key_cost = Fraction(key_cost)
     report = improvement_bits(mode, params, q_star, k)
-    return BenefitReport(k, key_cost, _benefit_value(report, q_star, key_cost, precision_digits))
+    return BenefitReport(k, key_cost, _benefit_value(report, q_star, key_cost))
 
 
 def sweep_k(
@@ -235,7 +228,7 @@ def sweep_k(
                 delta_bits=report.delta_bits,
                 lower_bound_bits=report.lower_bound_bits,
                 upper_bound_bits=report.upper_bound_bits,
-                benefit=_benefit_value(report, q_star, key_cost, DEFAULT_PRECISION),
+                benefit=_benefit_value(report, q_star, key_cost),
             )
         )
     return rows

@@ -26,7 +26,7 @@ from __future__ import annotations
 import hashlib
 import json
 import threading
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, replace
 from fractions import Fraction
 
 from .advmodel import EcbcDenominator, Mode, SecurityParams
@@ -70,28 +70,38 @@ class OversizedFileError(ValueError):
 
 @dataclass
 class KeyRecord:
-    """One key as delivered: identity, material, accounting cost.
+    """One key as delivered: identity and material.
 
-    key_material is None only on records rebuilt from persisted state, which
-    never contains material.
+    Records compare by key_id alone.  key_material is None only on records
+    rebuilt from persisted state, which never contains material.
     """
 
     key_id: int
-    key_material: bytes | None
-    cost: Fraction
+    key_material: bytes | None = field(compare=False)
 
 
 class KeyPool:
-    """Ordered pool of keys; dispensing is thread-safe and at-most-once."""
+    """Ordered pool of keys; dispensing is thread-safe and at-most-once.
 
-    def __init__(self, records: list[KeyRecord], key_len_bits: int, source: str = ""):
+    cost is the accounting cost of each key, the same for every key in the
+    pool, and must be positive.
+    """
+
+    def __init__(
+        self,
+        records: list[KeyRecord],
+        key_len_bits: int,
+        cost: Fraction = Fraction(1),
+        source: str = "",
+    ):
         if key_len_bits < 8 or key_len_bits % 8:
             raise ValueError("key_len_bits must be a positive multiple of 8")
         for record in records:
             if record.key_material is None or len(record.key_material) * 8 != key_len_bits:
                 raise ValueError(f"key {record.key_id} is not {key_len_bits} bits")
-            if record.cost <= 0:
-                raise ValueError(f"key {record.key_id} has nonpositive cost")
+        self.cost = Fraction(cost)
+        if self.cost <= 0:
+            raise ValueError("key cost must be positive")
         self.key_len_bits = key_len_bits
         self.source = source
         self._records = list(records)
@@ -131,8 +141,8 @@ def ingest_keys(path: str, key_len_bits: int, cost: Fraction = Fraction(1)) -> K
                 material = bytes.fromhex(line)
             except ValueError as exc:
                 raise ValueError(f"{path}:{lineno}: not valid hex") from exc
-            records.append(KeyRecord(len(records), material, Fraction(cost)))
-    return KeyPool(records, key_len_bits, source=path)
+            records.append(KeyRecord(len(records), material))
+    return KeyPool(records, key_len_bits, cost, source=path)
 
 
 def simulate_pool(
@@ -145,8 +155,8 @@ def simulate_pool(
         material = bytes(
             draw64(seed, 4, i, j) & 0xFF for j in range(key_bytes)
         )
-        records.append(KeyRecord(i, material, Fraction(cost)))
-    return KeyPool(records, key_len_bits, source=f"simulated(seed={seed})")
+        records.append(KeyRecord(i, material))
+    return KeyPool(records, key_len_bits, cost, source=f"simulated(seed={seed})")
 
 
 @dataclass(frozen=True)
@@ -159,14 +169,19 @@ class RotationEvent:
 
 @dataclass
 class SessionState:
-    """Mutable state of one encryption session (single-writer)."""
+    """Mutable state of one encryption session (single-writer).
+
+    key_cost is the pool's per-key cost.  Equality leaves out the pool and,
+    through KeyRecord, the key material, so a session equals its persisted
+    and reloaded (detached) twin.
+    """
 
     plan: RotationPlan
     cipher: ToyCipherParams
     rotation_factor: int
     per_key_cap: int
     key_cost: Fraction
-    pool: KeyPool | None
+    pool: KeyPool | None = field(compare=False)
     current_key: KeyRecord
     total_files: int = 0
     files_under_current_key: int = 0
@@ -179,29 +194,6 @@ class SessionState:
     @property
     def total_key_cost(self) -> Fraction:
         return self.keys_consumed * self.key_cost
-
-    def _accounting_fields(self) -> tuple:
-        return (
-            self.plan.mode,
-            self.plan.params,
-            self.plan.q_star,
-            self.plan.file_size_bytes,
-            self.cipher,
-            self.rotation_factor,
-            self.per_key_cap,
-            self.key_cost,
-            self.current_key.key_id,
-            self.total_files,
-            self.files_under_current_key,
-            tuple(self.events),
-        )
-
-    def __eq__(self, other: object) -> bool:
-        # key material and pool identity are deliberately excluded: a session
-        # equals its persisted-and-reloaded (detached) twin
-        if not isinstance(other, SessionState):
-            return NotImplemented
-        return self._accounting_fields() == other._accounting_fields()
 
 
 def open_session(
@@ -231,7 +223,7 @@ def open_session(
         cipher=cipher,
         rotation_factor=rotation_factor,
         per_key_cap=per_key_cap,
-        key_cost=first.cost,
+        key_cost=pool.cost,
         pool=pool,
         current_key=first,
     )
@@ -284,8 +276,6 @@ def encrypt_file(session: SessionState, data: bytes) -> tuple[bytes, RotationEve
         if session.pool is None:
             raise StateError("detached session cannot rotate; open a fresh session")
         fresh = session.pool.dispense()  # raises PoolExhaustedError when drained
-        if fresh.cost != session.key_cost:
-            raise ValueError("pool mixes key costs; sessions account a uniform cost")
         event = RotationEvent(
             event_index=len(session.events),
             old_key_id=session.current_key.key_id,
@@ -306,18 +296,7 @@ def export_events(session: SessionState, path: str) -> None:
     """Write the rotation event log as JSON lines, one event per line."""
     with open(path, "w", encoding="ascii") as handle:
         for event in session.events:
-            handle.write(
-                json.dumps(
-                    {
-                        "event_index": event.event_index,
-                        "old_key_id": event.old_key_id,
-                        "new_key_id": event.new_key_id,
-                        "at_file_count": event.at_file_count,
-                    },
-                    sort_keys=True,
-                )
-                + "\n"
-            )
+            handle.write(json.dumps(asdict(event), sort_keys=True) + "\n")
 
 
 def _eps_log2(eps: Fraction) -> int:
@@ -363,15 +342,7 @@ def persist_state(session: SessionState, path: str) -> None:
             "files_under_current_key": str(session.files_under_current_key),
         },
         "total_key_cost": render_rational(session.total_key_cost),
-        "events": [
-            {
-                "event_index": e.event_index,
-                "old_key_id": e.old_key_id,
-                "new_key_id": e.new_key_id,
-                "at_file_count": e.at_file_count,
-            }
-            for e in session.events
-        ],
+        "events": [asdict(e) for e in session.events],
     }
     with open(path, "w", encoding="ascii") as handle:
         json.dump(document, handle, indent=2, sort_keys=True)
@@ -383,7 +354,8 @@ def load_state(path: str) -> SessionState:
 
     Raises FileNotFoundError for a missing path and StateError for anything
     malformed: non-ASCII or non-JSON bytes, wrong schema version, missing
-    fields, counters or an event log that differ from the lazy rotation
+    fields, parameters under which no file fits, a nonpositive file size or
+    key cost, counters or an event log that differ from the lazy rotation
     schedule the stored parameters imply.
     """
     with open(path, encoding="ascii") as handle:
@@ -420,28 +392,20 @@ def load_state(path: str) -> SessionState:
         total_files = int(document["counters"]["total_files"])
         files_under = int(document["counters"]["files_under_current_key"])
         total_cost = parse_rational(document["total_key_cost"])
-        events = [
-            RotationEvent(
-                event_index=e["event_index"],
-                old_key_id=e["old_key_id"],
-                new_key_id=e["new_key_id"],
-                at_file_count=e["at_file_count"],
-            )
-            for e in document["events"]
-        ]
+        events = [RotationEvent(**e) for e in document["events"]]
+        # size-vs-blocks consistency was enforced when the session was opened;
+        # recompute the plan from parameters alone and carry the stored size
+        # over.  InfeasibleTargetError is a ValueError: no file fits the ceiling.
+        plan = replace(compute_q_star(mode, params), file_size_bytes=file_size_bytes)
     except (KeyError, TypeError, ValueError) as exc:
         if isinstance(exc, StateError):
             raise
         raise StateError(f"{path}: malformed state document ({exc})") from exc
 
-    # size-vs-blocks consistency was enforced when the session was opened;
-    # recompute the plan from parameters alone and carry the stored size over
-    plan = compute_q_star(mode, params)
-    plan = replace(
-        plan,
-        file_size_bytes=file_size_bytes,
-        max_data_volume_bytes=plan.q_star * file_size_bytes,
-    )
+    if file_size_bytes < 1:
+        raise StateError(f"{path}: file_size_bytes {file_size_bytes} is not positive")
+    if key_cost <= 0:
+        raise StateError(f"{path}: key_cost {key_cost} is not positive")
     if plan.q_star != stored_q_star:
         raise StateError(
             f"{path}: stored q_star {stored_q_star} does not match {plan.q_star} "
@@ -480,7 +444,7 @@ def load_state(path: str) -> SessionState:
         per_key_cap=per_key_cap,
         key_cost=key_cost,
         pool=None,
-        current_key=KeyRecord(current_key_id, None, key_cost),
+        current_key=KeyRecord(current_key_id, None),
         total_files=total_files,
         files_under_current_key=files_under,
         events=events,

@@ -12,16 +12,7 @@ from fractions import Fraction
 
 import pytest
 
-from qkdplan.advmodel import (
-    AdvantageValue,
-    EcbcDenominator,
-    Mode,
-    SecurityParams,
-    UnboundedSecurityError,
-    advantage_bound,
-    bound_at,
-    security_level_bits,
-)
+from qkdplan.advmodel import EcbcDenominator, Mode, SecurityParams, bound_at
 
 
 def reference_params(eps_bits: int = 80, denom: EcbcDenominator = EcbcDenominator.TWO_N) -> SecurityParams:
@@ -56,22 +47,6 @@ def test_s_min_bits_none_for_non_power_of_two():
     assert p.s_min_bits is None
 
 
-def test_ecbc_domain_follows_denominator_choice():
-    assert reference_params().ecbc_domain == 2 << 128
-    assert reference_params(denom=EcbcDenominator.PAPER_COMPAT_N).ecbc_domain == 1 << 128
-
-
-def test_advantage_value_clamping():
-    v = AdvantageValue.clamped(Fraction(3, 2))
-    assert v.value == 1 and v.saturated
-    v = AdvantageValue.clamped(Fraction(1, 2))
-    assert v.value == Fraction(1, 2) and not v.saturated
-    with pytest.raises(ValueError):
-        AdvantageValue(Fraction(-1, 2))
-    with pytest.raises(ValueError):
-        AdvantageValue(Fraction(2))
-
-
 def test_bound_formulas_exact_small_case():
     p = SecurityParams.from_bits(16, 14, 4, target_bits=9)
     n, s, l = 1 << 16, 1 << 14, 4
@@ -97,14 +72,6 @@ def test_bound_at_accepts_fractional_files():
     assert bound_at(Mode.CTR, p, q) == direct
 
 
-def test_advantage_bound_clamps_and_flags():
-    p = SecurityParams.from_bits(16, 14, 4, target_bits=9)
-    sat = advantage_bound(Mode.CBC, p, 10**6)
-    assert sat.value == 1 and sat.saturated
-    ok = advantage_bound(Mode.CTR, p, 3)
-    assert not ok.saturated and ok.value == Fraction(3 * 4, 1 << 14) + Fraction(2 * 9 * 4, 1 << 16)
-
-
 def test_bounds_monotone_in_q():
     rng = random.Random(77)
     for _ in range(30):
@@ -120,13 +87,6 @@ def test_bounds_monotone_in_q():
             for lo, hi, qlo, qhi in zip(vals, vals[1:], qs, qs[1:]):
                 if qlo != qhi:
                     assert lo < hi
-
-
-def test_security_level_bits():
-    assert str(security_level_bits(Fraction(1, 1 << 80))) == "80.000000000"
-    assert str(security_level_bits(AdvantageValue(Fraction(5, 512)))) == "6.678071905"
-    with pytest.raises(UnboundedSecurityError):
-        security_level_bits(Fraction(0))
 
 
 def test_bound_at_rejects_negative_q():

@@ -300,3 +300,15 @@ def test_rotate_bad_manifest_line(capsys, tmp_path):
     code = main(rotate_args(manifest))
     assert code == 2
     assert "manifest" in capsys.readouterr().err
+
+
+def test_rotate_rejects_negative_manifest_size(capsys, tmp_path):
+    manifest = tmp_path / "manifest.txt"
+    manifest.write_text("a 8\nb -5\n")
+    state = tmp_path / "state.json"
+    code = main(rotate_args(manifest, "--state-out", str(state)))
+    captured = capsys.readouterr()
+    assert code == 2
+    assert f"{manifest}:2:" in captured.err
+    assert captured.out == ""  # rejected before any file is encrypted
+    assert not state.exists()

@@ -21,7 +21,6 @@ from qkdplan.planner import (
     benefit,
     blocks_per_file,
     compute_q_star,
-    data_volume_bytes,
     improvement_bits,
     sweep_k,
     volume_kb,
@@ -46,7 +45,6 @@ def test_blocks_per_file():
 
 
 def test_volume_units_are_1024_based():
-    assert data_volume_bytes(3, 1536) == 4608
     assert volume_kb(4608) == Fraction(9, 2)
     assert volume_mb(1 << 21) == 2
 

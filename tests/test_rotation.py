@@ -6,6 +6,7 @@ import json
 import math
 import random
 from concurrent.futures import ThreadPoolExecutor
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -98,9 +99,9 @@ def test_pool_validation():
     with pytest.raises(ValueError, match="multiple of 8"):
         KeyPool([], 12)
     with pytest.raises(ValueError, match="128 bits"):
-        KeyPool([KeyRecord(0, b"\x00" * 8, Fraction(1))], 128)
+        KeyPool([KeyRecord(0, b"\x00" * 8)], 128)
     with pytest.raises(ValueError, match="cost"):
-        KeyPool([KeyRecord(0, b"\x00" * 16, Fraction(0))], 128)
+        KeyPool([KeyRecord(0, b"\x00" * 16)], 128, Fraction(0))
 
 
 # ------------------------------------------------------------------ sessions
@@ -239,6 +240,12 @@ def test_state_round_trip(tmp_path):
     path2 = tmp_path / "state2.json"
     persist_state(loaded, str(path2))
     assert path.read_text() == path2.read_text()
+    # equality ignores key material and the pool, but no accounting field
+    assert KeyRecord(1, b"a") == KeyRecord(1, b"b")
+    assert replace(loaded, current_key=KeyRecord(loaded.current_key.key_id + 1, None)) != loaded
+    assert replace(loaded, rotation_factor=2) != loaded
+    encrypt_file(session, b"abcdefgh")
+    assert session != loaded
 
 
 def test_detached_session_cannot_encrypt(tmp_path):
@@ -352,6 +359,28 @@ def test_load_rejects_broken_key_chain(tmp_path):
     assert [e["at_file_count"] for e in document["events"]] == [2, 4, 6]
     document["events"][1]["old_key_id"] = 5
     with pytest.raises(StateError, match="key chain"):
+        load_tampered(path, document)
+
+
+def test_load_rejects_params_that_admit_no_file(tmp_path):
+    path, document = persisted(tmp_path, 10, 2)
+    document["params"]["eps_max_log2"] = -200
+    with pytest.raises(StateError, match="even one file"):
+        load_tampered(path, document)
+
+
+def test_load_rejects_nonpositive_file_size(tmp_path):
+    path, document = persisted(tmp_path, 10, 2)
+    for size in (-5, 0):
+        document["plan"]["file_size_bytes"] = size
+        with pytest.raises(StateError, match="file_size_bytes"):
+            load_tampered(path, document)
+
+
+def test_load_rejects_nonpositive_key_cost(tmp_path):
+    path, document = persisted(tmp_path, 10, 2)
+    document["key_cost"] = document["total_key_cost"] = "0"
+    with pytest.raises(StateError, match="key_cost"):
         load_tampered(path, document)
 
 

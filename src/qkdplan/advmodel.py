@@ -41,6 +41,10 @@ __all__ = [
     "bound_at",
 ]
 
+# Cap on lambda_bits, s_min_bits and target_bits: far above any real cipher
+# or entropy floor, and small enough that 1 << bits stays cheap.
+MAX_EXPONENT_BITS = 4096
+
 
 class Mode(enum.Enum):
     CTR = "ctr"
@@ -87,6 +91,12 @@ def bound_terms(
     raise TypeError(f"unknown mode: {mode!r}")
 
 
+def _exponent(name: str, bits: int) -> int:
+    if not 1 <= bits <= MAX_EXPONENT_BITS:
+        raise ValueError(f"{name} must lie in [1, {MAX_EXPONENT_BITS}]")
+    return bits
+
+
 @dataclass(frozen=True)
 class SecurityParams:
     """Static parameters of one planning problem.
@@ -105,8 +115,7 @@ class SecurityParams:
     ecbc_denominator: EcbcDenominator = EcbcDenominator.TWO_N
 
     def __post_init__(self) -> None:
-        if self.lambda_bits < 1:
-            raise ValueError("lambda_bits must be >= 1")
+        _exponent("lambda_bits", self.lambda_bits)
         if as_natural(self.s_min) < 2:
             raise ValueError("s_min must be >= 2")
         if as_natural(self.blocks_per_file) < 1:
@@ -132,10 +141,9 @@ class SecurityParams:
         if (target_bits is None) == (eps_max is None):
             raise ValueError("give exactly one of target_bits / eps_max")
         if eps_max is None:
-            if target_bits < 1:
-                raise ValueError("target_bits must be >= 1")
-            eps_max = Fraction(1, 1 << target_bits)
-        return cls(lambda_bits, 1 << s_min_bits, blocks_per_file, eps_max, ecbc_denominator)
+            eps_max = Fraction(1, 1 << _exponent("target_bits", target_bits))
+        s_min = 1 << _exponent("s_min_bits", s_min_bits)
+        return cls(lambda_bits, s_min, blocks_per_file, eps_max, ecbc_denominator)
 
     @property
     def domain_size(self) -> int:

@@ -5,9 +5,10 @@ the exact planning math, validate for the built-in regression suite,
 simulate for scaled-down collision trials, rotate for running the key
 lifecycle engine over a manifest.
 
-Exit codes: 0 success, 2 usage or input errors, 3 infeasible security
-target, 4 empirical result above its theoretical bound, 5 key pool
-exhausted.  csv and json output is deterministic byte for byte.
+Exit codes: 0 success, 1 a validate check failed, 2 usage or input errors,
+3 infeasible security target, 4 empirical result above its theoretical
+bound, 5 key pool exhausted.  csv and json output is deterministic byte for
+byte.
 """
 
 from __future__ import annotations
@@ -74,19 +75,12 @@ def _build_params(args: argparse.Namespace) -> tuple[SecurityParams, int, int]:
     if args.eps is not None and args.target_bits is not None:
         raise ValueError("give --target-bits or --eps, not both")
     if args.eps is not None:
-        eps = parse_rational(args.eps)
-        params = SecurityParams(
-            args.lambda_bits, 1 << args.s_min_bits, l, eps, _DENOMS[args.ecbc_denominator]
-        )
+        ceiling = {"eps_max": parse_rational(args.eps)}
     else:
-        target = args.target_bits if args.target_bits is not None else 80
-        params = SecurityParams.from_bits(
-            args.lambda_bits,
-            args.s_min_bits,
-            l,
-            target_bits=target,
-            ecbc_denominator=_DENOMS[args.ecbc_denominator],
-        )
+        ceiling = {"target_bits": args.target_bits if args.target_bits is not None else 80}
+    params = SecurityParams.from_bits(
+        args.lambda_bits, args.s_min_bits, l, ecbc_denominator=_DENOMS[args.ecbc_denominator], **ceiling
+    )
     return params, size, block_bits
 
 

@@ -66,7 +66,10 @@ def as_natural(value: int) -> int:
 
 def parse_rational(text: str | int | Fraction) -> Fraction:
     """Parse a nonnegative rational from "p/q", a decimal string, or an int."""
-    value = Fraction(text)
+    try:
+        value = Fraction(text)
+    except ZeroDivisionError:
+        raise ValueError(f"zero denominator in {text!r}") from None
     if value < 0:
         raise ValueError(f"nonnegative rational required, got {text!r}")
     return value

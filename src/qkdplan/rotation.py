@@ -8,13 +8,14 @@ more.  With rotation_factor 1 the cap is the full planned Q*, so a run of
 T files consumes exactly ceil(T / Q*) keys; larger factors rotate
 proportionally earlier for defense in depth at the same planned level.
 
-Sessions persist to a versioned JSON document with every count that matters
-for audit: parameters, planned Q*, counters, and the full rotation event
-log.  Loading re-derives Q* from the stored parameters and re-checks every
-counter invariant, so a hand-edited state file that claims more files per
-key than the plan allows is rejected rather than trusted.  Loaded sessions
-are detached (key material is never persisted) and support accounting and
-re-persistence but not further encryption.
+Every session rule lives in SessionState.__post_init__, so a session opened
+from a pool and one loaded from disk pass the same checks.  Sessions persist
+to a versioned JSON document with every count that matters for audit:
+parameters, planned Q*, counters, and the full rotation event log.  Loading
+re-derives Q* from the stored parameters, so a hand-edited state file that
+claims more files per key than the plan allows is rejected rather than
+trusted.  Loaded sessions are detached (key material is never persisted) and
+support accounting and re-persistence but not further encryption.
 
 Encryption itself uses the scaled-down block cipher so demo runs produce
 real ciphertext; plaintexts are zero-padded into whole blocks and CTR/CBC
@@ -25,7 +26,6 @@ from __future__ import annotations
 
 import hashlib
 import json
-import threading
 from dataclasses import asdict, dataclass, field, replace
 from fractions import Fraction
 
@@ -70,7 +70,7 @@ class OversizedFileError(ValueError):
 
 @dataclass
 class KeyRecord:
-    """One key as delivered: identity and material.
+    """One key as delivered: a nonnegative id and material.
 
     Records compare by key_id alone.  key_material is None only on records
     rebuilt from persisted state, which never contains material.
@@ -79,9 +79,13 @@ class KeyRecord:
     key_id: int
     key_material: bytes | None = field(compare=False)
 
+    def __post_init__(self) -> None:
+        if self.key_id < 0:
+            raise ValueError(f"key id {self.key_id} is negative")
+
 
 class KeyPool:
-    """Ordered pool of keys; dispensing is thread-safe and at-most-once.
+    """Ordered pool of keys; each is dispensed at most once.
 
     cost is the accounting cost of each key, the same for every key in the
     pool, and must be positive.
@@ -106,22 +110,19 @@ class KeyPool:
         self.source = source
         self._records = list(records)
         self._cursor = 0
-        self._lock = threading.Lock()
 
     def __len__(self) -> int:
         return len(self._records)
 
     def remaining(self) -> int:
-        with self._lock:
-            return len(self._records) - self._cursor
+        return len(self._records) - self._cursor
 
     def dispense(self) -> KeyRecord:
-        with self._lock:
-            if self._cursor >= len(self._records):
-                raise PoolExhaustedError(f"pool {self.source or '<anonymous>'} is empty")
-            record = self._records[self._cursor]
-            self._cursor += 1
-            return record
+        if self._cursor >= len(self._records):
+            raise PoolExhaustedError(f"pool {self.source or '<anonymous>'} is empty")
+        record = self._records[self._cursor]
+        self._cursor += 1
+        return record
 
 
 def ingest_keys(path: str, key_len_bits: int, cost: Fraction = Fraction(1)) -> KeyPool:
@@ -171,6 +172,8 @@ class RotationEvent:
 class SessionState:
     """Mutable state of one encryption session (single-writer).
 
+    __post_init__ is the one place the session rules are checked; the per-key
+    cap and the files under the current key are derived, not stored.
     key_cost is the pool's per-key cost.  Equality leaves out the pool and,
     through KeyRecord, the key material, so a session equals its persisted
     and reloaded (detached) twin.
@@ -179,13 +182,50 @@ class SessionState:
     plan: RotationPlan
     cipher: ToyCipherParams
     rotation_factor: int
-    per_key_cap: int
     key_cost: Fraction
     pool: KeyPool | None = field(compare=False)
     current_key: KeyRecord
     total_files: int = 0
-    files_under_current_key: int = 0
     events: list[RotationEvent] = field(default_factory=list)
+
+    def __post_init__(self) -> None:
+        if as_natural(self.rotation_factor) < 1:
+            raise ValueError("rotation_factor must be >= 1")
+        cap = self.per_key_cap
+        if cap < 1:
+            raise ValueError(
+                f"rotation_factor {self.rotation_factor} exceeds q_star {self.plan.q_star}; "
+                "every key would rotate before its first file"
+            )
+        if self.cipher.block_bits % 8:
+            raise ValueError("session cipher block_bits must be a whole number of bytes")
+        if self.key_cost <= 0:
+            raise ValueError(f"key_cost {self.key_cost} is not positive")
+        # Lazy rotation fixes the schedule: event i fires once (i+1)*cap files
+        # are done, and the current key holds the rest, at least one file.
+        under = self.files_under_current_key
+        if (self.total_files or self.events) and not 1 <= under <= cap:
+            raise ValueError(
+                f"total_files {self.total_files} is not {len(self.events)} rotations of "
+                f"{cap} files plus {cap} >= files_under_current_key {under} >= 1"
+            )
+        # event i hands over to the key event i+1 retires, the last to the current key
+        chain = [e.old_key_id for e in self.events] + [self.current_key.key_id]
+        if min(chain) < 0:
+            raise ValueError(f"key id {min(chain)} is negative")
+        for i, event in enumerate(self.events):
+            if event.event_index != i or event.at_file_count != (i + 1) * cap:
+                raise ValueError(f"event log entry {i} is off the lazy rotation schedule")
+            if event.new_key_id != chain[i + 1] or event.new_key_id == event.old_key_id:
+                raise ValueError(f"event log entry {i} breaks the key chain")
+
+    @property
+    def per_key_cap(self) -> int:
+        return self.plan.q_star // self.rotation_factor
+
+    @property
+    def files_under_current_key(self) -> int:
+        return self.total_files - len(self.events) * self.per_key_cap
 
     @property
     def keys_consumed(self) -> int:
@@ -205,28 +245,18 @@ def open_session(
     cipher: ToyCipherParams = _DEFAULT_CIPHER,
     block_bits: int | None = None,
 ) -> SessionState:
-    """Plan, then dispense the first key; counters start at zero."""
-    plan = compute_q_star(mode, params, file_size_bytes, block_bits=block_bits)
-    if as_natural(rotation_factor) < 1:
-        raise ValueError("rotation_factor must be >= 1")
-    per_key_cap = plan.q_star // rotation_factor
-    if per_key_cap < 1:
-        raise ValueError(
-            f"rotation_factor {rotation_factor} exceeds q_star {plan.q_star}; "
-            "every key would rotate before its first file"
-        )
-    if cipher.block_bits % 8:
-        raise ValueError("session cipher block_bits must be a whole number of bytes")
-    first = pool.dispense()
-    return SessionState(
-        plan=plan,
+    """Plan, then dispense the first key; counters start at zero.  A session
+    that fails its checks is rejected before a key leaves the pool."""
+    session = SessionState(
+        plan=compute_q_star(mode, params, file_size_bytes, block_bits=block_bits),
         cipher=cipher,
         rotation_factor=rotation_factor,
-        per_key_cap=per_key_cap,
         key_cost=pool.cost,
         pool=pool,
-        current_key=first,
+        current_key=KeyRecord(0, None),  # stand-in until the checks pass
     )
+    session.current_key = pool.dispense()
+    return session
 
 
 def _subkeys(material: bytes) -> tuple[int, int, int]:
@@ -284,10 +314,8 @@ def encrypt_file(session: SessionState, data: bytes) -> tuple[bytes, RotationEve
         )
         session.events.append(event)
         session.current_key = fresh
-        session.files_under_current_key = 0
 
     ciphertext = _encrypt_blocks(session, data)
-    session.files_under_current_key += 1
     session.total_files += 1
     return ciphertext, event
 
@@ -350,13 +378,15 @@ def persist_state(session: SessionState, path: str) -> None:
 
 
 def load_state(path: str) -> SessionState:
-    """Rebuild a detached session from a state file, re-checking invariants.
+    """Rebuild a detached session from a state file.
 
-    Raises FileNotFoundError for a missing path and StateError for anything
-    malformed: non-ASCII or non-JSON bytes, wrong schema version, missing
-    fields, parameters under which no file fits, a nonpositive file size or
-    key cost, counters or an event log that differ from the lazy rotation
-    schedule the stored parameters imply.
+    SessionState checks the session rules.  Loading adds the schema version,
+    a stored q_star equal to the one the stored parameters give, a positive
+    file size, and stored per_key_cap, files_under_current_key and
+    total_key_cost equal to the session's derived values.  Raises
+    FileNotFoundError for a missing path and StateError for anything else:
+    bytes that are not ASCII JSON, missing fields, parameters under which no
+    file fits, or a failed check.
     """
     with open(path, encoding="ascii") as handle:
         try:
@@ -369,7 +399,6 @@ def load_state(path: str) -> SessionState:
             raise StateError(
                 f"{path}: schema version {document['version']!r}, expected {STATE_VERSION}"
             )
-        mode = Mode[document["mode"]]
         raw_params = document["params"]
         params = SecurityParams.from_bits(
             raw_params["lambda_bits"],
@@ -378,74 +407,47 @@ def load_state(path: str) -> SessionState:
             target_bits=-raw_params["eps_max_log2"],
             ecbc_denominator=EcbcDenominator[raw_params["ecbc_denominator"]],
         )
-        cipher = ToyCipherParams(
-            block_bits=document["cipher"]["block_bits"],
-            key_seed=document["cipher"]["key_seed"],
-            rounds=document["cipher"]["rounds"],
-        )
-        stored_q_star = int(document["plan"]["q_star"])
-        file_size_bytes = int(document["plan"]["file_size_bytes"])
-        rotation_factor = int(document["rotation_factor"])
-        per_key_cap = int(document["per_key_cap"])
-        key_cost = parse_rational(document["key_cost"])
-        current_key_id = int(document["current_key_id"])
-        total_files = int(document["counters"]["total_files"])
-        files_under = int(document["counters"]["files_under_current_key"])
-        total_cost = parse_rational(document["total_key_cost"])
-        events = [RotationEvent(**e) for e in document["events"]]
         # size-vs-blocks consistency was enforced when the session was opened;
         # recompute the plan from parameters alone and carry the stored size
         # over.  InfeasibleTargetError is a ValueError: no file fits the ceiling.
-        plan = replace(compute_q_star(mode, params), file_size_bytes=file_size_bytes)
+        plan = replace(
+            compute_q_star(Mode[document["mode"]], params),
+            file_size_bytes=int(document["plan"]["file_size_bytes"]),
+        )
+        stored_q_star = int(document["plan"]["q_star"])
+        if plan.q_star != stored_q_star:
+            raise StateError(
+                f"{path}: stored q_star {stored_q_star} does not match {plan.q_star} "
+                "recomputed from the stored parameters"
+            )
+        if plan.file_size_bytes < 1:
+            raise StateError(f"{path}: file_size_bytes {plan.file_size_bytes} is not positive")
+        raw_cipher = document["cipher"]
+        session = SessionState(
+            plan=plan,
+            cipher=ToyCipherParams(raw_cipher["block_bits"], raw_cipher["key_seed"], raw_cipher["rounds"]),
+            rotation_factor=int(document["rotation_factor"]),
+            key_cost=parse_rational(document["key_cost"]),
+            pool=None,
+            current_key=KeyRecord(int(document["current_key_id"]), None),
+            total_files=int(document["counters"]["total_files"]),
+            events=[RotationEvent(**e) for e in document["events"]],
+        )
+        stored = {
+            "per_key_cap": int(document["per_key_cap"]),
+            "files_under_current_key": int(document["counters"]["files_under_current_key"]),
+            "total_key_cost": parse_rational(document["total_key_cost"]),
+        }
     except (KeyError, TypeError, ValueError) as exc:
         if isinstance(exc, StateError):
             raise
-        raise StateError(f"{path}: malformed state document ({exc})") from exc
+        raise StateError(f"{path}: malformed or inconsistent state document ({exc})") from exc
 
-    if file_size_bytes < 1:
-        raise StateError(f"{path}: file_size_bytes {file_size_bytes} is not positive")
-    if key_cost <= 0:
-        raise StateError(f"{path}: key_cost {key_cost} is not positive")
-    if plan.q_star != stored_q_star:
-        raise StateError(
-            f"{path}: stored q_star {stored_q_star} does not match {plan.q_star} "
-            "recomputed from the stored parameters"
-        )
-    if rotation_factor < 1 or plan.q_star // rotation_factor != per_key_cap:
-        raise StateError(f"{path}: per_key_cap inconsistent with rotation_factor")
-    if not 0 <= files_under <= per_key_cap:
-        raise StateError(
-            f"{path}: files_under_current_key {files_under} violates the "
-            f"per-key cap {per_key_cap}"
-        )
-    # Lazy rotation fixes the schedule: event i fires once (i+1)*cap files
-    # are done, and the current key holds the rest, at least one file.
-    if total_files != len(events) * per_key_cap + files_under or (total_files and not files_under):
-        raise StateError(
-            f"{path}: total_files {total_files} is not {len(events)} rotations of "
-            f"{per_key_cap} files plus files_under_current_key {files_under} >= 1"
-        )
-    key_id = events[0].old_key_id if events else current_key_id
-    for i, event in enumerate(events):
-        if event.event_index != i or event.at_file_count != (i + 1) * per_key_cap:
-            raise StateError(f"{path}: event log entry {i} is off the lazy rotation schedule")
-        if event.old_key_id != key_id or event.new_key_id == key_id:
-            raise StateError(f"{path}: event log entry {i} breaks the key chain")
-        key_id = event.new_key_id
-    if key_id != current_key_id:
-        raise StateError(f"{path}: current key does not match the last rotation")
-    if total_cost != (len(events) + 1) * key_cost:
-        raise StateError(f"{path}: total_key_cost fails the per-key accounting identity")
-
-    return SessionState(
-        plan=plan,
-        cipher=cipher,
-        rotation_factor=rotation_factor,
-        per_key_cap=per_key_cap,
-        key_cost=key_cost,
-        pool=None,
-        current_key=KeyRecord(current_key_id, None),
-        total_files=total_files,
-        files_under_current_key=files_under,
-        events=events,
-    )
+    for name, value in stored.items():
+        derived = getattr(session, name)
+        if value != derived:
+            raise StateError(
+                f"{path}: stored {name} {value} is not {derived}, "
+                "the value derived from the plan, its per-key cap and the event log"
+            )
+    return session

@@ -94,6 +94,21 @@ def test_usage_errors_exit_2(capsys):
     assert run(capsys, "plan", "--mode", "ctr", "--file-size", "x")[0] == 2
     assert run(capsys, "plan", "--mode", "ctr", "--eps", "1/8", "--target-bits", "9")[0] == 2
     assert run(capsys)[0] == 2
+    assert run(capsys, "plan", "--mode", "ctr", "--eps", "1/0")[0] == 2
+    assert run(capsys, "benefit", "--mode", "ctr", "--key-cost", "1/0")[0] == 2
+
+
+def test_huge_exponents_exit_2(capsys):
+    huge = "100000000000"
+    for flags in (
+        ["--lambda", huge],
+        ["--s-min-bits", huge],
+        ["--target-bits", huge],
+        ["--eps", "1/1024", "--s-min-bits", huge],
+    ):
+        code, _, err = run(capsys, "plan", "--mode", "ctr", *flags)
+        assert code == 2, flags
+        assert err.startswith("error:") and "must lie in" in err
 
 
 # ------------------------------------------------------- improve and benefit

@@ -43,8 +43,9 @@ def test_rational_parse_and_render():
     assert render_rational(Fraction(3, 4)) == "3/4"
     assert render_rational(Fraction(8, 4)) == "2"
     assert parse_rational(render_rational(Fraction(12345, 67))) == Fraction(12345, 67)
-    with pytest.raises(ValueError):
-        parse_rational("-1/2")
+    for bad in ("-1/2", "1/0"):
+        with pytest.raises(ValueError):
+            parse_rational(bad)
 
 
 # ---------------------------------------------------------------- FixedDecimal

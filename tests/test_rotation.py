@@ -5,7 +5,6 @@ from __future__ import annotations
 import json
 import math
 import random
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
 from fractions import Fraction
 
@@ -78,23 +77,6 @@ def test_pool_dispenses_each_key_once():
         pool.dispense()
 
 
-def test_pool_dispense_is_thread_safe():
-    pool = simulate_pool(100, 128, 3)
-
-    def drain(_):
-        out = []
-        while True:
-            try:
-                out.append(pool.dispense().key_id)
-            except PoolExhaustedError:
-                return out
-
-    with ThreadPoolExecutor(max_workers=2) as pool_exec:
-        results = list(pool_exec.map(drain, range(2)))
-    combined = sorted(results[0] + results[1])
-    assert combined == list(range(100))
-
-
 def test_pool_validation():
     with pytest.raises(ValueError, match="multiple of 8"):
         KeyPool([], 12)
@@ -122,12 +104,15 @@ def test_open_session_validation():
     pool = simulate_pool(2, 128, 1)
     with pytest.raises(ValueError, match="rotation_factor"):
         open_session(pool, Mode.CTR, TOY_PARAMS, 8, rotation_factor=0, cipher=TOY_CIPHER)
+    assert pool.remaining() == 2
     with pytest.raises(ValueError, match="rotate before its first file"):
         open_session(pool, Mode.CTR, TOY_PARAMS, 8, rotation_factor=5, cipher=TOY_CIPHER)
+    assert pool.remaining() == 2
     with pytest.raises(ValueError, match="whole number of bytes"):
         open_session(
             pool, Mode.CTR, TOY_PARAMS, 8, cipher=ToyCipherParams(12, key_seed=0)
         )
+    assert pool.remaining() == 2
 
 
 def test_lazy_rotation_schedule():
@@ -242,8 +227,10 @@ def test_state_round_trip(tmp_path):
     assert path.read_text() == path2.read_text()
     # equality ignores key material and the pool, but no accounting field
     assert KeyRecord(1, b"a") == KeyRecord(1, b"b")
-    assert replace(loaded, current_key=KeyRecord(loaded.current_key.key_id + 1, None)) != loaded
-    assert replace(loaded, rotation_factor=2) != loaded
+    one = toy_session()
+    encrypt_file(one, b"x")  # one file, no rotation: these twins are valid sessions
+    assert replace(one, current_key=KeyRecord(one.current_key.key_id + 1, None)) != one
+    assert replace(one, rotation_factor=3) != one  # cap 1
     encrypt_file(session, b"abcdefgh")
     assert session != loaded
 
@@ -382,6 +369,40 @@ def test_load_rejects_nonpositive_key_cost(tmp_path):
     document["key_cost"] = document["total_key_cost"] = "0"
     with pytest.raises(StateError, match="key_cost"):
         load_tampered(path, document)
+
+
+def test_load_rejects_zero_denominator(tmp_path):
+    path, document = persisted(tmp_path, 10, 2)
+    document["key_cost"] = "1/0"
+    with pytest.raises(StateError, match="zero denominator"):
+        load_tampered(path, document)
+
+
+def test_load_rejects_cipher_no_session_uses(tmp_path):
+    path, document = persisted(tmp_path, 10, 2)
+    document["cipher"]["block_bits"] = 12
+    with pytest.raises(StateError, match="whole number of bytes"):
+        load_tampered(path, document)
+
+
+def test_load_rejects_negative_key_id(tmp_path):
+    path, document = persisted(tmp_path, 10, 3)
+    assert document["events"][-1]["new_key_id"] == document["current_key_id"] == 1
+    document["events"][-1]["new_key_id"] = document["current_key_id"] = -7  # chain still closes
+    with pytest.raises(StateError, match="negative"):
+        load_tampered(path, document)
+    document["events"][-1]["new_key_id"] = document["current_key_id"] = 1
+    document["events"][0]["old_key_id"] = -3  # the chain starts at the first retired key
+    with pytest.raises(StateError, match="negative"):
+        load_tampered(path, document)
+
+
+def test_load_rejects_huge_exponents(tmp_path):
+    path, document = persisted(tmp_path, 10, 2)
+    for name, value in (("lambda_bits", 2**64), ("s_min_bits", 2**64), ("eps_max_log2", -(2**64))):
+        tampered = dict(document, params={**document["params"], name: value})
+        with pytest.raises(StateError, match="must lie in"):
+            load_tampered(path, tampered)
 
 
 def test_load_rejects_non_ascii_state(tmp_path):

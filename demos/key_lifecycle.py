@@ -1,4 +1,4 @@
-"""A full key lifecycle: dispense, encrypt, rotate on schedule, checkpoint, resume.
+"""A full key lifecycle: dispense, encrypt, rotate on schedule, checkpoint, reload.
 
 Uses a deliberately tiny setting (16-bit toy blocks, 3 files per key) so the
 rotation machinery is exercised end to end in a fraction of a second: keys are
@@ -51,8 +51,8 @@ print(f"keys consumed: {session.keys_consumed}, total cost {session.total_key_co
 # Checkpoint, reload, and confirm the books still balance.
 state_path = Path(tempfile.mkdtemp()) / "session.json"
 persist_state(session, state_path)
-resumed = load_state(state_path)
-print(f"state round trip ok: {resumed == session}")
+reloaded = load_state(state_path)
+print(f"state round trip ok: {reloaded == session}")
 
 # Two more files fit under the last key; the twelfth needs a fifth key the
 # pool does not have, and the failure leaves the counters untouched.

@@ -92,7 +92,7 @@ def bound_terms(
 
 
 def _exponent(name: str, bits: int) -> int:
-    if not 1 <= bits <= MAX_EXPONENT_BITS:
+    if not 1 <= as_natural(bits) <= MAX_EXPONENT_BITS:
         raise ValueError(f"{name} must lie in [1, {MAX_EXPONENT_BITS}]")
     return bits
 
@@ -148,12 +148,6 @@ class SecurityParams:
     @property
     def domain_size(self) -> int:
         return 1 << self.lambda_bits
-
-    @property
-    def s_min_bits(self) -> int | None:
-        """Exact log2 of s_min, or None when s_min is not a power of two."""
-        b = self.s_min.bit_length() - 1
-        return b if self.s_min == 1 << b else None
 
     def terms(self, mode: Mode) -> BoundTerms:
         """This problem's row of the bound table for mode."""

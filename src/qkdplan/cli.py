@@ -24,6 +24,7 @@ from .empirics import TrialConfig, ToyCipherParams, estimate_collision_probabili
 from .exactmath import FixedDecimal, max_q_unit_scan, parse_rational
 from .planner import (
     InfeasibleTargetError,
+    RotationPlan,
     benefit,
     blocks_per_file,
     compute_q_star,
@@ -47,12 +48,6 @@ __all__ = ["main"]
 _SIZE_PATTERN = re.compile(r"^\s*([0-9]+(?:\.[0-9]+)?)\s*(B|KB|MB|GB)?\s*$", re.IGNORECASE)
 _SIZE_UNITS = {"B": 1, "KB": 1024, "MB": 1024**2, "GB": 1024**3}
 
-_MODES = {"ctr": Mode.CTR, "cbc": Mode.CBC, "ecbc-mac": Mode.ECBC_MAC}
-_DENOMS = {
-    "two-n": EcbcDenominator.TWO_N,
-    "paper-compat-n": EcbcDenominator.PAPER_COMPAT_N,
-}
-
 SWEEP_CSV_HEADER = "k,delta_bits,lower_log2k,upper_2log2k,benefit"
 
 
@@ -67,25 +62,26 @@ def parse_file_size(text: str) -> int:
     return int(value)
 
 
-def _build_params(args: argparse.Namespace) -> tuple[SecurityParams, int, int]:
-    """(params, file_size_bytes, block_bits) from common model flags."""
+def _plan(args: argparse.Namespace) -> RotationPlan:
+    """The plan the common model flags describe."""
     size = parse_file_size(args.file_size)
     block_bits = args.block_bits if args.block_bits is not None else args.lambda_bits
-    l = blocks_per_file(size, block_bits)
-    if args.eps is not None and args.target_bits is not None:
-        raise ValueError("give --target-bits or --eps, not both")
     if args.eps is not None:
         ceiling = {"eps_max": parse_rational(args.eps)}
     else:
         ceiling = {"target_bits": args.target_bits if args.target_bits is not None else 80}
     params = SecurityParams.from_bits(
-        args.lambda_bits, args.s_min_bits, l, ecbc_denominator=_DENOMS[args.ecbc_denominator], **ceiling
+        args.lambda_bits,
+        args.s_min_bits,
+        blocks_per_file(size, block_bits),
+        ecbc_denominator=EcbcDenominator(args.ecbc_denominator),
+        **ceiling,
     )
-    return params, size, block_bits
+    return compute_q_star(Mode(args.mode), params, size, block_bits)
 
 
 def _add_model_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--mode", required=True, choices=sorted(_MODES))
+    parser.add_argument("--mode", required=True, choices=sorted(m.value for m in Mode))
     parser.add_argument(
         "--lambda",
         "--lambda-bits",
@@ -111,20 +107,21 @@ def _add_model_flags(parser: argparse.ArgumentParser) -> None:
         default="1.5KB",
         help="per-file size, e.g. 1536, 1.5KB, 2MB (default 1.5KB)",
     )
-    parser.add_argument(
+    ceiling = parser.add_mutually_exclusive_group()
+    ceiling.add_argument(
         "--target-bits",
         type=int,
         default=None,
         help="advantage ceiling exponent: eps_max = 2**-this (default 80)",
     )
-    parser.add_argument(
+    ceiling.add_argument(
         "--eps",
         default=None,
-        help='advantage ceiling as an exact rational "p/q" (overrides --target-bits)',
+        help='advantage ceiling as an exact rational "p/q"',
     )
     parser.add_argument(
         "--ecbc-denominator",
-        choices=sorted(_DENOMS),
+        choices=sorted(d.value for d in EcbcDenominator),
         default="two-n",
         help="block-domain denominator for ecbc-mac terms (default two-n)",
     )
@@ -154,15 +151,14 @@ def _emit(fmt: str, fields: list[tuple[str, str]]) -> None:
 
 
 def cmd_plan(args: argparse.Namespace) -> int:
-    params, size, block_bits = _build_params(args)
-    plan = compute_q_star(_MODES[args.mode], params, size, block_bits=block_bits)
+    plan = _plan(args)
     volume = plan.max_data_volume_bytes
     fields = [
-        ("mode", args.mode),
-        ("lambda_bits", str(params.lambda_bits)),
+        ("mode", plan.mode.value),
+        ("lambda_bits", str(plan.params.lambda_bits)),
         ("s_min_bits", str(args.s_min_bits)),
-        ("blocks_per_file", str(params.blocks_per_file)),
-        ("file_size_bytes", str(size)),
+        ("blocks_per_file", str(plan.params.blocks_per_file)),
+        ("file_size_bytes", str(plan.file_size_bytes)),
         ("q_star", str(plan.q_star)),
         ("worst_case_bits", str(plan.worst_case_bits)),
         ("max_volume_bytes", str(volume)),
@@ -174,12 +170,10 @@ def cmd_plan(args: argparse.Namespace) -> int:
 
 
 def cmd_improve(args: argparse.Namespace) -> int:
-    params, size, block_bits = _build_params(args)
-    mode = _MODES[args.mode]
-    plan = compute_q_star(mode, params, size, block_bits=block_bits)
-    report = improvement_bits(mode, params, plan.q_star, args.k)
+    plan = _plan(args)
+    report = improvement_bits(plan.mode, plan.params, plan.q_star, args.k)
     fields = [
-        ("mode", args.mode),
+        ("mode", plan.mode.value),
         ("q_star", str(plan.q_star)),
         ("k", str(report.k)),
         ("delta_bits", str(report.delta_bits)),
@@ -194,13 +188,11 @@ def cmd_improve(args: argparse.Namespace) -> int:
 
 
 def cmd_benefit(args: argparse.Namespace) -> int:
-    params, size, block_bits = _build_params(args)
-    mode = _MODES[args.mode]
-    plan = compute_q_star(mode, params, size, block_bits=block_bits)
+    plan = _plan(args)
     cost = parse_rational(args.key_cost)
-    report = benefit(mode, params, plan.q_star, args.k, cost)
+    report = benefit(plan.mode, plan.params, plan.q_star, args.k, cost)
     fields = [
-        ("mode", args.mode),
+        ("mode", plan.mode.value),
         ("q_star", str(plan.q_star)),
         ("k", str(report.k)),
         ("key_cost", args.key_cost),
@@ -223,13 +215,11 @@ def _parse_k_list(text: str) -> list[int]:
 
 
 def cmd_sweep(args: argparse.Namespace) -> int:
-    params, size, block_bits = _build_params(args)
-    mode = _MODES[args.mode]
-    plan = compute_q_star(mode, params, size, block_bits=block_bits)
+    plan = _plan(args)
     k_values = _parse_k_list(args.k_list)
     cost = parse_rational(args.key_cost)
     print(SWEEP_CSV_HEADER)
-    for row in sweep_k(mode, params, plan.q_star, k_values, cost):
+    for row in sweep_k(plan.mode, plan.params, plan.q_star, k_values, cost):
         print(
             f"{row.k},{row.delta_bits},{row.lower_bound_bits},"
             f"{row.upper_bound_bits},{row.benefit}"
@@ -307,9 +297,8 @@ def _reference_checks() -> list[tuple[str, bool, str]]:
 
 
 def cmd_simulate(args: argparse.Namespace) -> int:
-    mode = _MODES[args.mode]
     config = TrialConfig(
-        mode=mode,
+        mode=Mode(args.mode),
         block_bits=args.block_bits,
         q_files=args.q,
         blocks_per_file=args.l,
@@ -360,7 +349,7 @@ def _read_manifest(path: str) -> list[tuple[str, int]]:
 
 
 def cmd_rotate(args: argparse.Namespace) -> int:
-    params, size, block_bits = _build_params(args)
+    plan = _plan(args)
     if (args.keys is None) == (args.simulate_keys is None):
         raise ValueError("give exactly one of --keys / --simulate-keys")
     cost = parse_rational(args.key_cost)
@@ -371,21 +360,21 @@ def cmd_rotate(args: argparse.Namespace) -> int:
 
     manifest = _read_manifest(args.manifest)
     for name, file_bytes in manifest:
-        if file_bytes > size:
+        if file_bytes > plan.file_size_bytes:
             raise ValueError(
                 f"manifest file {name!r} is {file_bytes} bytes, above the "
-                f"planned per-file size {size}"
+                f"planned per-file size {plan.file_size_bytes}"
             )
 
     cipher = ToyCipherParams(args.toy_block_bits, key_seed=0)
     session = open_session(
         pool,
-        _MODES[args.mode],
-        params,
-        size,
+        plan.mode,
+        plan.params,
+        plan.file_size_bytes,
         rotation_factor=args.rotation_factor,
         cipher=cipher,
-        block_bits=block_bits,
+        block_bits=plan.block_bits,
     )
 
     status = 0

@@ -56,7 +56,7 @@ _LANE = 0xD6E8FEB86659FD93
 Z_99 = 2.5758293035489004
 
 _CHUNK = 1 << 14
-_DEFAULT_ROUNDS = 6
+_ROUNDS = 6  # Feistel rounds of the toy cipher, in sessions and trials alike
 
 # counter-based draw purposes; distinct purposes never share a stream
 _P_IV = 1
@@ -110,31 +110,28 @@ def _draw_grid(seed: int, purpose: int, slots: np.ndarray, trials: np.ndarray) -
 
 @dataclass(frozen=True)
 class ToyCipherParams:
-    """Shape of the scaled-down cipher: block width, default key, rounds."""
+    """Shape of the scaled-down cipher: block width and default key."""
 
     block_bits: int
     key_seed: int
-    rounds: int = _DEFAULT_ROUNDS
 
     def __post_init__(self) -> None:
-        if not 8 <= self.block_bits <= 24:
+        if not 8 <= as_natural(self.block_bits) <= 24:
             raise ValueError("block_bits must lie in [8, 24]")
-        if self.rounds < 4:
-            raise ValueError("rounds must be >= 4")
-        if not 0 <= self.key_seed < 1 << 64:
+        if as_natural(self.key_seed) >= 1 << 64:
             raise ValueError("key_seed must be a 64-bit integer")
 
 
-def _round_keys(rounds: int, key: int) -> list[int]:
-    return [mix64(key + (i + 1) * _GOLDEN) for i in range(rounds)]
+def _round_keys(key: int) -> list[int]:
+    return [mix64(key + (i + 1) * _GOLDEN) for i in range(_ROUNDS)]
 
 
-def _permute(block_bits: int, rounds: int, key: int, x: int) -> int:
+def _permute(block_bits: int, key: int, x: int) -> int:
     # unbalanced Feistel; half widths swap each round, fine for odd rounds
     w_left = block_bits // 2
     w_right = block_bits - w_left
     left, right = x >> w_right, x & ((1 << w_right) - 1)
-    for rk in _round_keys(rounds, key):
+    for rk in _round_keys(key):
         left, right, w_left, w_right = (
             right,
             left ^ (mix64(right ^ rk) & ((1 << w_left) - 1)),
@@ -144,12 +141,12 @@ def _permute(block_bits: int, rounds: int, key: int, x: int) -> int:
     return (left << w_right) | right
 
 
-def _permute_np(block_bits: int, rounds: int, keys: np.ndarray, x: np.ndarray) -> np.ndarray:
+def _permute_np(block_bits: int, keys: np.ndarray, x: np.ndarray) -> np.ndarray:
     w_left = block_bits // 2
     w_right = block_bits - w_left
     left = x >> np.uint64(w_right)
     right = x & np.uint64((1 << w_right) - 1)
-    for i in range(rounds):
+    for i in range(_ROUNDS):
         with np.errstate(over="ignore"):
             rk = _mix64_np(keys + np.uint64(((i + 1) * _GOLDEN) & _M64))
         f = _mix64_np(right ^ rk) & np.uint64((1 << w_left) - 1)
@@ -166,7 +163,7 @@ def _check_block(block_bits: int, value: int, what: str = "block") -> int:
 
 def toy_prp(params: ToyCipherParams, block: int) -> int:
     """Permutation the params induce (keyed by key_seed)."""
-    return _permute(params.block_bits, params.rounds, params.key_seed, _check_block(params.block_bits, block))
+    return _permute(params.block_bits, params.key_seed, _check_block(params.block_bits, block))
 
 
 # ------------------------------------------------------------ mode operations
@@ -186,7 +183,7 @@ def ctr_encrypt(params: ToyCipherParams, key: int, iv: int, blocks: list[int]) -
     out = []
     for j, block in enumerate(blocks):
         _check_block(params.block_bits, block)
-        mask = _permute(params.block_bits, params.rounds, key, (iv + j) % n)
+        mask = _permute(params.block_bits, key, (iv + j) % n)
         out.append(block ^ mask)
     return out
 
@@ -198,7 +195,7 @@ def cbc_encrypt(params: ToyCipherParams, key: int, iv: int, blocks: list[int]) -
     out = []
     for block in blocks:
         _check_block(params.block_bits, block)
-        prev = _permute(params.block_bits, params.rounds, key, block ^ prev)
+        prev = _permute(params.block_bits, key, block ^ prev)
         out.append(prev)
     return out
 
@@ -211,8 +208,8 @@ def ecbc_mac(params: ToyCipherParams, key1: int, key2: int, blocks: list[int]) -
     _check_key(key2)
     state = 0
     for block in blocks:
-        state = _permute(params.block_bits, params.rounds, key1, _check_block(params.block_bits, block) ^ state)
-    return _permute(params.block_bits, params.rounds, key2, state)
+        state = _permute(params.block_bits, key1, _check_block(params.block_bits, block) ^ state)
+    return _permute(params.block_bits, key2, state)
 
 
 # ------------------------------------------------------------------ trials
@@ -222,8 +219,8 @@ def ecbc_mac(params: ToyCipherParams, key1: int, key2: int, blocks: list[int]) -
 class TrialConfig:
     """One Monte Carlo experiment: mode, domain, load, trial count, seed.
 
-    Trials draw a fresh 64-bit cipher key per trial and run the default
-    6-round toy cipher; IVs and plaintexts are uniform on the block domain.
+    Trials draw a fresh 64-bit cipher key per trial and run the toy cipher;
+    IVs and plaintexts are uniform on the block domain.
     """
 
     mode: Mode
@@ -283,7 +280,7 @@ def _cbc_collisions(config: TrialConfig, lo: int, hi: int) -> int:
     plaintext_slots = slots * np.uint64(_PLAINTEXT_SLOTS)
     for j in range(l):
         pt = _draw_grid(config.rng_seed, _P_PLAINTEXT, plaintext_slots + np.uint64(j), trials) & mask
-        prev = _permute_np(config.block_bits, _DEFAULT_ROUNDS, keys, pt ^ prev)
+        prev = _permute_np(config.block_bits, keys, pt ^ prev)
         blocks[:, j::l] = prev.astype(np.uint32)
     blocks.sort(axis=1)
     dup = (np.diff(blocks, axis=1) == 0).any(axis=1)

@@ -60,7 +60,7 @@ def as_natural(value: int) -> int:
     if not isinstance(value, int) or isinstance(value, bool):
         raise TypeError(f"natural number required, got {type(value).__name__}")
     if value < 0:
-        raise ValueError(f"natural number required, got {value}")
+        raise ValueError(f"natural number required, {value} is negative")
     return value
 
 

@@ -58,6 +58,7 @@ class RotationPlan:
     eps_at_q_star: Fraction
     worst_case_bits: FixedDecimal
     file_size_bytes: int
+    block_bits: int  # the width that chunks file_size_bytes into params.blocks_per_file
 
     @property
     def max_data_volume_bytes(self) -> int:
@@ -94,7 +95,7 @@ def blocks_per_file(file_size_bytes: int, block_bits: int) -> int:
     """Cipher blocks needed for one file, final partial block counted whole."""
     if as_natural(file_size_bytes) == 0:
         raise ValueError("file_size_bytes must be >= 1")
-    if block_bits < 8 or block_bits % 8:
+    if as_natural(block_bits) < 8 or block_bits % 8:
         raise ValueError("block_bits must be a positive multiple of 8")
     return (file_size_bytes * 8 + block_bits - 1) // block_bits
 
@@ -117,7 +118,9 @@ def compute_q_star(
 
     file_size_bytes, when given, must chunk (at block_bits, default the
     security parameter) into exactly params.blocks_per_file blocks; when
-    omitted the per-file size is derived from the block count.  Raises
+    omitted the per-file size is derived from the block count.  The plan
+    records both, so calling this again with the plan's mode, params,
+    file_size_bytes and block_bits rebuilds it.  Raises
     InfeasibleTargetError when not even one file fits under the ceiling.
     """
     if block_bits is None:
@@ -125,7 +128,7 @@ def compute_q_star(
     if file_size_bytes is None:
         file_size_bytes = (params.blocks_per_file * block_bits + 7) // 8
     else:
-        implied = -(-as_natural(file_size_bytes) * 8 // block_bits)
+        implied = blocks_per_file(file_size_bytes, block_bits)
         if implied != params.blocks_per_file:
             raise ValueError(
                 f"file of {file_size_bytes} bytes is {implied} blocks of "
@@ -151,6 +154,7 @@ def compute_q_star(
         eps_at_q_star=eps_at,
         worst_case_bits=-log2_rational(eps_at, DEFAULT_PRECISION),
         file_size_bytes=file_size_bytes,
+        block_bits=block_bits,
     )
 
 

@@ -10,12 +10,14 @@ proportionally earlier for defense in depth at the same planned level.
 
 Every session rule lives in SessionState.__post_init__, so a session opened
 from a pool and one loaded from disk pass the same checks.  Sessions persist
-to a versioned JSON document with every count that matters for audit:
-parameters, planned Q*, counters, and the full rotation event log.  Loading
-re-derives Q* from the stored parameters, so a hand-edited state file that
-claims more files per key than the plan allows is rejected rather than
-trusted.  Loaded sessions are detached (key material is never persisted) and
-support accounting and re-persistence but not further encryption.
+to a versioned JSON document with every count that matters for audit: the
+exact parameters, the file size and block width, planned Q*, counters, and
+the full rotation event log.  Loading rebuilds the plan with the same
+compute_q_star call open_session makes, so a hand-edited state file that
+claims more files per key, or larger files, than the plan allows is rejected
+rather than trusted.  Loaded sessions are detached (key material is never
+persisted) and support accounting and re-persistence but not further
+encryption.
 
 Encryption itself uses the scaled-down block cipher so demo runs produce
 real ciphertext; plaintexts are zero-padded into whole blocks and CTR/CBC
@@ -26,7 +28,7 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass, field, fields
 from fractions import Fraction
 
 from .advmodel import EcbcDenominator, Mode, SecurityParams
@@ -51,7 +53,7 @@ __all__ = [
     "load_state",
 ]
 
-STATE_VERSION = 1
+STATE_VERSION = 2
 
 _DEFAULT_CIPHER = ToyCipherParams(block_bits=16, key_seed=0)
 
@@ -80,8 +82,7 @@ class KeyRecord:
     key_material: bytes | None = field(compare=False)
 
     def __post_init__(self) -> None:
-        if self.key_id < 0:
-            raise ValueError(f"key id {self.key_id} is negative")
+        as_natural(self.key_id)
 
 
 class KeyPool:
@@ -167,6 +168,10 @@ class RotationEvent:
     new_key_id: int
     at_file_count: int  # files completed when the rotation fired
 
+    def __post_init__(self) -> None:
+        for f in fields(self):
+            as_natural(getattr(self, f.name))
+
 
 @dataclass
 class SessionState:
@@ -199,6 +204,8 @@ class SessionState:
             )
         if self.cipher.block_bits % 8:
             raise ValueError("session cipher block_bits must be a whole number of bytes")
+        if self.plan.block_bits % 8:  # else the persisted plan would not load
+            raise ValueError("session files must chunk into whole-byte blocks")
         if self.key_cost <= 0:
             raise ValueError(f"key_cost {self.key_cost} is not positive")
         # Lazy rotation fixes the schedule: event i fires once (i+1)*cap files
@@ -211,8 +218,6 @@ class SessionState:
             )
         # event i hands over to the key event i+1 retires, the last to the current key
         chain = [e.old_key_id for e in self.events] + [self.current_key.key_id]
-        if min(chain) < 0:
-            raise ValueError(f"key id {min(chain)} is negative")
         for i, event in enumerate(self.events):
             if event.event_index != i or event.at_file_count != (i + 1) * cap:
                 raise ValueError(f"event log entry {i} is off the lazy rotation schedule")
@@ -327,39 +332,28 @@ def export_events(session: SessionState, path: str) -> None:
             handle.write(json.dumps(asdict(event), sort_keys=True) + "\n")
 
 
-def _eps_log2(eps: Fraction) -> int:
-    if eps.numerator != 1:
-        raise StateError("state files require a power-of-two advantage ceiling")
-    den = eps.denominator
-    bits = den.bit_length() - 1
-    if den != 1 << bits:
-        raise StateError("state files require a power-of-two advantage ceiling")
-    return -bits
-
-
 def persist_state(session: SessionState, path: str) -> None:
     """Serialize the session's auditable state (never key material)."""
-    params = session.plan.params
-    if params.s_min_bits is None:
-        raise StateError("state files require a power-of-two s_min")
+    plan = session.plan
+    params = plan.params
     document = {
         "version": STATE_VERSION,
-        "mode": session.plan.mode.name,
+        "mode": plan.mode.name,
         "params": {
             "lambda_bits": params.lambda_bits,
-            "s_min_bits": params.s_min_bits,
+            "s_min": str(params.s_min),
             "blocks_per_file": params.blocks_per_file,
-            "eps_max_log2": _eps_log2(params.eps_max),
+            "eps_max": render_rational(params.eps_max),
             "ecbc_denominator": params.ecbc_denominator.name,
         },
         "plan": {
-            "q_star": str(session.plan.q_star),
-            "file_size_bytes": session.plan.file_size_bytes,
+            "q_star": str(plan.q_star),
+            "file_size_bytes": plan.file_size_bytes,
+            "block_bits": plan.block_bits,
         },
         "cipher": {
             "block_bits": session.cipher.block_bits,
             "key_seed": session.cipher.key_seed,
-            "rounds": session.cipher.rounds,
         },
         "rotation_factor": session.rotation_factor,
         "per_key_cap": str(session.per_key_cap),
@@ -380,18 +374,21 @@ def persist_state(session: SessionState, path: str) -> None:
 def load_state(path: str) -> SessionState:
     """Rebuild a detached session from a state file.
 
-    SessionState checks the session rules.  Loading adds the schema version,
-    a stored q_star equal to the one the stored parameters give, a positive
-    file size, and stored per_key_cap, files_under_current_key and
-    total_key_cost equal to the session's derived values.  Raises
-    FileNotFoundError for a missing path and StateError for anything else:
-    bytes that are not ASCII JSON, missing fields, parameters under which no
-    file fits, or a failed check.
+    The plan is rebuilt by the call open_session makes, compute_q_star on the
+    stored mode, parameters, file size and block width, which rejects a size
+    that is not blocks_per_file blocks of that width and parameters under
+    which no file fits.  SessionState checks the session rules.  Loading adds
+    the schema version, a stored q_star equal to the rebuilt one, and stored
+    per_key_cap, files_under_current_key and total_key_cost equal to the
+    session's derived values.  Raises FileNotFoundError for a missing path and
+    StateError for anything else: bytes that are not ASCII JSON, missing
+    fields, a value of the wrong type, or a failed check.
     """
     with open(path, encoding="ascii") as handle:
         try:
             document = json.load(handle)
-        except (json.JSONDecodeError, UnicodeDecodeError, RecursionError) as exc:
+        except (ValueError, RecursionError) as exc:
+            # JSONDecodeError, UnicodeDecodeError and an over-long number are ValueErrors
             raise StateError(f"{path}: not a JSON document ({exc})") from exc
 
     try:
@@ -400,36 +397,32 @@ def load_state(path: str) -> SessionState:
                 f"{path}: schema version {document['version']!r}, expected {STATE_VERSION}"
             )
         raw_params = document["params"]
-        params = SecurityParams.from_bits(
+        params = SecurityParams(
             raw_params["lambda_bits"],
-            raw_params["s_min_bits"],
+            int(raw_params["s_min"]),
             raw_params["blocks_per_file"],
-            target_bits=-raw_params["eps_max_log2"],
-            ecbc_denominator=EcbcDenominator[raw_params["ecbc_denominator"]],
+            parse_rational(raw_params["eps_max"]),
+            EcbcDenominator[raw_params["ecbc_denominator"]],
         )
-        # size-vs-blocks consistency was enforced when the session was opened;
-        # recompute the plan from parameters alone and carry the stored size
-        # over.  InfeasibleTargetError is a ValueError: no file fits the ceiling.
-        plan = replace(
-            compute_q_star(Mode[document["mode"]], params),
-            file_size_bytes=int(document["plan"]["file_size_bytes"]),
+        raw_plan = document["plan"]
+        # InfeasibleTargetError is a ValueError: no file fits the ceiling.
+        plan = compute_q_star(
+            Mode[document["mode"]], params, raw_plan["file_size_bytes"], raw_plan["block_bits"]
         )
-        stored_q_star = int(document["plan"]["q_star"])
+        stored_q_star = int(raw_plan["q_star"])
         if plan.q_star != stored_q_star:
             raise StateError(
                 f"{path}: stored q_star {stored_q_star} does not match {plan.q_star} "
                 "recomputed from the stored parameters"
             )
-        if plan.file_size_bytes < 1:
-            raise StateError(f"{path}: file_size_bytes {plan.file_size_bytes} is not positive")
         raw_cipher = document["cipher"]
         session = SessionState(
             plan=plan,
-            cipher=ToyCipherParams(raw_cipher["block_bits"], raw_cipher["key_seed"], raw_cipher["rounds"]),
-            rotation_factor=int(document["rotation_factor"]),
+            cipher=ToyCipherParams(raw_cipher["block_bits"], raw_cipher["key_seed"]),
+            rotation_factor=document["rotation_factor"],
             key_cost=parse_rational(document["key_cost"]),
             pool=None,
-            current_key=KeyRecord(int(document["current_key_id"]), None),
+            current_key=KeyRecord(document["current_key_id"], None),
             total_files=int(document["counters"]["total_files"]),
             events=[RotationEvent(**e) for e in document["events"]],
         )

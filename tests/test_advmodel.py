@@ -24,7 +24,6 @@ def test_params_validation():
     p = reference_params()
     assert p.domain_size == 1 << 128
     assert p.s_min == 1 << 121
-    assert p.s_min_bits == 121
     assert p.eps_max == Fraction(1, 1 << 80)
     with pytest.raises(ValueError):
         SecurityParams(0, 4, 1, Fraction(1, 2))
@@ -40,11 +39,6 @@ def test_params_validation():
         SecurityParams.from_bits(8, 4, 1)  # neither target nor eps
     with pytest.raises(ValueError):
         SecurityParams.from_bits(8, 4, 1, target_bits=3, eps_max=Fraction(1, 8))
-
-
-def test_s_min_bits_none_for_non_power_of_two():
-    p = SecurityParams(8, 12, 1, Fraction(1, 8))
-    assert p.s_min_bits is None
 
 
 def test_bound_formulas_exact_small_case():

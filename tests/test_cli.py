@@ -7,9 +7,10 @@ from fractions import Fraction
 
 import pytest
 
+from qkdplan.advmodel import Mode, SecurityParams
 from qkdplan.cli import SWEEP_CSV_HEADER, main, parse_file_size
-from qkdplan.empirics import EmpiricalResult
-from qkdplan.rotation import load_state
+from qkdplan.empirics import EmpiricalResult, ToyCipherParams
+from qkdplan.rotation import encrypt_file, load_state, open_session, simulate_pool
 
 TOY = ["--lambda", "16", "--s-min-bits", "14", "--file-size", "8", "--target-bits", "9"]
 
@@ -93,6 +94,7 @@ def test_usage_errors_exit_2(capsys):
     assert run(capsys, "plan", "--mode", "nope")[0] == 2
     assert run(capsys, "plan", "--mode", "ctr", "--file-size", "x")[0] == 2
     assert run(capsys, "plan", "--mode", "ctr", "--eps", "1/8", "--target-bits", "9")[0] == 2
+    assert run(capsys, "plan", "--mode", "ctr", "--target-bits", "80", "--eps", "1/8")[0] == 2
     assert run(capsys)[0] == 2
     assert run(capsys, "plan", "--mode", "ctr", "--eps", "1/0")[0] == 2
     assert run(capsys, "benefit", "--mode", "ctr", "--key-cost", "1/0")[0] == 2
@@ -327,3 +329,23 @@ def test_rotate_rejects_negative_manifest_size(capsys, tmp_path):
     assert f"{manifest}:2:" in captured.err
     assert captured.out == ""  # rejected before any file is encrypted
     assert not state.exists()
+
+
+def test_rotate_state_keeps_exact_eps(capsys, tmp_path):
+    manifest = tmp_path / "manifest.txt"
+    manifest.write_text("8\n" * 5)
+    state = tmp_path / "state.json"
+    code = main([
+        "rotate", "--mode", "ctr", "--lambda", "16", "--s-min-bits", "14", "--block-bits", "16",
+        "--file-size", "8B", "--eps", "3/1024", "--simulate-keys", "5",
+        "--manifest", str(manifest), "--state-out", str(state),
+    ])
+    assert code == 0
+    assert "state_written" in capsys.readouterr().out
+    params = SecurityParams(16, 1 << 14, 4, Fraction(3, 1024))
+    pool = simulate_pool(5, 128, seed=0)
+    session = open_session(pool, Mode.CTR, params, 8, cipher=ToyCipherParams(16, key_seed=0), block_bits=16)
+    for _ in range(5):
+        encrypt_file(session, bytes(8))
+    assert session.plan.q_star == 4
+    assert load_state(str(state)) == session

@@ -37,18 +37,19 @@ from qkdplan.empirics import _draw_grid, _permute_np, _round_keys
 
 def toy_prp_batch(params: ToyCipherParams, blocks: np.ndarray, key: int | None = None) -> np.ndarray:
     k = params.key_seed if key is None else key
-    return _permute_np(params.block_bits, params.rounds, np.uint64(k), blocks.astype(np.uint64))
+    return _permute_np(params.block_bits, np.uint64(k), blocks.astype(np.uint64))
 
 
-def _unpermute(block_bits: int, rounds: int, key: int, y: int) -> int:
+def _unpermute(block_bits: int, key: int, y: int) -> int:
+    round_keys = _round_keys(key)
     w_left = block_bits // 2
     w_right = block_bits - w_left
     widths = []
-    for _ in range(rounds):
+    for _ in round_keys:
         widths.append((w_left, w_right))
         w_left, w_right = w_right, w_left
     x = y
-    for rk, (wl, wr) in zip(reversed(_round_keys(rounds, key)), reversed(widths)):
+    for rk, (wl, wr) in zip(reversed(round_keys), reversed(widths)):
         # a forward round at widths (wl, wr) maps (L, R) to (R, L ^ f(R))
         r = x >> wl
         masked = x & ((1 << wl) - 1)
@@ -57,14 +58,14 @@ def _unpermute(block_bits: int, rounds: int, key: int, y: int) -> int:
 
 
 def toy_prp_inverse(params: ToyCipherParams, block: int) -> int:
-    return _unpermute(params.block_bits, params.rounds, params.key_seed, block)
+    return _unpermute(params.block_bits, params.key_seed, block)
 
 
 def cbc_decrypt(params: ToyCipherParams, key: int, iv: int, blocks: list[int]) -> list[int]:
     prev = iv
     out = []
     for block in blocks:
-        out.append(_unpermute(params.block_bits, params.rounds, key, block) ^ prev)
+        out.append(_unpermute(params.block_bits, key, block) ^ prev)
         prev = block
     return out
 
@@ -112,7 +113,7 @@ def test_toy_prp_inverse_round_trip():
 
 
 def test_toy_prp_scalar_matches_batch():
-    params = ToyCipherParams(16, key_seed=99, rounds=7)
+    params = ToyCipherParams(16, key_seed=99)
     xs = np.arange(0, 1 << 16, 251, dtype=np.uint64)
     batch = toy_prp_batch(params, xs)
     assert all(toy_prp(params, int(x)) == int(y) for x, y in zip(xs, batch))
@@ -126,8 +127,6 @@ def test_toy_cipher_params_validation():
         ToyCipherParams(7, 0)
     with pytest.raises(ValueError):
         ToyCipherParams(25, 0)
-    with pytest.raises(ValueError):
-        ToyCipherParams(16, 0, rounds=3)
     with pytest.raises(ValueError):
         ToyCipherParams(16, 1 << 64)
 
@@ -196,9 +195,9 @@ def test_ecbc_tag_collisions_near_inverse_domain():
     msgs = _draw_grid(7, 12, np.arange(4, dtype=np.uint64), trials) & np.uint64(255)
 
     def tags(m0, m1):
-        s = _permute_np(8, 6, k1, m0)
-        s = _permute_np(8, 6, k1, m1 ^ s)
-        return _permute_np(8, 6, k2, s)
+        s = _permute_np(8, k1, m0)
+        s = _permute_np(8, k1, m1 ^ s)
+        return _permute_np(8, k2, s)
 
     ta, tb = tags(msgs[:, 0], msgs[:, 1]), tags(msgs[:, 2], msgs[:, 3])
     distinct = (msgs[:, 0] != msgs[:, 2]) | (msgs[:, 1] != msgs[:, 3])

@@ -113,6 +113,10 @@ def test_open_session_validation():
             pool, Mode.CTR, TOY_PARAMS, 8, cipher=ToyCipherParams(12, key_seed=0)
         )
     assert pool.remaining() == 2
+    twelve_bit = SecurityParams(12, 1 << 10, 4, Fraction(1, 64))  # files of 4 12-bit blocks
+    with pytest.raises(ValueError, match="whole-byte blocks"):
+        open_session(pool, Mode.CTR, twelve_bit, cipher=TOY_CIPHER)
+    assert pool.remaining() == 2
 
 
 def test_lazy_rotation_schedule():
@@ -252,7 +256,8 @@ def test_load_missing_file_is_distinct():
 
 def test_load_rejects_garbage_and_wrong_version(tmp_path):
     bad = tmp_path / "bad.json"
-    for garbage in ("{not json", "[" * 200_000):  # the second overflows the parser's stack
+    # the second overflows the parser's stack; the third passes the interpreter's 4300-digit int limit
+    for garbage in ("{not json", "[" * 200_000, '{"version": ' + "9" * 5000 + "}"):
         bad.write_text(garbage)
         with pytest.raises(StateError, match="not a JSON document"):
             load_state(str(bad))
@@ -260,10 +265,11 @@ def test_load_rejects_garbage_and_wrong_version(tmp_path):
     path = tmp_path / "state.json"
     persist_state(session, str(path))
     document = json.loads(path.read_text())
-    document["version"] = 2
-    path.write_text(json.dumps(document))
-    with pytest.raises(StateError, match="schema version"):
-        load_state(str(path))
+    for version in (1, 3):
+        document["version"] = version
+        path.write_text(json.dumps(document))
+        with pytest.raises(StateError, match="schema version"):
+            load_state(str(path))
     del document["version"]
     path.write_text(json.dumps(document))
     with pytest.raises(StateError, match="malformed"):
@@ -351,17 +357,51 @@ def test_load_rejects_broken_key_chain(tmp_path):
 
 def test_load_rejects_params_that_admit_no_file(tmp_path):
     path, document = persisted(tmp_path, 10, 2)
-    document["params"]["eps_max_log2"] = -200
+    document["params"]["eps_max"] = f"1/{2**200}"
     with pytest.raises(StateError, match="even one file"):
         load_tampered(path, document)
 
 
 def test_load_rejects_nonpositive_file_size(tmp_path):
     path, document = persisted(tmp_path, 10, 2)
-    for size in (-5, 0):
+    for size, match in ((-5, "-5 is negative"), (0, "file_size_bytes")):
         document["plan"]["file_size_bytes"] = size
-        with pytest.raises(StateError, match="file_size_bytes"):
+        with pytest.raises(StateError, match=match):
             load_tampered(path, document)
+
+
+def test_load_rejects_file_size_off_the_block_count(tmp_path):
+    # 4 blocks of 16 bits are 8 bytes; a gigabyte file is not 4 blocks
+    path, document = persisted(tmp_path, 10, 2)
+    assert document["plan"] == {"q_star": "2", "file_size_bytes": 8, "block_bits": 16}
+    for name, value, match in (
+        ("file_size_bytes", 10**9, "1000000000 bytes is 500000000 blocks"),
+        ("block_bits", 8, "8 bytes is 8 blocks"),
+        ("block_bits", 12, "multiple of 8"),
+    ):
+        tampered = dict(document, plan={**document["plan"], name: value})
+        with pytest.raises(StateError, match=match):
+            load_tampered(path, tampered)
+
+
+def test_load_rejects_non_integer_numbers(tmp_path):
+    path, document = persisted(tmp_path, 10, 3)
+
+    def tampered(edit):
+        copy = json.loads(json.dumps(document))
+        edit(copy)
+        return copy
+
+    for edit in (
+        lambda d: d.update(rotation_factor=1.9),
+        lambda d: d.update(current_key_id=1.5),
+        lambda d: d["events"][0].update(at_file_count=2.0),
+        lambda d: d["events"][0].update(new_key_id=1.0),
+        lambda d: d["cipher"].update(block_bits=16.0),
+        lambda d: d["plan"].update(file_size_bytes=8.7),
+    ):
+        with pytest.raises(StateError, match="natural number required, got float"):
+            load_tampered(path, tampered(edit))
 
 
 def test_load_rejects_nonpositive_key_cost(tmp_path):
@@ -399,9 +439,13 @@ def test_load_rejects_negative_key_id(tmp_path):
 
 def test_load_rejects_huge_exponents(tmp_path):
     path, document = persisted(tmp_path, 10, 2)
-    for name, value in (("lambda_bits", 2**64), ("s_min_bits", 2**64), ("eps_max_log2", -(2**64))):
+    for name, value in (
+        ("lambda_bits", 2**64),
+        ("s_min", "1" + "0" * 5000),  # past the interpreter's 4300-digit int limit
+        ("eps_max", "1/" + "9" * 5000),
+    ):
         tampered = dict(document, params={**document["params"], name: value})
-        with pytest.raises(StateError, match="must lie in"):
+        with pytest.raises(StateError, match="must lie in" if name == "lambda_bits" else "malformed"):
             load_tampered(path, tampered)
 
 
@@ -412,17 +456,23 @@ def test_load_rejects_non_ascii_state(tmp_path):
         load_state(str(path))
 
 
-def test_persist_requires_power_of_two_params(tmp_path):
-    pool = simulate_pool(1, 128, 1)
-    odd = SecurityParams(16, 10000, 4, Fraction(1, 512))  # s_min not 2**k
-    session = open_session(pool, Mode.CTR, odd, cipher=TOY_CIPHER)
-    with pytest.raises(StateError, match="power-of-two s_min"):
-        persist_state(session, str(tmp_path / "x.json"))
-    pool2 = simulate_pool(1, 128, 1)
-    odd_eps = SecurityParams(16, 1 << 14, 4, Fraction(3, 1024))
-    session2 = open_session(pool2, Mode.CTR, odd_eps, cipher=TOY_CIPHER)
-    with pytest.raises(StateError, match="power-of-two advantage ceiling"):
-        persist_state(session2, str(tmp_path / "y.json"))
+def test_state_round_trip_exact_params(tmp_path):
+    # s_min 10000 and eps_max 3/1024 are not powers of two; the state keeps both exactly
+    for params, stored in (
+        (SecurityParams(16, 10000, 4, Fraction(1, 512)), ("10000", "1/512")),
+        (SecurityParams(16, 1 << 14, 4, Fraction(3, 1024)), ("16384", "3/1024")),
+    ):
+        session = open_session(simulate_pool(5, 128, 1), Mode.CTR, params, cipher=TOY_CIPHER)
+        for _ in range(5):
+            encrypt_file(session, b"x")
+        path, again = tmp_path / "state.json", tmp_path / "again.json"
+        persist_state(session, str(path))
+        document = json.loads(path.read_text())
+        assert (document["params"]["s_min"], document["params"]["eps_max"]) == stored
+        loaded = load_state(str(path))
+        assert loaded == session
+        persist_state(loaded, str(again))
+        assert again.read_text() == path.read_text()
 
 
 def test_accounting_identity_random_runs():

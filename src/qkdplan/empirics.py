@@ -19,6 +19,10 @@ domain for any width and any round function.
 All randomness is counter-based: a draw depends only on (seed, purpose,
 slot, trial), never on call order, so results are bit-identical regardless
 of chunking, and the scalar and vectorized paths agree value for value.
+
+numpy is imported inside the vectorized kernels, not at module level, so
+planning, the scalar toy cipher and rotation sessions run without loading
+it; the first collision estimate pays its import.
 """
 
 from __future__ import annotations
@@ -26,8 +30,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-
-import numpy as np
 
 from .advmodel import Mode, bound_terms
 from .exactmath import as_natural
@@ -55,7 +57,8 @@ _LANE = 0xD6E8FEB86659FD93
 # two-sided 99% normal quantile
 Z_99 = 2.5758293035489004
 
-_CHUNK = 1 << 14
+# uint64 elements per trial chunk, so a chunk's temporaries stay near 1 MB
+_CHUNK_ELEMENTS = 1 << 17
 _ROUNDS = 6  # Feistel rounds of the toy cipher, in sessions and trials alike
 
 # counter-based draw purposes; distinct purposes never share a stream
@@ -81,6 +84,8 @@ def mix64(x: int) -> int:
 
 
 def _mix64_np(x: np.ndarray) -> np.ndarray:
+    import numpy as np
+
     with np.errstate(over="ignore"):  # wraparound mod 2**64 is the point
         x = x ^ x >> np.uint64(30)
         x = x * np.uint64(_MIX1)
@@ -99,6 +104,8 @@ def draw64(seed: int, purpose: int, slot: int, trial: int) -> int:
 
 def _draw_grid(seed: int, purpose: int, slots: np.ndarray, trials: np.ndarray) -> np.ndarray:
     """Vectorized draw64: rows are trials, columns are slots."""
+    import numpy as np
+
     with np.errstate(over="ignore"):
         streams = (np.uint64(purpose) << np.uint64(32)) | slots.astype(np.uint64)
         base = _mix64_np(np.uint64(seed & _M64) ^ streams * np.uint64(_GOLDEN))
@@ -126,12 +133,12 @@ def _round_keys(key: int) -> list[int]:
     return [mix64(key + (i + 1) * _GOLDEN) for i in range(_ROUNDS)]
 
 
-def _permute(block_bits: int, key: int, x: int) -> int:
+def _permute(block_bits: int, round_keys: list[int], x: int) -> int:
     # unbalanced Feistel; half widths swap each round, fine for odd rounds
     w_left = block_bits // 2
     w_right = block_bits - w_left
     left, right = x >> w_right, x & ((1 << w_right) - 1)
-    for rk in _round_keys(key):
+    for rk in round_keys:
         left, right, w_left, w_right = (
             right,
             left ^ (mix64(right ^ rk) & ((1 << w_left) - 1)),
@@ -142,6 +149,8 @@ def _permute(block_bits: int, key: int, x: int) -> int:
 
 
 def _permute_np(block_bits: int, keys: np.ndarray, x: np.ndarray) -> np.ndarray:
+    import numpy as np
+
     w_left = block_bits // 2
     w_right = block_bits - w_left
     left = x >> np.uint64(w_right)
@@ -163,7 +172,8 @@ def _check_block(block_bits: int, value: int, what: str = "block") -> int:
 
 def toy_prp(params: ToyCipherParams, block: int) -> int:
     """Permutation the params induce (keyed by key_seed)."""
-    return _permute(params.block_bits, params.key_seed, _check_block(params.block_bits, block))
+    block = _check_block(params.block_bits, block)
+    return _permute(params.block_bits, _round_keys(params.key_seed), block)
 
 
 # ------------------------------------------------------------ mode operations
@@ -178,24 +188,24 @@ def _check_key(key: int) -> int:
 def ctr_encrypt(params: ToyCipherParams, key: int, iv: int, blocks: list[int]) -> list[int]:
     """Counter mode: block j is XOR-masked with E(iv + j mod N)."""
     n = 1 << params.block_bits
-    _check_key(key)
+    round_keys = _round_keys(_check_key(key))
     _check_block(params.block_bits, iv, "iv")
     out = []
     for j, block in enumerate(blocks):
         _check_block(params.block_bits, block)
-        mask = _permute(params.block_bits, key, (iv + j) % n)
+        mask = _permute(params.block_bits, round_keys, (iv + j) % n)
         out.append(block ^ mask)
     return out
 
 
 def cbc_encrypt(params: ToyCipherParams, key: int, iv: int, blocks: list[int]) -> list[int]:
-    _check_key(key)
+    round_keys = _round_keys(_check_key(key))
     _check_block(params.block_bits, iv, "iv")
     prev = iv
     out = []
     for block in blocks:
         _check_block(params.block_bits, block)
-        prev = _permute(params.block_bits, key, block ^ prev)
+        prev = _permute(params.block_bits, round_keys, block ^ prev)
         out.append(prev)
     return out
 
@@ -204,12 +214,13 @@ def ecbc_mac(params: ToyCipherParams, key1: int, key2: int, blocks: list[int]) -
     """Encrypted CBC-MAC: CBC chain under key1, final state re-encrypted under key2."""
     if not blocks:
         raise ValueError("ecbc_mac requires at least one block")
-    _check_key(key1)
-    _check_key(key2)
+    round_keys1 = _round_keys(_check_key(key1))
+    round_keys2 = _round_keys(_check_key(key2))
     state = 0
     for block in blocks:
-        state = _permute(params.block_bits, key1, _check_block(params.block_bits, block) ^ state)
-    return _permute(params.block_bits, key2, state)
+        _check_block(params.block_bits, block)
+        state = _permute(params.block_bits, round_keys1, block ^ state)
+    return _permute(params.block_bits, round_keys2, state)
 
 
 # ------------------------------------------------------------------ trials
@@ -257,6 +268,8 @@ class EmpiricalResult:
 
 
 def _ctr_collisions(config: TrialConfig, lo: int, hi: int) -> int:
+    import numpy as np
+
     n = 1 << config.block_bits
     mask = np.uint64(n - 1)
     slots = np.arange(config.q_files, dtype=np.uint64)
@@ -270,6 +283,8 @@ def _ctr_collisions(config: TrialConfig, lo: int, hi: int) -> int:
 
 
 def _cbc_collisions(config: TrialConfig, lo: int, hi: int) -> int:
+    import numpy as np
+
     mask = np.uint64((1 << config.block_bits) - 1)
     q, l = config.q_files, config.blocks_per_file
     slots = np.arange(q, dtype=np.uint64)
@@ -297,10 +312,14 @@ def estimate_collision_probability(config: TrialConfig) -> EmpiricalResult:
     if config.trials < 1000:
         raise ValueError("trials must be >= 1000")
 
-    count_chunk = _ctr_collisions if config.mode is Mode.CTR else _cbc_collisions
+    if config.mode is Mode.CTR:
+        count_chunk, per_trial = _ctr_collisions, config.q_files
+    else:
+        count_chunk, per_trial = _cbc_collisions, config.q_files * config.blocks_per_file
+    chunk = max(1, _CHUNK_ELEMENTS // per_trial)
     collisions = 0
-    for lo in range(0, config.trials, _CHUNK):
-        collisions += count_chunk(config, lo, min(lo + _CHUNK, config.trials))
+    for lo in range(0, config.trials, chunk):
+        collisions += count_chunk(config, lo, min(lo + chunk, config.trials))
 
     # the bound's birthday term at the scaled-down domain
     terms = bound_terms(config.mode, config.blocks_per_file, 1 << config.block_bits)

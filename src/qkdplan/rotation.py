@@ -371,6 +371,17 @@ def persist_state(session: SessionState, path: str) -> None:
         handle.write("\n")
 
 
+def _canonical(text: object, parse=int, render=str):
+    """Parse a number persist_state stored as a string: it must be a str that
+    render writes back unchanged, so "40.9", " 40 ", "4_0" and "1e0" fail."""
+    if not isinstance(text, str):
+        raise TypeError(f"number stored as a string required, got {type(text).__name__}")
+    value = parse(text)
+    if render(value) != text:
+        raise ValueError(f"{text!r} is not the form persist_state writes, {render(value)!r}")
+    return value
+
+
 def load_state(path: str) -> SessionState:
     """Rebuild a detached session from a state file.
 
@@ -380,9 +391,10 @@ def load_state(path: str) -> SessionState:
     which no file fits.  SessionState checks the session rules.  Loading adds
     the schema version, a stored q_star equal to the rebuilt one, and stored
     per_key_cap, files_under_current_key and total_key_cost equal to the
-    session's derived values.  Raises FileNotFoundError for a missing path and
-    StateError for anything else: bytes that are not ASCII JSON, missing
-    fields, a value of the wrong type, or a failed check.
+    session's derived values.  Numbers stored as strings must be written
+    exactly as persist_state writes them.  Raises FileNotFoundError for a
+    missing path and StateError for anything else: bytes that are not ASCII
+    JSON, missing fields, a value of the wrong type or form, or a failed check.
     """
     with open(path, encoding="ascii") as handle:
         try:
@@ -399,9 +411,9 @@ def load_state(path: str) -> SessionState:
         raw_params = document["params"]
         params = SecurityParams(
             raw_params["lambda_bits"],
-            int(raw_params["s_min"]),
+            _canonical(raw_params["s_min"]),
             raw_params["blocks_per_file"],
-            parse_rational(raw_params["eps_max"]),
+            _canonical(raw_params["eps_max"], parse_rational, render_rational),
             EcbcDenominator[raw_params["ecbc_denominator"]],
         )
         raw_plan = document["plan"]
@@ -409,7 +421,7 @@ def load_state(path: str) -> SessionState:
         plan = compute_q_star(
             Mode[document["mode"]], params, raw_plan["file_size_bytes"], raw_plan["block_bits"]
         )
-        stored_q_star = int(raw_plan["q_star"])
+        stored_q_star = _canonical(raw_plan["q_star"])
         if plan.q_star != stored_q_star:
             raise StateError(
                 f"{path}: stored q_star {stored_q_star} does not match {plan.q_star} "
@@ -420,16 +432,18 @@ def load_state(path: str) -> SessionState:
             plan=plan,
             cipher=ToyCipherParams(raw_cipher["block_bits"], raw_cipher["key_seed"]),
             rotation_factor=document["rotation_factor"],
-            key_cost=parse_rational(document["key_cost"]),
+            key_cost=_canonical(document["key_cost"], parse_rational, render_rational),
             pool=None,
             current_key=KeyRecord(document["current_key_id"], None),
-            total_files=int(document["counters"]["total_files"]),
+            total_files=_canonical(document["counters"]["total_files"]),
             events=[RotationEvent(**e) for e in document["events"]],
         )
         stored = {
-            "per_key_cap": int(document["per_key_cap"]),
-            "files_under_current_key": int(document["counters"]["files_under_current_key"]),
-            "total_key_cost": parse_rational(document["total_key_cost"]),
+            "per_key_cap": _canonical(document["per_key_cap"]),
+            "files_under_current_key": _canonical(document["counters"]["files_under_current_key"]),
+            "total_key_cost": _canonical(
+                document["total_key_cost"], parse_rational, render_rational
+            ),
         }
     except (KeyError, TypeError, ValueError) as exc:
         if isinstance(exc, StateError):

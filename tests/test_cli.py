@@ -3,7 +3,11 @@
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -349,3 +353,43 @@ def test_rotate_state_keeps_exact_eps(capsys, tmp_path):
         encrypt_file(session, bytes(8))
     assert session.plan.q_star == 4
     assert load_state(str(state)) == session
+
+
+# ------------------------------------------------------------- numpy import
+
+NUMPY_PROBE = """
+import sys
+import qkdplan
+import qkdplan.cli as cli
+assert "numpy" not in sys.modules, "import"
+manifest = sys.argv[1]
+for argv in (
+    ["plan", "--mode", "ctr"],
+    ["improve", "--mode", "cbc", "--k", "4"],
+    ["benefit", "--mode", "cbc", "--k", "8", "--key-cost", "3/2"],
+    ["sweep", "--mode", "cbc", "--k-list", "2,8,32"],
+    ["validate"],
+    ["rotate", "--mode", "ctr", "--lambda", "16", "--s-min-bits", "14", "--block-bits", "16",
+     "--file-size", "8B", "--target-bits", "9", "--simulate-keys", "5", "--manifest", manifest],
+):
+    assert cli.main(argv) == 0, argv
+    assert "numpy" not in sys.modules, argv
+code = cli.main(["simulate", "--mode", "ctr", "--block-bits", "12", "--q", "8", "--l", "4",
+                 "--trials", "1000", "--seed", "3"])
+assert code == 0 and "numpy" in sys.modules, code
+"""
+
+
+def test_numpy_loads_only_for_monte_carlo(tmp_path):
+    # a fresh interpreter, since this process imported numpy long ago
+    manifest = tmp_path / "manifest.txt"
+    manifest.write_text("8\n8\n8\n8\n")
+    src = Path(__file__).resolve().parents[1] / "src"
+    done = subprocess.run(
+        [sys.executable, "-c", NUMPY_PROBE, str(manifest)],
+        env=dict(os.environ, PYTHONPATH=str(src)),
+        capture_output=True,
+        text=True,
+    )
+    assert done.returncode == 0, done.stderr
+    assert "verdict" in done.stdout

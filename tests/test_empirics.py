@@ -14,6 +14,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from qkdplan import empirics
 from qkdplan.advmodel import Mode
 from qkdplan.empirics import (
     EmpiricalResult,
@@ -235,14 +236,23 @@ def test_estimate_rejects_tiny_trial_counts():
         estimate_collision_probability(TrialConfig(Mode.CTR, 16, 16, 4, 999, 0))
 
 
-def test_estimate_is_deterministic_and_chunk_independent():
-    config = TrialConfig(Mode.CBC, 12, 4, 2, 20000, 11)
-    a = estimate_collision_probability(config)
-    b = estimate_collision_probability(config)
-    assert a == b
-    # a trial count that is not a multiple of the internal chunk size
-    odd = estimate_collision_probability(TrialConfig(Mode.CBC, 12, 4, 2, 17001, 11))
-    assert isinstance(odd, EmpiricalResult) and odd.trials == 17001
+def test_estimate_is_deterministic_and_chunk_independent(monkeypatch):
+    # 64 elements per trial (q_files for CTR, q_files * blocks_per_file for
+    # CBC); 3001 trials is a multiple of neither 7 nor the default 2048
+    per_trial = 64
+    default = empirics._CHUNK_ELEMENTS
+    assert default // per_trial == 2048
+    for config in (
+        TrialConfig(Mode.CTR, 16, 64, 4, 3001, 11),
+        TrialConfig(Mode.CBC, 12, 32, 2, 3001, 11),
+    ):
+        reference = estimate_collision_probability(config)
+        assert estimate_collision_probability(config) == reference
+        assert 0 < reference.collisions < config.trials
+        # one trial per chunk, 7 trials, the default, one chunk for the run
+        for budget in (1, 7 * per_trial, default, config.trials * per_trial):
+            monkeypatch.setattr(empirics, "_CHUNK_ELEMENTS", budget)
+            assert estimate_collision_probability(config) == reference
 
 
 def test_estimate_seed_sensitivity():

@@ -404,6 +404,44 @@ def test_load_rejects_non_integer_numbers(tmp_path):
             load_tampered(path, tampered(edit))
 
 
+def test_load_rejects_numbers_not_in_persisted_form(tmp_path):
+    # 40 files at cap 31: the tampers below all parse to the true values
+    params = SecurityParams.from_bits(32, 30, 32, target_bits=16)
+    session = open_session(simulate_pool(3, 128, 1), Mode.CTR, params, 128, cipher=TOY_CIPHER)
+    for _ in range(40):
+        encrypt_file(session, b"x")
+    path = tmp_path / "state.json"
+    persist_state(session, str(path))
+    persisted_text = path.read_text()
+    persist_state(load_state(str(path)), str(path))
+    assert path.read_text() == persisted_text  # persist -> load -> persist is byte-identical
+    document = json.loads(persisted_text)
+    assert (document["per_key_cap"], document["counters"]) == (
+        "31", {"total_files": "40", "files_under_current_key": "9"}
+    )
+
+    def tampered(edit):
+        copy = json.loads(persisted_text)
+        edit(copy)
+        return copy
+
+    for edit in (
+        lambda d: d["counters"].update(total_files=40.9),
+        lambda d: d["counters"].update(total_files=" 40 "),
+        lambda d: d["counters"].update(total_files="4_0"),
+        lambda d: d["counters"].update(files_under_current_key=9.5),
+        lambda d: d.update(per_key_cap=31.2),
+        lambda d: d["plan"].update(q_star=31.9),
+        lambda d: d.update(key_cost=1.0),
+        lambda d: d.update(key_cost="1e0"),
+        lambda d: d.update(total_key_cost=2.0),
+        lambda d: d["params"].update(s_min=1073741824.0),
+        lambda d: d["params"].update(eps_max=1.52587890625e-05),
+    ):
+        with pytest.raises(StateError, match="malformed"):
+            load_tampered(path, tampered(edit))
+
+
 def test_load_rejects_nonpositive_key_cost(tmp_path):
     path, document = persisted(tmp_path, 10, 2)
     document["key_cost"] = document["total_key_cost"] = "0"

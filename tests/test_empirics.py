@@ -17,7 +17,6 @@ import pytest
 from qkdplan import empirics
 from qkdplan.advmodel import Mode
 from qkdplan.empirics import (
-    EmpiricalResult,
     ToyCipherParams,
     TrialConfig,
     Z_99,
@@ -246,6 +245,7 @@ def test_estimate_is_deterministic_and_chunk_independent(monkeypatch):
         TrialConfig(Mode.CTR, 16, 64, 4, 3001, 11),
         TrialConfig(Mode.CBC, 12, 32, 2, 3001, 11),
     ):
+        monkeypatch.setattr(empirics, "_CHUNK_ELEMENTS", default)
         reference = estimate_collision_probability(config)
         assert estimate_collision_probability(config) == reference
         assert 0 < reference.collisions < config.trials

@@ -17,6 +17,7 @@ import pytest
 from qkdplan import empirics
 from qkdplan.advmodel import Mode
 from qkdplan.empirics import (
+    EmpiricalResult,
     ToyCipherParams,
     TrialConfig,
     Z_99,
@@ -247,6 +248,8 @@ def test_estimate_is_deterministic_and_chunk_independent(monkeypatch):
     ):
         monkeypatch.setattr(empirics, "_CHUNK_ELEMENTS", default)
         reference = estimate_collision_probability(config)
+        assert isinstance(reference, EmpiricalResult)
+        assert reference.trials == config.trials
         assert estimate_collision_probability(config) == reference
         assert 0 < reference.collisions < config.trials
         # one trial per chunk, 7 trials, the default, one chunk for the run

@@ -31,7 +31,6 @@ from .exactmath import (
     max_q_quadratic,
 )
 from .planner import (
-    BenefitReport,
     ImprovementReport,
     InfeasibleTargetError,
     RotationPlan,
@@ -64,7 +63,6 @@ from .rotation import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "BenefitReport",
     "DegenerateBoundError",
     "EcbcDenominator",
     "EmpiricalResult",

@@ -14,9 +14,6 @@ The two primitives:
     Clears denominators once, then brackets and bisects on integers.  The
     answer is re-verified by exact rational evaluation at Q and Q+1, so a
     bracketing bug cannot produce a silently wrong result.
-    ``max_q_unit_scan`` solves the same cleared quadratic by walking Q up one
-    step at a time; it shares the clearing and the certificate, not the
-    bracket or the bisection.
 
 ``log2_rational``
     log2 of a positive rational to a requested number of decimal digits,
@@ -40,7 +37,6 @@ __all__ = [
     "parse_rational",
     "render_rational",
     "max_q_quadratic",
-    "max_q_unit_scan",
     "log2_rational",
 ]
 
@@ -205,23 +201,6 @@ def max_q_quadratic(a: Fraction, b: Fraction, c: Fraction) -> int:
         else:
             hi = mid
     return _certified(a, b, c, lo)
-
-
-def max_q_unit_scan(a: Fraction, b: Fraction, c: Fraction) -> int:
-    """max_q_quadratic by a unit-step walk: no bracket and no bisection.
-
-    Each step adds the finite difference f(Q+1) - f(Q) of the cleared
-    quadratic f, so the walk costs Q big-integer additions.
-    """
-    a, b, c = Fraction(a), Fraction(b), Fraction(c)
-    ai, bi, ci = _cleared(a, b, c)
-    f = q = 0
-    step = ai + bi  # f(1) - f(0)
-    while f + step <= ci:
-        f += step
-        step += 2 * ai
-        q += 1
-    return _certified(a, b, c, q)
 
 
 def _floor_log2(value: Fraction) -> int:

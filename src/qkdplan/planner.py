@@ -30,7 +30,6 @@ __all__ = [
     "InfeasibleTargetError",
     "RotationPlan",
     "ImprovementReport",
-    "BenefitReport",
     "SweepRow",
     "blocks_per_file",
     "volume_kb",
@@ -76,14 +75,9 @@ class ImprovementReport:
 
 
 @dataclass(frozen=True)
-class BenefitReport:
-    k: int
-    key_cost: Fraction
-    benefit: FixedDecimal
-
-
-@dataclass(frozen=True)
 class SweepRow:
+    """A rotation gain at k, with its bracket and its benefit per key spent."""
+
     k: int
     delta_bits: FixedDecimal
     lower_bound_bits: FixedDecimal
@@ -193,25 +187,28 @@ def improvement_bits(
     )
 
 
-def _benefit_value(report: ImprovementReport, q_star: int, key_cost: Fraction) -> FixedDecimal:
-    """Q* * delta / (k * cost), rounded to DEFAULT_PRECISION."""
-    if key_cost <= 0:
-        raise ValueError("key_cost must be > 0")
-    value = report.delta_bits.as_fraction() * q_star / (report.k * key_cost)
-    return FixedDecimal.from_fraction(value, DEFAULT_PRECISION)
-
-
 def benefit(
     mode: Mode,
     params: SecurityParams,
     q_star: int,
     k: int,
     key_cost: Fraction,
-) -> BenefitReport:
-    """Security gained per unit of key material spent: Q* * delta / (k * cost)."""
+) -> SweepRow:
+    """The gain at k with its bracket, plus its benefit: the security gained
+    per unit of key material spent, Q* * delta / (k * cost), rounded to
+    DEFAULT_PRECISION."""
     key_cost = Fraction(key_cost)
+    if key_cost <= 0:
+        raise ValueError("key_cost must be > 0")
     report = improvement_bits(mode, params, q_star, k)
-    return BenefitReport(k, key_cost, _benefit_value(report, q_star, key_cost))
+    value = report.delta_bits.as_fraction() * q_star / (k * key_cost)
+    return SweepRow(
+        k=k,
+        delta_bits=report.delta_bits,
+        lower_bound_bits=report.lower_bound_bits,
+        upper_bound_bits=report.upper_bound_bits,
+        benefit=FixedDecimal.from_fraction(value, DEFAULT_PRECISION),
+    )
 
 
 def sweep_k(
@@ -221,18 +218,5 @@ def sweep_k(
     k_values: list[int],
     key_cost: Fraction = Fraction(1),
 ) -> list[SweepRow]:
-    """Improvement and benefit for each k, in the given order."""
-    key_cost = Fraction(key_cost)
-    rows = []
-    for k in k_values:
-        report = improvement_bits(mode, params, q_star, k)
-        rows.append(
-            SweepRow(
-                k=k,
-                delta_bits=report.delta_bits,
-                lower_bound_bits=report.lower_bound_bits,
-                upper_bound_bits=report.upper_bound_bits,
-                benefit=_benefit_value(report, q_star, key_cost),
-            )
-        )
-    return rows
+    """A sweep row is benefit at each k, in the given order."""
+    return [benefit(mode, params, q_star, k, key_cost) for k in k_values]

@@ -179,6 +179,10 @@ def test_sweep_default_powers_and_determinism(capsys):
 def test_sweep_rejects_bad_k(capsys):
     assert run(capsys, "sweep", "--mode", "ctr", "--k-list", "0,2")[0] == 2
     assert run(capsys, "sweep", "--mode", "ctr", "--k-list", "2,x")[0] == 2
+    # k=1000 is above the toy plan's q_star=3: nothing, not even the header, is printed
+    code, out, err = run(capsys, "sweep", "--mode", "ctr", *TOY, "--k-list", "2,1000")
+    assert (code, out) == (2, "")
+    assert "k=1000 exceeds q_star=3" in err
 
 
 # ----------------------------------------------------------------- validate
@@ -189,8 +193,19 @@ def test_validate_all_pass(capsys):
     assert code == 0
     lines = out.splitlines()
     assert lines[-1] == "10/10 checks passed"
-    assert sum(line.startswith("PASS ") for line in lines) == 10
-    assert not any(line.startswith("FAIL") for line in lines)
+    assert [line.split(":")[0] for line in lines[:-1]] == [
+        "PASS ctr-q-star",
+        "PASS cbc-q-star",
+        "PASS ecbc-q-star-published-rounding",
+        "PASS ecbc-q-star-maximal",
+        "PASS ctr-gain-k2",
+        "PASS cbc-gain-k2",
+        "PASS ecbc-gain-k2",
+        "PASS ctr-volume",
+        "PASS cbc-volume",
+        "PASS ecbc-volume",
+    ]
+    assert lines[3].startswith("PASS ecbc-q-star-maximal: q_star=247135 ")
 
 
 # ----------------------------------------------------------------- simulate
@@ -310,9 +325,13 @@ def test_rotate_hex_key_file(capsys, tmp_path):
 def test_rotate_requires_exactly_one_key_source(capsys, tmp_path):
     manifest = tmp_path / "manifest.txt"
     manifest.write_text("8\n")
-    code = main(["rotate", "--mode", "ctr", *TOY, "--manifest", str(manifest)])
-    assert code == 2
-    assert "exactly one" in capsys.readouterr().err
+    keys = tmp_path / "keys.txt"
+    keys.write_text("00" * 16 + "\n")
+    base = ["rotate", "--mode", "ctr", *TOY, "--manifest", str(manifest)]
+    for extra in ([], ["--keys", str(keys), "--simulate-keys", "2"]):
+        code, out, err = run(capsys, *base, *extra)
+        assert (code, out) == (2, "")
+        assert "--keys" in err and "--simulate-keys" in err
 
 
 def test_rotate_bad_manifest_line(capsys, tmp_path):

@@ -8,7 +8,6 @@ import pkgutil
 import qkdplan
 
 PUBLIC = [
-    "BenefitReport",
     "DegenerateBoundError",
     "EcbcDenominator",
     "EmpiricalResult",

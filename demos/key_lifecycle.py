@@ -49,9 +49,10 @@ print(f"rotations so far: {[(e.old_key_id, e.new_key_id) for e in session.events
 print(f"keys consumed: {session.keys_consumed}, total cost {session.total_key_cost}")
 
 # Checkpoint, reload, and confirm the books still balance.
-state_path = Path(tempfile.mkdtemp()) / "session.json"
-persist_state(session, state_path)
-reloaded = load_state(state_path)
+with tempfile.TemporaryDirectory() as checkpoint_dir:
+    state_path = Path(checkpoint_dir) / "session.json"
+    persist_state(session, state_path)
+    reloaded = load_state(state_path)
 print(f"state round trip ok: {reloaded == session}")
 
 # Two more files fit under the last key; the twelfth needs a fifth key the

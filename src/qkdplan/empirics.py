@@ -20,6 +20,11 @@ All randomness is counter-based: a draw depends only on (seed, purpose,
 slot, trial), never on call order, so results are bit-identical regardless
 of chunking, and the scalar and vectorized paths agree value for value.
 
+Trials run in chunks of about _CHUNK_ELEMENTS elements.  Each estimate
+allocates one workspace, a few buffers sized for a single chunk, and every
+chunk draws, runs the Feistel rounds and sorts in place in views of it, so
+no chunk allocates more than a few per-trial rows.
+
 numpy is imported inside the vectorized kernels, not at module level, so
 planning, the scalar toy cipher and rotation sessions run without loading
 it; the first collision estimate pays its import.
@@ -57,7 +62,8 @@ _LANE = 0xD6E8FEB86659FD93
 # two-sided 99% normal quantile
 Z_99 = 2.5758293035489004
 
-# uint64 elements per trial chunk, so a chunk's temporaries stay near 1 MB
+# elements per trial chunk (q per CTR trial, q*l per CBC trial): each buffer
+# of an estimate's workspace holds one chunk, at most 1 MB of uint64
 _CHUNK_ELEMENTS = 1 << 17
 _ROUNDS = 6  # Feistel rounds of the toy cipher, in sessions and trials alike
 
@@ -83,16 +89,21 @@ def mix64(x: int) -> int:
     return x
 
 
-def _mix64_np(x: np.ndarray) -> np.ndarray:
+def _mix64_np(x: np.ndarray, scratch: np.ndarray) -> None:
+    """mix64 on a uint64 array, in place; scratch is a buffer of x's shape.
+
+    Array integer arithmetic wraps mod 2**64 without a warning.
+    """
     import numpy as np
 
-    with np.errstate(over="ignore"):  # wraparound mod 2**64 is the point
-        x = x ^ x >> np.uint64(30)
-        x = x * np.uint64(_MIX1)
-        x ^= x >> np.uint64(27)
-        x = x * np.uint64(_MIX2)
-        x ^= x >> np.uint64(31)
-    return x
+    np.right_shift(x, 30, out=scratch)
+    x ^= scratch
+    x *= _MIX1
+    np.right_shift(x, 27, out=scratch)
+    x ^= scratch
+    x *= _MIX2
+    np.right_shift(x, 31, out=scratch)
+    x ^= scratch
 
 
 def draw64(seed: int, purpose: int, slot: int, trial: int) -> int:
@@ -102,14 +113,29 @@ def draw64(seed: int, purpose: int, slot: int, trial: int) -> int:
     return mix64(base ^ ((trial * _LANE) & _M64))
 
 
-def _draw_grid(seed: int, purpose: int, slots: np.ndarray, trials: np.ndarray) -> np.ndarray:
-    """Vectorized draw64: rows are trials, columns are slots."""
+def _trial_lanes(lo: int, hi: int) -> np.ndarray:
+    """trial*_LANE mod 2**64 for trials lo..hi-1, the per-trial half of draw64."""
     import numpy as np
 
-    with np.errstate(over="ignore"):
-        streams = (np.uint64(purpose) << np.uint64(32)) | slots.astype(np.uint64)
-        base = _mix64_np(np.uint64(seed & _M64) ^ streams * np.uint64(_GOLDEN))
-        return _mix64_np(base[None, :] ^ trials[:, None] * np.uint64(_LANE))
+    lanes = np.arange(lo, hi, dtype=np.uint64)
+    lanes *= _LANE
+    return lanes
+
+
+def _draw_np(
+    out: np.ndarray, scratch: np.ndarray, seed: int, purpose: int, slots: np.ndarray, lanes: np.ndarray
+) -> None:
+    """Vectorized draw64 into out, in place, at slots and lanes broadcast to out's shape.
+
+    scratch is a buffer of out's shape.
+    """
+    import numpy as np
+
+    base = (slots | np.uint64((purpose << 32) & _M64)) * np.uint64(_GOLDEN)
+    base ^= np.uint64(seed & _M64)
+    _mix64_np(base, np.empty_like(base))
+    np.bitwise_xor(lanes, base, out=out)
+    _mix64_np(out, scratch)
 
 
 # ------------------------------------------------------------------ toy cipher
@@ -148,20 +174,39 @@ def _permute(block_bits: int, round_keys: list[int], x: int) -> int:
     return (left << w_right) | right
 
 
-def _permute_np(block_bits: int, keys: np.ndarray, x: np.ndarray) -> np.ndarray:
+def _round_keys_np(keys: np.ndarray, out: np.ndarray, scratch: np.ndarray) -> None:
+    """Vectorized _round_keys: a row of T keys gives out (_ROUNDS, T); scratch is out's shape."""
     import numpy as np
 
+    offsets = np.array([((i + 1) * _GOLDEN) & _M64 for i in range(_ROUNDS)], dtype=np.uint64)
+    np.add(keys, offsets[:, None], out=out)
+    _mix64_np(out, scratch)
+
+
+def _permute_np(
+    block_bits: int, round_keys: np.ndarray, x: np.ndarray, out: np.ndarray, work: tuple[np.ndarray, ...]
+) -> None:
+    """Vectorized _permute of x into out; column t of x is keyed by round_keys[:, t].
+
+    x is (S, T) or broadcasts to it, with T columns in round_keys (_ROUNDS, T).
+    work holds four scratch buffers of x's shape; out may be x itself.
+    """
+    import numpy as np
+
+    left, right, f, scratch = work
     w_left = block_bits // 2
     w_right = block_bits - w_left
-    left = x >> np.uint64(w_right)
-    right = x & np.uint64((1 << w_right) - 1)
+    np.right_shift(x, w_right, out=left)
+    np.bitwise_and(x, (1 << w_right) - 1, out=right)
     for i in range(_ROUNDS):
-        with np.errstate(over="ignore"):
-            rk = _mix64_np(keys + np.uint64(((i + 1) * _GOLDEN) & _M64))
-        f = _mix64_np(right ^ rk) & np.uint64((1 << w_left) - 1)
-        left, right = right, left ^ f
+        np.bitwise_xor(right, round_keys[i : i + 1], out=f)
+        _mix64_np(f, scratch)
+        f &= (1 << w_left) - 1
+        f ^= left
+        left, right, f = right, f, left
         w_left, w_right = w_right, w_left
-    return (left << np.uint64(w_right)) | right
+    np.left_shift(left, w_right, out=out)
+    out |= right
 
 
 def _check_block(block_bits: int, value: int, what: str = "block") -> int:
@@ -267,39 +312,56 @@ class EmpiricalResult:
     collisions: int
 
 
-def _ctr_collisions(config: TrialConfig, lo: int, hi: int) -> int:
+def _ctr_collisions(config: TrialConfig, lo: int, hi: int, workspace: list[np.ndarray]) -> int:
     import numpy as np
 
+    rows = hi - lo
+    draws, scratch, ivs, gaps = (buffer[:rows] for buffer in workspace)
     n = 1 << config.block_bits
-    mask = np.uint64(n - 1)
     slots = np.arange(config.q_files, dtype=np.uint64)
-    trials = np.arange(lo, hi, dtype=np.uint64)
-    ivs = _draw_grid(config.rng_seed, _P_IV, slots, trials) & mask
+    _draw_np(draws, scratch, config.rng_seed, _P_IV, slots, _trial_lanes(lo, hi)[:, None])
+    draws &= n - 1
+    # uint32 holds every IV and gap exactly, since n <= 2**24
+    np.copyto(ivs, draws, casting="unsafe")
     ivs.sort(axis=1)
-    wrap = ivs[:, 0] + np.uint64(n) - ivs[:, -1]
-    gaps = np.diff(ivs, axis=1)
-    min_gap = np.minimum(gaps.min(axis=1, initial=n), wrap)
-    return int((min_gap < config.blocks_per_file).sum())
+    flat = ivs.reshape(-1)
+    np.subtract(flat[1:], flat[:-1], out=gaps.reshape(-1)[:-1])
+    # the last column spans two trials; it holds the gap round the circle instead
+    np.subtract(ivs[:, 0] + n, ivs[:, -1], out=gaps[:, -1])
+    return int(np.count_nonzero(gaps.min(axis=1) < config.blocks_per_file))
 
 
-def _cbc_collisions(config: TrialConfig, lo: int, hi: int) -> int:
+def _cbc_collisions(config: TrialConfig, lo: int, hi: int, workspace: list[np.ndarray]) -> int:
     import numpy as np
 
-    mask = np.uint64((1 << config.block_bits) - 1)
+    rows = hi - lo
+    *chains, round_keys, key_scratch, blocks, equal = workspace
+    prev, pt, left, right, f, scratch = (buffer[:, :rows] for buffer in chains)
+    round_keys, key_scratch = round_keys[:, :rows], key_scratch[:, :rows]
+    blocks, equal = blocks[:rows], equal[:rows]
+    mask = (1 << config.block_bits) - 1
     q, l = config.q_files, config.blocks_per_file
-    slots = np.arange(q, dtype=np.uint64)
-    trials = np.arange(lo, hi, dtype=np.uint64)
-    keys = _draw_grid(config.rng_seed, _P_KEY, np.zeros(1, dtype=np.uint64), trials)  # (T, 1)
-    prev = _draw_grid(config.rng_seed, _P_IV, slots, trials) & mask  # (T, Q)
-    blocks = np.empty((len(trials), q * l), dtype=np.uint32)
-    plaintext_slots = slots * np.uint64(_PLAINTEXT_SLOTS)
+    seed = config.rng_seed
+    lanes = _trial_lanes(lo, hi)
+    slots = np.arange(q, dtype=np.uint64)[:, None]
+    # the keys borrow key_scratch's first row until the round keys are derived
+    keys = key_scratch[:1]
+    _draw_np(keys, round_keys[:1], seed, _P_KEY, np.zeros((1, 1), dtype=np.uint64), lanes)
+    _round_keys_np(keys, round_keys, key_scratch)
+    _draw_np(prev, scratch, seed, _P_IV, slots, lanes)
+    prev &= mask
+    plaintext_slots = slots * _PLAINTEXT_SLOTS
     for j in range(l):
-        pt = _draw_grid(config.rng_seed, _P_PLAINTEXT, plaintext_slots + np.uint64(j), trials) & mask
-        prev = _permute_np(config.block_bits, keys, pt ^ prev)
-        blocks[:, j::l] = prev.astype(np.uint32)
+        _draw_np(pt, scratch, seed, _P_PLAINTEXT, plaintext_slots + j, lanes)
+        pt &= mask
+        pt ^= prev
+        _permute_np(config.block_bits, round_keys, pt, prev, (left, right, f, scratch))
+        np.copyto(blocks[:, j::l], prev.T, casting="unsafe")
     blocks.sort(axis=1)
-    dup = (np.diff(blocks, axis=1) == 0).any(axis=1)
-    return int(dup.sum())
+    flat, flat_equal = blocks.reshape(-1), equal.reshape(-1)
+    np.equal(flat[1:], flat[:-1], out=flat_equal[:-1])
+    equal[:, -1] = False  # that column compared two trials
+    return len(np.unique(np.flatnonzero(flat_equal) // (q * l)))
 
 
 def estimate_collision_probability(config: TrialConfig) -> EmpiricalResult:
@@ -311,15 +373,25 @@ def estimate_collision_probability(config: TrialConfig) -> EmpiricalResult:
     """
     if config.trials < 1000:
         raise ValueError("trials must be >= 1000")
+    import numpy as np
 
+    q, l = config.q_files, config.blocks_per_file
+    per_trial = q if config.mode is Mode.CTR else q * l
+    chunk = min(config.trials, max(1, _CHUNK_ELEMENTS // per_trial))
+    # one workspace per estimate; every chunk runs in views of its leading trials
     if config.mode is Mode.CTR:
-        count_chunk, per_trial = _ctr_collisions, config.q_files
+        count_chunk = _ctr_collisions
+        # a trial per row, so each trial's IVs sort in place
+        workspace = [np.empty((chunk, q), dtype) for dtype in (np.uint64, np.uint64, np.uint32, np.uint32)]
     else:
-        count_chunk, per_trial = _cbc_collisions, config.q_files * config.blocks_per_file
-    chunk = max(1, _CHUNK_ELEMENTS // per_trial)
+        count_chunk = _cbc_collisions
+        # a trial per column, so per-trial keys and lanes broadcast along
+        # contiguous rows; the blocks keep a trial per row for the sort
+        workspace = [np.empty((height, chunk), np.uint64) for height in (q,) * 6 + (_ROUNDS,) * 2]
+        workspace += [np.empty((chunk, q * l), np.uint32), np.empty((chunk, q * l), np.bool_)]
     collisions = 0
     for lo in range(0, config.trials, chunk):
-        collisions += count_chunk(config, lo, min(lo + chunk, config.trials))
+        collisions += count_chunk(config, lo, min(lo + chunk, config.trials), workspace)
 
     # the bound's birthday term at the scaled-down domain
     terms = bound_terms(config.mode, config.blocks_per_file, 1 << config.block_bits)

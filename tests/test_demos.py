@@ -24,11 +24,14 @@ def test_all_four_demos_are_collected():
 
 @pytest.mark.parametrize("demo", DEMOS, ids=lambda path: path.stem)
 def test_demo_runs(demo: Path, tmp_path: Path):
-    # TMPDIR keeps key_lifecycle.py's checkpoint directory inside tmp_path
-    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"), TMPDIR=str(tmp_path))
+    # a demo's temporary files land in an empty TMPDIR and must be gone when it exits
+    tmpdir = tmp_path / "tmp"
+    tmpdir.mkdir()
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"), TMPDIR=str(tmpdir))
     done = subprocess.run(
         [sys.executable, str(demo)], cwd=tmp_path, env=env, capture_output=True, text=True, timeout=120
     )
     assert done.returncode == 0, done.stdout + done.stderr
+    assert list(tmpdir.iterdir()) == []
     if demo.name == "rotation_gain_sweep.py":
         assert "at k=64: log2 k 6.000000000000 < gain 11.995203854953 < 2 log2 k 12.000000000000" in done.stdout

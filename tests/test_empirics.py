@@ -9,6 +9,7 @@ an ideal permutation by well under these bands.
 from __future__ import annotations
 
 import random
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -29,16 +30,34 @@ from qkdplan.empirics import (
     mix64,
     toy_prp,
 )
-from qkdplan.empirics import _draw_grid, _permute_np, _round_keys
+from qkdplan.empirics import _draw_np, _permute_np, _round_keys, _round_keys_np, _trial_lanes
 
 
 # Oracles for the round-trip and scalar-vs-vector tests; the package keeps
 # only the encrypting direction and the vectorized kernel.
 
 
+def draw_grid(seed: int, purpose: int, slots: np.ndarray, lo: int, hi: int) -> np.ndarray:
+    """The trial kernels' draw: rows are trials lo..hi-1, columns are slots."""
+    grid = np.empty((hi - lo, len(slots)), dtype=np.uint64)
+    _draw_np(grid, np.empty_like(grid), seed, purpose, slots, _trial_lanes(lo, hi)[:, None])
+    return grid
+
+
+def permute_batch(block_bits: int, keys, blocks: np.ndarray) -> np.ndarray:
+    """The trial kernels' Feistel over a row of blocks, under one key or one key per block."""
+    keys = np.asarray(keys, dtype=np.uint64).reshape(1, -1)
+    round_keys = np.empty((empirics._ROUNDS, keys.shape[1]), dtype=np.uint64)
+    _round_keys_np(keys, round_keys, np.empty_like(round_keys))
+    x = blocks.astype(np.uint64).reshape(1, -1)
+    out = np.empty_like(x)
+    _permute_np(block_bits, round_keys, x, out, tuple(np.empty_like(x) for _ in range(4)))
+    return out[0]
+
+
 def toy_prp_batch(params: ToyCipherParams, blocks: np.ndarray, key: int | None = None) -> np.ndarray:
     k = params.key_seed if key is None else key
-    return _permute_np(params.block_bits, np.uint64(k), blocks.astype(np.uint64))
+    return permute_batch(params.block_bits, k, blocks)
 
 
 def _unpermute(block_bits: int, key: int, y: int) -> int:
@@ -90,10 +109,14 @@ def test_draw64_is_counter_based():
 def test_draw_grid_matches_scalar_draws():
     slots = np.arange(5, dtype=np.uint64)
     trials = np.arange(100, 140, dtype=np.uint64)
-    grid = _draw_grid(987, 3, slots, trials)
+    grid = draw_grid(987, 3, slots, 100, 140)
     for ti, t in enumerate(trials):
         for si in range(5):
             assert int(grid[ti, si]) == draw64(987, 3, si, int(t))
+    # the CBC kernel draws slot-major: rows are slots, columns are trials
+    by_slot = np.empty((5, 40), dtype=np.uint64)
+    _draw_np(by_slot, np.empty_like(by_slot), 987, 3, slots[:, None], _trial_lanes(100, 140))
+    assert np.array_equal(by_slot, grid.T)
 
 
 def test_toy_prp_is_permutation_all_widths():
@@ -187,18 +210,15 @@ def test_ecbc_mac_basics():
 def test_ecbc_tag_collisions_near_inverse_domain():
     # distinct random 2-block messages under random key pairs collide with
     # probability close to 1/domain
-    from qkdplan.empirics import _permute_np
-
-    trials = np.arange(100000, dtype=np.uint64)
     zero = np.zeros(1, dtype=np.uint64)
-    k1 = _draw_grid(7, 10, zero, trials)[:, 0]
-    k2 = _draw_grid(7, 11, zero, trials)[:, 0]
-    msgs = _draw_grid(7, 12, np.arange(4, dtype=np.uint64), trials) & np.uint64(255)
+    k1 = draw_grid(7, 10, zero, 0, 100000)[:, 0]
+    k2 = draw_grid(7, 11, zero, 0, 100000)[:, 0]
+    msgs = draw_grid(7, 12, np.arange(4, dtype=np.uint64), 0, 100000) & np.uint64(255)
 
     def tags(m0, m1):
-        s = _permute_np(8, k1, m0)
-        s = _permute_np(8, k1, m1 ^ s)
-        return _permute_np(8, k2, s)
+        s = permute_batch(8, k1, m0)
+        s = permute_batch(8, k1, m1 ^ s)
+        return permute_batch(8, k2, s)
 
     ta, tb = tags(msgs[:, 0], msgs[:, 1]), tags(msgs[:, 2], msgs[:, 3])
     distinct = (msgs[:, 0] != msgs[:, 2]) | (msgs[:, 1] != msgs[:, 3])
@@ -256,6 +276,61 @@ def test_estimate_is_deterministic_and_chunk_independent(monkeypatch):
         for budget in (1, 7 * per_trial, default, config.trials * per_trial):
             monkeypatch.setattr(empirics, "_CHUNK_ELEMENTS", budget)
             assert estimate_collision_probability(config) == reference
+
+
+def scalar_collides(config: TrialConfig, trial: int) -> bool:
+    """Whether one trial collides, from draw64 and the scalar toy cipher alone."""
+    n, q, l, seed = 1 << config.block_bits, config.q_files, config.blocks_per_file, config.rng_seed
+    ivs = [draw64(seed, empirics._P_IV, i, trial) % n for i in range(q)]
+    if config.mode is Mode.CTR:
+        ivs.sort()
+        gaps = [b - a for a, b in zip(ivs, ivs[1:])] + [ivs[0] + n - ivs[-1]]
+        return min(gaps) < l
+    key = draw64(seed, empirics._P_KEY, 0, trial)
+    cipher = ToyCipherParams(config.block_bits, key_seed=0)
+    outputs = []
+    for i, iv in enumerate(ivs):
+        plaintext = [draw64(seed, empirics._P_PLAINTEXT, i * 256 + j, trial) % n for j in range(l)]
+        outputs += cbc_encrypt(cipher, key, iv, plaintext)
+    return len(set(outputs)) < len(outputs)
+
+
+@pytest.mark.parametrize(
+    "config",
+    [
+        TrialConfig(Mode.CTR, 9, 6, 4, 1009, 5),
+        TrialConfig(Mode.CTR, 12, 8, 3, 1009, 6),
+        TrialConfig(Mode.CTR, 12, 1, 7, 1009, 7),
+        TrialConfig(Mode.CTR, 9, 20, 1, 1009, 8),
+        TrialConfig(Mode.CBC, 9, 3, 4, 1009, 5),
+        TrialConfig(Mode.CBC, 12, 4, 4, 1009, 6),
+        TrialConfig(Mode.CBC, 8, 1, 6, 1009, 7),
+        TrialConfig(Mode.CBC, 9, 12, 1, 1009, 8),
+    ],
+    ids=lambda c: f"{c.mode.value}-{c.block_bits}-{c.q_files}-{c.blocks_per_file}",
+)
+def test_collision_count_matches_scalar_oracle(config, monkeypatch):
+    want = sum(scalar_collides(config, trial) for trial in range(config.trials))
+    assert estimate_collision_probability(config).collisions == want
+    # 1009 trials is prime, so chunks of 1000 // per_trial >= 2 trials end short
+    monkeypatch.setattr(empirics, "_CHUNK_ELEMENTS", 1000)
+    assert estimate_collision_probability(config).collisions == want
+
+
+def test_estimate_memory_is_bounded_by_the_chunk():
+    # the workspace is sized by the chunk, never by the trial count
+    for config in (
+        TrialConfig(Mode.CTR, 20, 64, 8, 65536, 1),
+        TrialConfig(Mode.CBC, 16, 8, 4, 49152, 1),
+        TrialConfig(Mode.CBC, 24, 64, 2, 20000, 1),
+    ):
+        tracemalloc.start()
+        try:
+            estimate_collision_probability(config)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 6 << 20, (config, peak)
 
 
 def test_estimate_seed_sensitivity():

@@ -361,7 +361,11 @@ def _cbc_collisions(config: TrialConfig, lo: int, hi: int, workspace: list[np.nd
     flat, flat_equal = blocks.reshape(-1), equal.reshape(-1)
     np.equal(flat[1:], flat[:-1], out=flat_equal[:-1])
     equal[:, -1] = False  # that column compared two trials
-    return len(np.unique(np.flatnonzero(flat_equal) // (q * l)))
+    # the hits come in trial order; count the distinct trials among them
+    hit_trials = np.flatnonzero(flat_equal) // (q * l)
+    if hit_trials.size == 0:
+        return 0
+    return 1 + int(np.count_nonzero(hit_trials[1:] != hit_trials[:-1]))
 
 
 def estimate_collision_probability(config: TrialConfig) -> EmpiricalResult:

@@ -23,7 +23,7 @@ of chunking, and the scalar and vectorized paths agree value for value.
 Trials run in chunks of about _CHUNK_ELEMENTS elements.  Each estimate
 allocates one workspace, a few buffers sized for a single chunk, and every
 chunk draws, runs the Feistel rounds and sorts in place in views of it, so
-no chunk allocates more than a few per-trial rows.
+a chunk allocates only a few rows of per-trial or per-slot values.
 
 numpy is imported inside the vectorized kernels, not at module level, so
 planning, the scalar toy cipher and rotation sessions run without loading

@@ -98,6 +98,13 @@ def _mix64_np(x: np.ndarray, scratch: np.ndarray) -> None:
 
     np.right_shift(x, 30, out=scratch)
     x ^= scratch
+    _mix64_tail_np(x, scratch)
+
+
+def _mix64_tail_np(x: np.ndarray, scratch: np.ndarray) -> None:
+    """mix64 after its first step x ^= x >> 30, in place."""
+    import numpy as np
+
     x *= _MIX1
     np.right_shift(x, 27, out=scratch)
     x ^= scratch
@@ -175,12 +182,19 @@ def _permute(block_bits: int, round_keys: list[int], x: int) -> int:
 
 
 def _round_keys_np(keys: np.ndarray, out: np.ndarray, scratch: np.ndarray) -> None:
-    """Vectorized _round_keys: a row of T keys gives out (_ROUNDS, T); scratch is out's shape."""
+    """_round_keys for _permute_np: a row of T keys gives out (_ROUNDS, T); scratch is out's shape.
+
+    Each key rk is stored as rk ^ (rk >> 30).  A round mixes x = half ^ rk,
+    and mix64 starts with x ^= x >> 30; a half is below 2**12, so x >> 30 is
+    rk >> 30 and that first step folds into the key.
+    """
     import numpy as np
 
     offsets = np.array([((i + 1) * _GOLDEN) & _M64 for i in range(_ROUNDS)], dtype=np.uint64)
     np.add(keys, offsets[:, None], out=out)
     _mix64_np(out, scratch)
+    np.right_shift(out, 30, out=scratch)
+    out ^= scratch
 
 
 def _permute_np(
@@ -188,7 +202,8 @@ def _permute_np(
 ) -> None:
     """Vectorized _permute of x into out; column t of x is keyed by round_keys[:, t].
 
-    x is (S, T) or broadcasts to it, with T columns in round_keys (_ROUNDS, T).
+    x is (S, T) or broadcasts to it, with T columns in round_keys (_ROUNDS, T)
+    from _round_keys_np.
     work holds four scratch buffers of x's shape; out may be x itself.
     """
     import numpy as np
@@ -200,7 +215,7 @@ def _permute_np(
     np.bitwise_and(x, (1 << w_right) - 1, out=right)
     for i in range(_ROUNDS):
         np.bitwise_xor(right, round_keys[i : i + 1], out=f)
-        _mix64_np(f, scratch)
+        _mix64_tail_np(f, scratch)
         f &= (1 << w_left) - 1
         f ^= left
         left, right, f = right, f, left

@@ -25,7 +25,6 @@ from .empirics import (
     toy_prp,
 )
 from .exactmath import (
-    DegenerateBoundError,
     FixedDecimal,
     log2_rational,
     max_q_quadratic,
@@ -63,7 +62,6 @@ from .rotation import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "DegenerateBoundError",
     "EcbcDenominator",
     "EmpiricalResult",
     "FixedDecimal",

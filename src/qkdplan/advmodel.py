@@ -18,9 +18,9 @@ selectable so planned figures can be matched either way.
 
 ``bound_terms`` is the only place these formulas are written down: it returns
 each mode's integer coefficients of lin*Q/s_min + (quad*Q^2 + const)/D.  The
-bound, the planner's quadratic budget, the Monte Carlo birthday bound and the
-rotation gain are all derived from that record.  Everything is an exact
-Fraction.
+bound, the planner's quadratic budget (cleared to integers here and nowhere
+else), the Monte Carlo birthday bound and the rotation gain are all derived
+from that record.  Everything is an exact integer or Fraction.
 """
 
 from __future__ import annotations
@@ -167,15 +167,14 @@ def bound_at(mode: Mode, params: SecurityParams, q_files: Fraction) -> Fraction:
     return t.lin * q / params.s_min + (t.quad * q * q + t.const) / t.den
 
 
-def budget_quadratic(mode: Mode, params: SecurityParams) -> tuple[Fraction, Fraction, Fraction]:
-    """(a, b, c) with bound_at(Q) <= eps_max exactly when a*Q^2 + b*Q <= c.
+def budget_quadratic(mode: Mode, params: SecurityParams) -> tuple[int, int, int]:
+    """Integers (a, b, c) with bound_at(Q) <= eps_max exactly when
+    a*Q^2 + b*Q <= c.
 
+    With eps_max = p/r, the constraint is multiplied through by s_min*D*r.
     c is negative when the bound's constant term alone exceeds eps_max.
     """
     t = params.terms(mode)
-    return (
-        Fraction(t.quad, t.den),
-        Fraction(t.lin, params.s_min),
-        params.eps_max - Fraction(t.const, t.den),
-    )
-
+    s = params.s_min
+    p, r = params.eps_max.as_integer_ratio()
+    return t.quad * s * r, t.lin * t.den * r, p * s * t.den - t.const * s * r

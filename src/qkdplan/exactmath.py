@@ -4,16 +4,15 @@ two nonstandard primitives everything else leans on.
 All planning quantities in this package are rationals with power-of-two
 denominators blown up to hundreds of bits, so every computation here is exact
 until the final human-facing rounding step.  Floats never enter any result
-path; the only permitted float is a bisection seed, and we do not even need
-that (the bracket below is computed with integer square roots).
+path.
 
 The two primitives:
 
 ``max_q_quadratic``
-    largest natural Q with a*Q^2 + b*Q <= c, for nonnegative rationals.
-    Clears denominators once, then brackets and bisects on integers.  The
-    answer is re-verified by exact rational evaluation at Q and Q+1, so a
-    bracketing bug cannot produce a silently wrong result.
+    largest natural Q with a*Q^2 + b*Q <= c, for naturals a >= 1, b and c.
+    One integer square root gives the floor of the positive root.  The
+    answer is re-verified by exact evaluation at Q and Q+1, so a wrong root
+    cannot produce a silently wrong result.
 
 ``log2_rational``
     log2 of a positive rational to a requested number of decimal digits,
@@ -27,12 +26,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import isqrt, lcm
+from math import isqrt
 
 __all__ = [
     "FixedDecimal",
     "DEFAULT_PRECISION",
-    "DegenerateBoundError",
     "as_natural",
     "parse_rational",
     "render_rational",
@@ -45,10 +43,6 @@ DEFAULT_PRECISION = 9
 # Guard bits for the fixed-point log2 mantissa; truncation over all the
 # squarings stays below 2**-GUARD, far under any supported decimal step.
 _LOG2_GUARD_BITS = 64
-
-
-class DegenerateBoundError(ValueError):
-    """Raised when a quadratic constraint has no quadratic or linear term."""
 
 
 def as_natural(value: int) -> int:
@@ -152,55 +146,23 @@ class FixedDecimal:
         return a <= b
 
 
-def _cleared(a: Fraction, b: Fraction, c: Fraction) -> tuple[int, int, int]:
-    """Integers (ai, bi, ci) with ai*Q^2 + bi*Q <= ci iff a*Q^2 + b*Q <= c."""
-    if a < 0 or b < 0 or c < 0:
-        raise ValueError("coefficients must be nonnegative")
-    if a == 0 and b == 0:
-        raise DegenerateBoundError("constraint has no Q dependence; any Q works")
-    den = lcm(a.denominator, b.denominator, c.denominator)
-    return (
-        a.numerator * (den // a.denominator),
-        b.numerator * (den // b.denominator),
-        c.numerator * (den // c.denominator),
-    )
+def max_q_quadratic(a: int, b: int, c: int) -> int:
+    """Largest natural Q with a*Q^2 + b*Q <= c; 0 when even Q=1 fails.
 
-
-def _certified(a: Fraction, b: Fraction, c: Fraction, q: int) -> int:
-    """Maximality certificate, in the original rationals: Q fits, Q+1 does not."""
+    a, b, c must be naturals with a >= 1.  The answer is the floor of the
+    positive root (sqrt(b^2 + 4ac) - b) / 2a.  Flooring the square root first
+    leaves that floor unchanged, because the rest subtracts the integer b and
+    divides by the positive integer 2a.  The returned Q is confirmed maximal
+    by exact evaluation at Q and Q+1.
+    """
+    as_natural(b)
+    as_natural(c)
+    if as_natural(a) < 1:
+        raise ValueError("a must be >= 1")
+    q = (isqrt(b * b + 4 * a * c) - b) // (2 * a)
     if not a * q * q + b * q <= c < a * (q + 1) * (q + 1) + b * (q + 1):
         raise AssertionError(f"Q={q} is not the largest solution of {a}*Q^2 + {b}*Q <= {c}")
     return q
-
-
-def max_q_quadratic(a: Fraction, b: Fraction, c: Fraction) -> int:
-    """Largest natural Q with a*Q^2 + b*Q <= c; 0 when even Q=1 fails.
-
-    a, b, c must be nonnegative and a, b not both zero (a degenerate
-    constraint bounds nothing).  Works entirely in integers: denominators are
-    cleared once, the upper bracket comes from integer square roots, and the
-    returned Q is confirmed maximal by exact evaluation at Q and Q+1.
-    """
-    a, b, c = Fraction(a), Fraction(b), Fraction(c)
-    ai, bi, ci = _cleared(a, b, c)
-
-    # Upper bracket: any feasible Q satisfies Q <= sqrt(c/a) (if a > 0) and
-    # Q <= c/b (if b > 0), and floor(sqrt(p/q)) == isqrt(p // q) exactly.
-    caps = []
-    if ai > 0:
-        caps.append(2 * isqrt(ci // ai) + 1)
-    if bi > 0:
-        caps.append(ci // bi + 1)
-    hi = min(caps)
-    lo = 0  # c >= 0, so Q=0 always satisfies
-
-    while hi - lo > 1:
-        mid = (lo + hi) // 2
-        if ai * mid * mid + bi * mid <= ci:
-            lo = mid
-        else:
-            hi = mid
-    return _certified(a, b, c, lo)
 
 
 def _floor_log2(value: Fraction) -> int:

@@ -2,7 +2,7 @@
 the schedule across k keys buys.
 
 ``compute_q_star`` turns the mode's advantage bound (advmodel's bound table)
-into the quadratic constraint a*Q^2 + b*Q <= c and maximizes exactly.
+into the integer constraint a*Q^2 + b*Q <= c and maximizes exactly.
 ``improvement_bits`` quantifies the security gained by encrypting Q*/k files
 under each of k keys instead of Q* under one: the gain is
 log2(bound(Q*) / bound(Q*/k)), computed once from one exact rational.  That
@@ -75,13 +75,9 @@ class ImprovementReport:
 
 
 @dataclass(frozen=True)
-class SweepRow:
+class SweepRow(ImprovementReport):
     """A rotation gain at k, with its bracket and its benefit per key spent."""
 
-    k: int
-    delta_bits: FixedDecimal
-    lower_bound_bits: FixedDecimal
-    upper_bound_bits: FixedDecimal
     benefit: FixedDecimal
 
 
@@ -202,13 +198,7 @@ def benefit(
         raise ValueError("key_cost must be > 0")
     report = improvement_bits(mode, params, q_star, k)
     value = report.delta_bits.as_fraction() * q_star / (k * key_cost)
-    return SweepRow(
-        k=k,
-        delta_bits=report.delta_bits,
-        lower_bound_bits=report.lower_bound_bits,
-        upper_bound_bits=report.upper_bound_bits,
-        benefit=FixedDecimal.from_fraction(value, DEFAULT_PRECISION),
-    )
+    return SweepRow(**vars(report), benefit=FixedDecimal.from_fraction(value, DEFAULT_PRECISION))
 
 
 def sweep_k(

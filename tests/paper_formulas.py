@@ -62,7 +62,7 @@ def unit_scan_limit(mode: Mode, params: SecurityParams, cap: int) -> int:
 
     Clears all denominators once, then applies the second-difference update
     (f(q+1) - f(q) grows by 2a each step) so the walk is pure integer adds.
-    Independent of the bisection solver by construction.
+    Independent of the integer-root solver by construction.
     """
     n = 1 << params.lambda_bits
     l = params.blocks_per_file

@@ -12,6 +12,7 @@ from __future__ import annotations
 import random
 import time
 from fractions import Fraction
+from math import lcm
 
 import pytest
 from paper_formulas import paper_bound, paper_one_plus_x, unit_scan_limit
@@ -183,25 +184,22 @@ def test_gain_two_path_identity(gain_cases: list) -> None:
 def test_solver_agrees_with_brute_force() -> None:
     rng = random.Random(457121)
 
-    # Constructed-root instances: pick the answer first, then build (a, b, c)
-    # so the true maximum is exactly that answer.
-    constructed = 0
-    while constructed < 320:
-        shape = rng.randrange(3)
-        a = Fraction(0)
+    # Constructed-root instances: pick the answer first, then build rational
+    # (a, b, c) so the true maximum is exactly that answer, and clear them to
+    # integers for the solver.
+    constructed = 320
+    for _ in range(constructed):
+        a = Fraction(rng.randrange(1, 1 << 32), rng.randrange(1, 1 << 32))
         b = Fraction(0)
-        if shape != 0:
-            a = Fraction(rng.randrange(1, 1 << 32), rng.randrange(1, 1 << 32))
-        if shape != 1:
+        if rng.randrange(2):
             b = Fraction(rng.randrange(1, 1 << 32), rng.randrange(1, 1 << 32))
-        if a == 0 and b == 0:
-            continue
         q_true = rng.randrange(0, 30_001)
         at_q = a * q_true * q_true + b * q_true
         at_next = a * (q_true + 1) * (q_true + 1) + b * (q_true + 1)
         c = at_q + (at_next - at_q) * Fraction(rng.randrange(0, 997), 997)
-        assert max_q_quadratic(a, b, c) == q_true, (a, b, c, q_true)
-        constructed += 1
+        m = lcm(a.denominator, b.denominator, c.denominator)
+        cleared = (int(a * m), int(b * m), int(c * m))
+        assert max_q_quadratic(*cleared) == q_true, (cleared, q_true)
 
     # Planner instances over small domains, against the unit-step walk.
     rng = random.Random(90125)

@@ -65,3 +65,16 @@ def test_q_star_is_the_paper_unit_scan(mode: Mode, params: SecurityParams) -> No
         assert compute_q_star(mode, params).q_star == scan
     except InfeasibleTargetError:
         assert scan == 0
+
+
+@PROPERTY
+@given(st.sampled_from(Mode), problems())
+def test_q_star_is_maximal_under_the_paper_bound(mode: Mode, params: SecurityParams) -> None:
+    # Q* here reaches about 2**55, far past what the unit scan can walk
+    try:
+        q_star = compute_q_star(mode, params).q_star
+    except InfeasibleTargetError:
+        assert paper_bound(mode, params, Fraction(1)) > params.eps_max
+        return
+    at_q, at_next = (paper_bound(mode, params, Fraction(q)) for q in (q_star, q_star + 1))
+    assert at_q <= params.eps_max < at_next

@@ -20,7 +20,6 @@ from hypothesis import strategies as st
 
 import qkdplan
 from qkdplan.exactmath import (
-    DegenerateBoundError,
     FixedDecimal,
     as_natural,
     log2_rational,
@@ -87,7 +86,7 @@ def test_fixed_decimal_error_paths():
 # ------------------------------------------------------------ max_q_quadratic
 
 
-def _scan_max_q(a: Fraction, b: Fraction, c: Fraction, cap: int = 10**6) -> int:
+def _scan_max_q(a: int, b: int, c: int, cap: int = 10**6) -> int:
     q = 0
     while q < cap and a * (q + 1) * (q + 1) + b * (q + 1) <= c:
         q += 1
@@ -96,44 +95,38 @@ def _scan_max_q(a: Fraction, b: Fraction, c: Fraction, cap: int = 10**6) -> int:
 
 
 def test_max_q_quadratic_small_cases():
-    assert max_q_quadratic(Fraction(1), Fraction(0), Fraction(100)) == 10
-    assert max_q_quadratic(Fraction(1), Fraction(0), Fraction(99)) == 9
-    assert max_q_quadratic(Fraction(0), Fraction(3), Fraction(10)) == 3
-    assert max_q_quadratic(Fraction(1, 7), Fraction(2, 5), Fraction(0)) == 0
-    assert max_q_quadratic(Fraction(5), Fraction(5), Fraction(1)) == 0
+    assert max_q_quadratic(1, 0, 100) == 10
+    assert max_q_quadratic(1, 0, 99) == 9
+    assert max_q_quadratic(5, 14, 0) == 0
+    assert max_q_quadratic(5, 5, 1) == 0
 
 
 def test_max_q_quadratic_large_frozen_case():
-    # 128-bit domain, 96-block files, rho floor 2**-121, target 2**-80
-    n = 1 << 128
-    a = Fraction(2 * 96, n)
-    b = Fraction(96, 1 << 121)
-    c = Fraction(1, 1 << 80)
-    assert max_q_quadratic(a, b, c) == 1210759
+    # 128-bit domain, 96-block files, rho floor 2**-121, target 2**-80,
+    # multiplied through by 2**128
+    assert max_q_quadratic(2 * 96, 96 << 7, 1 << 48) == 1210759
 
 
 def test_max_q_quadratic_matches_linear_scan():
     rng = random.Random(202)
     for _ in range(120):
-        a = Fraction(rng.randrange(0, 50), rng.randrange(1, 50))
-        b = Fraction(rng.randrange(0, 50), rng.randrange(1, 50))
-        if a == 0 and b == 0:
-            continue
-        c = Fraction(rng.randrange(0, 5000), rng.randrange(1, 50))
+        a = rng.randrange(1, 50)
+        b = rng.randrange(0, 50)
+        c = rng.randrange(0, 5000)
         assert max_q_quadratic(a, b, c) == _scan_max_q(a, b, c)
 
 
 def test_max_q_quadratic_rejects_bad_inputs():
-    with pytest.raises(DegenerateBoundError):
-        max_q_quadratic(Fraction(0), Fraction(0), Fraction(1))
-    with pytest.raises(ValueError):
-        max_q_quadratic(Fraction(-1), Fraction(1), Fraction(1))
+    for bad in ((0, 1, 1), (-1, 1, 1), (1, 1, -1)):
+        with pytest.raises(ValueError):
+            max_q_quadratic(*bad)
+    with pytest.raises(TypeError):
+        max_q_quadratic(Fraction(1, 2), 1, 1)
 
 
 # Each block breaks the solver or the gain on purpose and requires its
 # certificate to raise; the script refuses to run with asserts enabled.
 _BROKEN_UNDER_O = """
-from fractions import Fraction
 from qkdplan import exactmath, planner
 from qkdplan.advmodel import Mode, SecurityParams
 
@@ -149,8 +142,8 @@ def raises(fn, *args):
         raise SystemExit(fn.__name__ + " returned without its certificate")
 
 real_isqrt = exactmath.isqrt
-exactmath.isqrt = lambda n: 0  # collapses the bisection bracket to [0, 1]
-raises(exactmath.max_q_quadratic, Fraction(1), Fraction(0), Fraction(100))
+exactmath.isqrt = lambda n: 0  # collapses the integer root to Q=0
+raises(exactmath.max_q_quadratic, 1, 0, 100)
 exactmath.isqrt = real_isqrt
 
 planner.bound_at = lambda mode, params, q: q  # a linear bound: ratio exactly k

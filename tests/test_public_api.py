@@ -8,7 +8,6 @@ import pkgutil
 import qkdplan
 
 PUBLIC = [
-    "DegenerateBoundError",
     "EcbcDenominator",
     "EmpiricalResult",
     "FixedDecimal",

@@ -9,6 +9,9 @@ Exit codes: 0 success, 1 a validate check failed, 2 usage or input errors,
 3 infeasible security target, 4 empirical result above its theoretical
 bound, 5 key pool exhausted.  csv and json output is deterministic byte for
 byte.
+
+simulate and rotate import the Monte Carlo and rotation modules when they
+run, so the planning subcommands start without loading either.
 """
 
 from __future__ import annotations
@@ -20,7 +23,6 @@ import sys
 from fractions import Fraction
 
 from .advmodel import EcbcDenominator, Mode, SecurityParams, bound_at
-from .empirics import TrialConfig, ToyCipherParams, estimate_collision_probability
 from .exactmath import FixedDecimal, parse_rational
 from .planner import (
     InfeasibleTargetError,
@@ -32,15 +34,6 @@ from .planner import (
     sweep_k,
     volume_kb,
     volume_mb,
-)
-from .rotation import (
-    PoolExhaustedError,
-    encrypt_file,
-    export_events,
-    ingest_keys,
-    open_session,
-    persist_state,
-    simulate_pool,
 )
 
 __all__ = ["main"]
@@ -300,6 +293,8 @@ def _reference_checks() -> list[tuple[str, bool, str]]:
 
 
 def cmd_simulate(args: argparse.Namespace) -> int:
+    from .empirics import TrialConfig, estimate_collision_probability
+
     config = TrialConfig(
         mode=Mode(args.mode),
         block_bits=args.block_bits,
@@ -352,6 +347,17 @@ def _read_manifest(path: str) -> list[tuple[str, int]]:
 
 
 def cmd_rotate(args: argparse.Namespace) -> int:
+    from .empirics import ToyCipherParams
+    from .rotation import (
+        PoolExhaustedError,
+        encrypt_file,
+        export_events,
+        ingest_keys,
+        open_session,
+        persist_state,
+        simulate_pool,
+    )
+
     plan = _plan(args)
     cost = parse_rational(args.key_cost)
     if args.keys is not None:
@@ -368,15 +374,19 @@ def cmd_rotate(args: argparse.Namespace) -> int:
             )
 
     cipher = ToyCipherParams(args.toy_block_bits, key_seed=0)
-    session = open_session(
-        pool,
-        plan.mode,
-        plan.params,
-        plan.file_size_bytes,
-        rotation_factor=args.rotation_factor,
-        cipher=cipher,
-        block_bits=plan.block_bits,
-    )
+    try:
+        session = open_session(
+            pool,
+            plan.mode,
+            plan.params,
+            plan.file_size_bytes,
+            rotation_factor=args.rotation_factor,
+            cipher=cipher,
+            block_bits=plan.block_bits,
+        )
+    except PoolExhaustedError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 5
 
     status = 0
     processed = 0
@@ -484,9 +494,6 @@ def main(argv: list[str] | None = None) -> int:
     except InfeasibleTargetError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
-    except PoolExhaustedError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 5
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

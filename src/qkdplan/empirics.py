@@ -21,9 +21,10 @@ slot, trial), never on call order, so results are bit-identical regardless
 of chunking, and the scalar and vectorized paths agree value for value.
 
 Trials run in chunks of about _CHUNK_ELEMENTS elements.  Each estimate
-allocates one workspace, a few buffers sized for a single chunk, and every
-chunk draws, runs the Feistel rounds and sorts in place in views of it, so
-a chunk allocates only a few rows of per-trial or per-slot values.
+allocates one workspace, a few buffers sized for a single chunk plus the
+per-slot draw bases that every trial shares, and every chunk draws, runs the
+Feistel rounds and sorts in place in views of it, so a chunk allocates only
+a few rows of per-trial or per-slot values.
 
 numpy is imported inside the vectorized kernels, not at module level, so
 planning, the scalar toy cipher and rotation sessions run without loading
@@ -129,19 +130,24 @@ def _trial_lanes(lo: int, hi: int) -> np.ndarray:
     return lanes
 
 
-def _draw_np(
-    out: np.ndarray, scratch: np.ndarray, seed: int, purpose: int, slots: np.ndarray, lanes: np.ndarray
-) -> None:
-    """Vectorized draw64 into out, in place, at slots and lanes broadcast to out's shape.
+def _stream_bases(seed: int, purpose: int, slots: np.ndarray) -> np.ndarray:
+    """The per-slot half of draw64, a new array of slots' shape."""
+    import numpy as np
+
+    bases = (slots | np.uint64((purpose << 32) & _M64)) * np.uint64(_GOLDEN)
+    bases ^= np.uint64(seed & _M64)
+    _mix64_np(bases, np.empty_like(bases))
+    return bases
+
+
+def _draw_np(out: np.ndarray, scratch: np.ndarray, bases: np.ndarray, lanes: np.ndarray) -> None:
+    """Vectorized draw64 into out, in place, at _stream_bases and lanes broadcast to out's shape.
 
     scratch is a buffer of out's shape.
     """
     import numpy as np
 
-    base = (slots | np.uint64((purpose << 32) & _M64)) * np.uint64(_GOLDEN)
-    base ^= np.uint64(seed & _M64)
-    _mix64_np(base, np.empty_like(base))
-    np.bitwise_xor(lanes, base, out=out)
+    np.bitwise_xor(lanes, bases, out=out)
     _mix64_np(out, scratch)
 
 
@@ -313,7 +319,8 @@ class TrialConfig:
         if self.mode is Mode.CBC and self.blocks_per_file > _PLAINTEXT_SLOTS:
             raise ValueError(f"CBC trials support at most {_PLAINTEXT_SLOTS} blocks_per_file")
         as_natural(self.trials)
-        as_natural(self.rng_seed)
+        if as_natural(self.rng_seed) >= 1 << 64:
+            raise ValueError("rng_seed must be a 64-bit integer")
 
 
 @dataclass(frozen=True)
@@ -331,10 +338,10 @@ def _ctr_collisions(config: TrialConfig, lo: int, hi: int, workspace: list[np.nd
     import numpy as np
 
     rows = hi - lo
-    draws, scratch, ivs, gaps = (buffer[:rows] for buffer in workspace)
+    *buffers, iv_bases = workspace
+    draws, scratch, ivs, gaps = (buffer[:rows] for buffer in buffers)
     n = 1 << config.block_bits
-    slots = np.arange(config.q_files, dtype=np.uint64)
-    _draw_np(draws, scratch, config.rng_seed, _P_IV, slots, _trial_lanes(lo, hi)[:, None])
+    _draw_np(draws, scratch, iv_bases, _trial_lanes(lo, hi)[:, None])
     draws &= n - 1
     # uint32 holds every IV and gap exactly, since n <= 2**24
     np.copyto(ivs, draws, casting="unsafe")
@@ -350,24 +357,23 @@ def _cbc_collisions(config: TrialConfig, lo: int, hi: int, workspace: list[np.nd
     import numpy as np
 
     rows = hi - lo
-    *chains, round_keys, key_scratch, blocks, equal = workspace
+    *chains, round_keys, key_scratch, blocks, equal, key_bases, iv_bases = workspace
     prev, pt, left, right, f, scratch = (buffer[:, :rows] for buffer in chains)
     round_keys, key_scratch = round_keys[:, :rows], key_scratch[:, :rows]
     blocks, equal = blocks[:rows], equal[:rows]
     mask = (1 << config.block_bits) - 1
     q, l = config.q_files, config.blocks_per_file
-    seed = config.rng_seed
     lanes = _trial_lanes(lo, hi)
-    slots = np.arange(q, dtype=np.uint64)[:, None]
     # the keys borrow key_scratch's first row until the round keys are derived
     keys = key_scratch[:1]
-    _draw_np(keys, round_keys[:1], seed, _P_KEY, np.zeros((1, 1), dtype=np.uint64), lanes)
+    _draw_np(keys, round_keys[:1], key_bases, lanes)
     _round_keys_np(keys, round_keys, key_scratch)
-    _draw_np(prev, scratch, seed, _P_IV, slots, lanes)
+    _draw_np(prev, scratch, iv_bases, lanes)
     prev &= mask
-    plaintext_slots = slots * _PLAINTEXT_SLOTS
+    # q*l plaintext bases would outgrow the chunk budget, so they are derived per chunk
+    plaintext_slots = np.arange(q, dtype=np.uint64)[:, None] * _PLAINTEXT_SLOTS
     for j in range(l):
-        _draw_np(pt, scratch, seed, _P_PLAINTEXT, plaintext_slots + j, lanes)
+        _draw_np(pt, scratch, _stream_bases(config.rng_seed, _P_PLAINTEXT, plaintext_slots + j), lanes)
         pt &= mask
         pt ^= prev
         _permute_np(config.block_bits, round_keys, pt, prev, (left, right, f, scratch))
@@ -397,17 +403,24 @@ def estimate_collision_probability(config: TrialConfig) -> EmpiricalResult:
     q, l = config.q_files, config.blocks_per_file
     per_trial = q if config.mode is Mode.CTR else q * l
     chunk = min(config.trials, max(1, _CHUNK_ELEMENTS // per_trial))
-    # one workspace per estimate; every chunk runs in views of its leading trials
+    # one workspace per estimate, with the per-slot draw bases every trial
+    # shares; every chunk runs in views of its leading trials
+    seed, slots = config.rng_seed, np.arange(q, dtype=np.uint64)
     if config.mode is Mode.CTR:
         count_chunk = _ctr_collisions
         # a trial per row, so each trial's IVs sort in place
         workspace = [np.empty((chunk, q), dtype) for dtype in (np.uint64, np.uint64, np.uint32, np.uint32)]
+        workspace.append(_stream_bases(seed, _P_IV, slots))
     else:
         count_chunk = _cbc_collisions
         # a trial per column, so per-trial keys and lanes broadcast along
         # contiguous rows; the blocks keep a trial per row for the sort
         workspace = [np.empty((height, chunk), np.uint64) for height in (q,) * 6 + (_ROUNDS,) * 2]
         workspace += [np.empty((chunk, q * l), np.uint32), np.empty((chunk, q * l), np.bool_)]
+        workspace += [
+            _stream_bases(seed, _P_KEY, np.zeros((1, 1), np.uint64)),
+            _stream_bases(seed, _P_IV, slots[:, None]),
+        ]
     collisions = 0
     for lo in range(0, config.trials, chunk):
         collisions += count_chunk(config, lo, min(lo + chunk, config.trials), workspace)

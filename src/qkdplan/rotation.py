@@ -151,6 +151,8 @@ def simulate_pool(
     count: int, key_len_bits: int, seed: int, cost: Fraction = Fraction(1)
 ) -> KeyPool:
     """Deterministic stand-in for a QKD delivery: count keys derived from seed."""
+    if as_natural(seed) >= 1 << 64:
+        raise ValueError("seed must be a 64-bit integer")
     key_bytes = key_len_bits // 8
     records = []
     for i in range(as_natural(count)):

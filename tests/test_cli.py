@@ -241,6 +241,16 @@ def test_simulate_rejects_aliasing_cbc_file_length(capsys):
     assert "256 blocks_per_file" in err
 
 
+def test_simulate_rejects_seed_beyond_64_bits(capsys):
+    # 2**64 + 3 would draw the same trials as seed 3
+    code, out, err = run(
+        capsys, "simulate", "--mode", "ctr", "--block-bits", "12", "--q", "8",
+        "--l", "4", "--trials", "1000", "--seed", str((1 << 64) + 3),
+    )
+    assert (code, out) == (2, "")
+    assert err == "error: rng_seed must be a 64-bit integer\n"
+
+
 def test_simulate_bound_violation_exits_4(capsys, monkeypatch):
     # the real estimator cannot violate a sound bound, so fabricate a result
     # to pin down the exit-code contract
@@ -251,7 +261,7 @@ def test_simulate_bound_violation_exits_4(capsys, monkeypatch):
         half_width_99=0.001,
         collisions=10000,
     )
-    monkeypatch.setattr("qkdplan.cli.estimate_collision_probability", lambda config: fake)
+    monkeypatch.setattr("qkdplan.empirics.estimate_collision_probability", lambda config: fake)
     code, out, _ = run(
         capsys, "simulate", "--mode", "ctr", "--block-bits", "16", "--q", "16",
         "--l", "4", "--trials", "20000",
@@ -306,6 +316,18 @@ def test_rotate_pool_exhaustion_exits_5(capsys, tmp_path):
     assert code == 5
     assert "exhausted after 6 of 10" in captured.err
     assert "files_processed   6" in captured.out
+
+
+@pytest.mark.parametrize("source", ["simulated", "key-file"])
+def test_rotate_empty_pool_exits_5_before_any_output(capsys, tmp_path, source):
+    manifest = tmp_path / "manifest.txt"
+    manifest.write_text("8\n")
+    keys = tmp_path / "keys.hex"
+    keys.write_text("")
+    pool = ["--simulate-keys", "0"] if source == "simulated" else ["--keys", str(keys)]
+    code, out, err = run(capsys, "rotate", "--mode", "ctr", *TOY, "--manifest", str(manifest), *pool)
+    name = "simulated(seed=0)" if source == "simulated" else str(keys)
+    assert (code, out, err) == (5, "", f"error: pool {name} is empty\n")
 
 
 def test_rotate_hex_key_file(capsys, tmp_path):
@@ -374,41 +396,52 @@ def test_rotate_state_keeps_exact_eps(capsys, tmp_path):
     assert load_state(str(state)) == session
 
 
-# ------------------------------------------------------------- numpy import
+# ------------------------------------------------------------- module loading
 
-NUMPY_PROBE = """
-import sys
-import qkdplan
-import qkdplan.cli as cli
-assert "numpy" not in sys.modules, "import"
-manifest = sys.argv[1]
-for argv in (
-    ["plan", "--mode", "ctr"],
-    ["improve", "--mode", "cbc", "--k", "4"],
-    ["benefit", "--mode", "cbc", "--k", "8", "--key-cost", "3/2"],
-    ["sweep", "--mode", "cbc", "--k-list", "2,8,32"],
-    ["validate"],
-    ["rotate", "--mode", "ctr", "--lambda", "16", "--s-min-bits", "14", "--block-bits", "16",
-     "--file-size", "8B", "--target-bits", "9", "--simulate-keys", "5", "--manifest", manifest],
-):
-    assert cli.main(argv) == 0, argv
-    assert "numpy" not in sys.modules, argv
-code = cli.main(["simulate", "--mode", "ctr", "--block-bits", "12", "--q", "8", "--l", "4",
-                 "--trials", "1000", "--seed", "3"])
-assert code == 0 and "numpy" in sys.modules, code
+MODULE_PROBE = """
+import json, sys
+argv = json.loads(sys.argv[1])
+if argv is None:
+    import qkdplan
+else:
+    import qkdplan.cli as cli
+    if argv:
+        assert cli.main(argv) == 0, argv
+print(json.dumps([sorted(m for m in sys.modules if m.split(".")[0] == "qkdplan"), "numpy" in sys.modules]))
 """
+
+PLANNING = ["qkdplan", "qkdplan.advmodel", "qkdplan.cli", "qkdplan.exactmath", "qkdplan.planner"]
 
 
 def test_numpy_loads_only_for_monte_carlo(tmp_path):
-    # a fresh interpreter, since this process imported numpy long ago
+    # One fresh interpreter per case, since this process imported everything
+    # long ago.  Planning loads neither the Monte Carlo nor the rotation
+    # module, rotate runs the scalar cipher without numpy, and only simulate
+    # imports numpy.
     manifest = tmp_path / "manifest.txt"
     manifest.write_text("8\n8\n8\n8\n")
+    rotate = ["rotate", "--mode", "ctr", *TOY, "--simulate-keys", "5",
+              "--manifest", str(manifest)]
+    simulate = ["simulate", "--mode", "ctr", "--block-bits", "12", "--q", "8", "--l", "4",
+                "--trials", "1000", "--seed", "3"]
+    cases = [
+        (None, ["qkdplan"], False),
+        ([], PLANNING, False),
+        (["plan", "--mode", "ctr"], PLANNING, False),
+        (["improve", "--mode", "cbc", "--k", "4"], PLANNING, False),
+        (["benefit", "--mode", "cbc", "--k", "8", "--key-cost", "3/2"], PLANNING, False),
+        (["sweep", "--mode", "cbc", "--k-list", "2,8,32"], PLANNING, False),
+        (["validate"], PLANNING, False),
+        (simulate, sorted(PLANNING + ["qkdplan.empirics"]), True),
+        (rotate, sorted(PLANNING + ["qkdplan.empirics", "qkdplan.rotation"]), False),
+    ]  # fmt: skip
     src = Path(__file__).resolve().parents[1] / "src"
-    done = subprocess.run(
-        [sys.executable, "-c", NUMPY_PROBE, str(manifest)],
-        env=dict(os.environ, PYTHONPATH=str(src)),
-        capture_output=True,
-        text=True,
-    )
-    assert done.returncode == 0, done.stderr
-    assert "verdict" in done.stdout
+    for argv, modules, numpy in cases:
+        done = subprocess.run(
+            [sys.executable, "-c", MODULE_PROBE, json.dumps(argv)],
+            env=dict(os.environ, PYTHONPATH=str(src)),
+            capture_output=True,
+            text=True,
+        )
+        assert done.returncode == 0, (argv, done.stderr)
+        assert json.loads(done.stdout.splitlines()[-1]) == [modules, numpy], argv

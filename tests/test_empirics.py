@@ -30,7 +30,7 @@ from qkdplan.empirics import (
     mix64,
     toy_prp,
 )
-from qkdplan.empirics import _draw_np, _permute_np, _round_keys, _round_keys_np, _trial_lanes
+from qkdplan.empirics import _draw_np, _permute_np, _round_keys, _round_keys_np, _stream_bases, _trial_lanes
 
 
 # Oracles for the round-trip and scalar-vs-vector tests; the package keeps
@@ -40,7 +40,7 @@ from qkdplan.empirics import _draw_np, _permute_np, _round_keys, _round_keys_np,
 def draw_grid(seed: int, purpose: int, slots: np.ndarray, lo: int, hi: int) -> np.ndarray:
     """The trial kernels' draw: rows are trials lo..hi-1, columns are slots."""
     grid = np.empty((hi - lo, len(slots)), dtype=np.uint64)
-    _draw_np(grid, np.empty_like(grid), seed, purpose, slots, _trial_lanes(lo, hi)[:, None])
+    _draw_np(grid, np.empty_like(grid), _stream_bases(seed, purpose, slots), _trial_lanes(lo, hi)[:, None])
     return grid
 
 
@@ -115,7 +115,7 @@ def test_draw_grid_matches_scalar_draws():
             assert int(grid[ti, si]) == draw64(987, 3, si, int(t))
     # the CBC kernel draws slot-major: rows are slots, columns are trials
     by_slot = np.empty((5, 40), dtype=np.uint64)
-    _draw_np(by_slot, np.empty_like(by_slot), 987, 3, slots[:, None], _trial_lanes(100, 140))
+    _draw_np(by_slot, np.empty_like(by_slot), _stream_bases(987, 3, slots[:, None]), _trial_lanes(100, 140))
     assert np.array_equal(by_slot, grid.T)
 
 
@@ -249,6 +249,16 @@ def test_trial_config_validation():
     with pytest.raises(ValueError, match="256 blocks_per_file"):
         TrialConfig(Mode.CBC, 16, 4, 257, 1000, 0)
     TrialConfig(Mode.CTR, 16, 4, 257, 1000, 0)  # CTR draws no plaintext
+
+
+def test_trial_config_seed_is_64_bit():
+    # draw64 reads the seed mod 2**64, so a wider seed would alias a narrower one
+    for seed in (0, (1 << 64) - 1):
+        assert TrialConfig(Mode.CTR, 16, 4, 4, 1000, seed).rng_seed == seed
+    with pytest.raises(ValueError):
+        TrialConfig(Mode.CTR, 16, 4, 4, 1000, -1)
+    with pytest.raises(ValueError, match="64-bit"):
+        TrialConfig(Mode.CBC, 16, 4, 4, 1000, 1 << 64)
 
 
 def test_estimate_rejects_tiny_trial_counts():

@@ -55,6 +55,15 @@ def test_package_exports_exactly_the_public_names():
     assert sorted(qkdplan.__all__) == PUBLIC
 
 
+def test_star_import_and_dir_list_every_public_name():
+    namespace: dict = {}
+    exec("from qkdplan import *", namespace)
+    assert sorted(set(namespace) - {"__builtins__"}) == PUBLIC
+    assert set(PUBLIC) <= set(dir(qkdplan))
+    assert namespace["Mode"] is importlib.import_module("qkdplan.advmodel").Mode
+    assert not hasattr(qkdplan, "no_such_name")
+
+
 def test_every_exported_name_resolves():
     modules = [importlib.import_module(f"qkdplan.{m.name}") for m in pkgutil.iter_modules(qkdplan.__path__)]
     assert len(modules) == 6

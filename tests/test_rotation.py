@@ -47,6 +47,14 @@ def test_simulate_pool_is_deterministic():
     assert all(len(r.key_material) == 16 for r in a._records)
 
 
+def test_simulate_pool_seed_is_64_bit():
+    assert len(simulate_pool(1, 128, 0)) == len(simulate_pool(1, 128, (1 << 64) - 1)) == 1
+    with pytest.raises(ValueError):
+        simulate_pool(1, 128, -1)
+    with pytest.raises(ValueError, match="64-bit"):
+        simulate_pool(1, 128, 1 << 64)
+
+
 def test_ingest_keys_hex_lines(tmp_path):
     path = tmp_path / "keys.txt"
     keys = ["ab" * 16, "CD" * 16, "0123456789abcdef" * 2]

@@ -23,7 +23,7 @@ import sys
 from fractions import Fraction
 
 from .advmodel import EcbcDenominator, Mode, SecurityParams, bound_at
-from .exactmath import FixedDecimal, parse_rational
+from .exactmath import FixedDecimal, as_natural, parse_rational
 from .planner import (
     InfeasibleTargetError,
     RotationPlan,
@@ -55,6 +55,19 @@ def parse_file_size(text: str) -> int:
     return int(value)
 
 
+def _natural(text: str) -> int:
+    """Type of every integer option, so argparse names the option in the
+    error for a negative value as it does for a non-integer one."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    try:
+        return as_natural(value)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
+
+
 def _plan(args: argparse.Namespace) -> RotationPlan:
     """The plan the common model flags describe."""
     size = parse_file_size(args.file_size)
@@ -79,19 +92,19 @@ def _add_model_flags(parser: argparse.ArgumentParser) -> None:
         "--lambda",
         "--lambda-bits",
         dest="lambda_bits",
-        type=int,
+        type=_natural,
         default=128,
         help="cipher security parameter in bits (default 128)",
     )
     parser.add_argument(
         "--s-min-bits",
-        type=int,
+        type=_natural,
         default=121,
         help="min-entropy floor exponent: s_min = 2**this (default 121)",
     )
     parser.add_argument(
         "--block-bits",
-        type=int,
+        type=_natural,
         default=None,
         help="block size for chunking files (default: the security parameter)",
     )
@@ -103,7 +116,7 @@ def _add_model_flags(parser: argparse.ArgumentParser) -> None:
     ceiling = parser.add_mutually_exclusive_group()
     ceiling.add_argument(
         "--target-bits",
-        type=int,
+        type=_natural,
         default=None,
         help="advantage ceiling exponent: eps_max = 2**-this (default 80)",
     )
@@ -432,13 +445,13 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("improve", help="security gained by k-way rotation")
     _add_model_flags(p)
     _add_format_flag(p)
-    p.add_argument("--k", type=int, default=2)
+    p.add_argument("--k", type=_natural, default=2)
     p.set_defaults(func=cmd_improve)
 
     p = sub.add_parser("benefit", help="gain per unit key material at k")
     _add_model_flags(p)
     _add_format_flag(p)
-    p.add_argument("--k", type=int, default=2)
+    p.add_argument("--k", type=_natural, default=2)
     p.add_argument("--key-cost", default="1")
     p.set_defaults(func=cmd_benefit)
 
@@ -457,11 +470,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("simulate", help="scaled-down collision Monte Carlo")
     p.add_argument("--mode", required=True, choices=("ctr", "cbc"))
-    p.add_argument("--block-bits", type=int, required=True)
-    p.add_argument("--q", type=int, required=True, help="files per trial")
-    p.add_argument("--l", type=int, required=True, help="blocks per file")
-    p.add_argument("--trials", type=int, default=100000)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--block-bits", type=_natural, required=True)
+    p.add_argument("--q", type=_natural, required=True, help="files per trial")
+    p.add_argument("--l", type=_natural, required=True, help="blocks per file")
+    p.add_argument("--trials", type=_natural, default=100000)
+    p.add_argument("--seed", type=_natural, default=0)
     _add_format_flag(p)
     p.set_defaults(func=cmd_simulate)
 
@@ -470,12 +483,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--manifest", required=True, help="file of 'size' or 'name size' lines")
     key_source = p.add_mutually_exclusive_group(required=True)
     key_source.add_argument("--keys", default=None, help="hex key file, one key per line")
-    key_source.add_argument("--simulate-keys", type=int, default=None, help="simulated pool size")
-    p.add_argument("--key-seed", type=int, default=0)
-    p.add_argument("--key-len-bits", type=int, default=128)
+    key_source.add_argument("--simulate-keys", type=_natural, default=None, help="simulated pool size")
+    p.add_argument("--key-seed", type=_natural, default=0)
+    p.add_argument("--key-len-bits", type=_natural, default=128)
     p.add_argument("--key-cost", default="1")
-    p.add_argument("--rotation-factor", type=int, default=1)
-    p.add_argument("--toy-block-bits", type=int, default=16)
+    p.add_argument("--rotation-factor", type=_natural, default=1)
+    p.add_argument("--toy-block-bits", type=_natural, default=16)
     p.add_argument("--events-out", default=None)
     p.add_argument("--state-out", default=None)
     p.set_defaults(func=cmd_rotate)

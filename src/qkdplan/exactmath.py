@@ -123,10 +123,6 @@ class FixedDecimal:
         a, b, digits = self._aligned(other)
         return FixedDecimal(a + b, digits)
 
-    def __sub__(self, other: "FixedDecimal") -> "FixedDecimal":
-        a, b, digits = self._aligned(other)
-        return FixedDecimal(a - b, digits)
-
     def __neg__(self) -> "FixedDecimal":
         return FixedDecimal(-self.scaled, self.digits)
 
@@ -136,14 +132,6 @@ class FixedDecimal:
         return FixedDecimal(self.scaled * factor, self.digits)
 
     __rmul__ = __mul__
-
-    def __lt__(self, other: "FixedDecimal") -> bool:
-        a, b, _ = self._aligned(other)
-        return a < b
-
-    def __le__(self, other: "FixedDecimal") -> bool:
-        a, b, _ = self._aligned(other)
-        return a <= b
 
 
 def max_q_quadratic(a: int, b: int, c: int) -> int:

@@ -12,12 +12,12 @@ Every session rule lives in SessionState.__post_init__, so a session opened
 from a pool and one loaded from disk pass the same checks.  Sessions persist
 to a versioned JSON document with every count that matters for audit: the
 exact parameters, the file size and block width, planned Q*, counters, and
-the full rotation event log.  Loading rebuilds the plan with the same
-compute_q_star call open_session makes, so a hand-edited state file that
-claims more files per key, or larger files, than the plan allows is rejected
-rather than trusted.  Loaded sessions are detached (key material is never
-persisted) and support accounting and re-persistence but not further
-encryption.
+the full rotation event log.  Loading rebuilds the session with the same
+compute_q_star call open_session makes and accepts only the document that
+session persists, so a hand-edited state file that claims more files per
+key, or larger files, than the plan allows is rejected rather than trusted.
+Loaded sessions are detached (key material is never persisted) and support
+accounting and re-persistence but not further encryption.
 
 Encryption itself uses the scaled-down block cipher so demo runs produce
 real ciphertext; plaintexts are zero-padded into whole blocks and CTR/CBC
@@ -28,7 +28,7 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import dataclass, field, fields
 from fractions import Fraction
 
 from .advmodel import EcbcDenominator, Mode, SecurityParams
@@ -268,12 +268,7 @@ def open_session(
 
 def _subkeys(material: bytes) -> tuple[int, int, int]:
     digest = hashlib.blake2b(material, digest_size=24, person=b"qkdplan-sess").digest()
-    split = (
-        int.from_bytes(digest[0:8], "big"),
-        int.from_bytes(digest[8:16], "big"),
-        int.from_bytes(digest[16:24], "big"),
-    )
-    return split
+    return tuple(int.from_bytes(digest[i : i + 8], "big") for i in (0, 8, 16))
 
 
 def _encrypt_blocks(session: SessionState, data: bytes) -> bytes:
@@ -331,14 +326,15 @@ def export_events(session: SessionState, path: str) -> None:
     """Write the rotation event log as JSON lines, one event per line."""
     with open(path, "w", encoding="ascii") as handle:
         for event in session.events:
-            handle.write(json.dumps(asdict(event), sort_keys=True) + "\n")
+            handle.write(json.dumps(vars(event), sort_keys=True) + "\n")
 
 
-def persist_state(session: SessionState, path: str) -> None:
-    """Serialize the session's auditable state (never key material)."""
+def _document(session: SessionState) -> dict:
+    """The schema-v2 state document of a session, the one place its layout
+    is written: persist_state writes it, and load_state compares against it."""
     plan = session.plan
     params = plan.params
-    document = {
+    return {
         "version": STATE_VERSION,
         "mode": plan.mode.name,
         "params": {
@@ -366,37 +362,37 @@ def persist_state(session: SessionState, path: str) -> None:
             "files_under_current_key": str(session.files_under_current_key),
         },
         "total_key_cost": render_rational(session.total_key_cost),
-        "events": [asdict(e) for e in session.events],
+        "events": [vars(e) for e in session.events],
     }
+
+
+def persist_state(session: SessionState, path: str) -> None:
+    """Serialize the session's auditable state (never key material)."""
     with open(path, "w", encoding="ascii") as handle:
-        json.dump(document, handle, indent=2, sort_keys=True)
+        json.dump(_document(session), handle, indent=2, sort_keys=True)
         handle.write("\n")
 
 
-def _canonical(text: object, parse=int, render=str):
-    """Parse a number persist_state stored as a string: it must be a str that
-    render writes back unchanged, so "40.9", " 40 ", "4_0" and "1e0" fail."""
-    if not isinstance(text, str):
-        raise TypeError(f"number stored as a string required, got {type(text).__name__}")
-    value = parse(text)
-    if render(value) != text:
-        raise ValueError(f"{text!r} is not the form persist_state writes, {render(value)!r}")
+def _stored_text(value: object) -> str:
+    """A number persist_state stores as a string.  json.load also yields
+    floats such as Infinity, which int() rejects with OverflowError."""
+    if not isinstance(value, str):
+        raise TypeError(f"number stored as a string required, got {type(value).__name__}")
     return value
 
 
 def load_state(path: str) -> SessionState:
     """Rebuild a detached session from a state file.
 
-    The plan is rebuilt by the call open_session makes, compute_q_star on the
-    stored mode, parameters, file size and block width, which rejects a size
-    that is not blocks_per_file blocks of that width and parameters under
-    which no file fits.  SessionState checks the session rules.  Loading adds
-    the schema version, a stored q_star equal to the rebuilt one, and stored
-    per_key_cap, files_under_current_key and total_key_cost equal to the
-    session's derived values.  Numbers stored as strings must be written
-    exactly as persist_state writes them.  Raises FileNotFoundError for a
-    missing path and StateError for anything else: bytes that are not ASCII
-    JSON, missing fields, a value of the wrong type or form, or a failed check.
+    The session is built from the stored inputs as open_session builds one:
+    compute_q_star on the stored mode, parameters, file size and block width
+    (which rejects a size that is not blocks_per_file blocks of that width and
+    parameters under which no file fits), then SessionState and its session
+    rules.  The file is accepted only if it is exactly the document
+    persist_state writes for that session, so a stored q_star, per-key cap,
+    counter or cost the inputs do not give, a number of another type or form
+    (2.0, "40.9", " 40 ") and an unknown key all fail.  Raises
+    FileNotFoundError for a missing path and StateError for anything else.
     """
     with open(path, encoding="ascii") as handle:
         try:
@@ -410,53 +406,41 @@ def load_state(path: str) -> SessionState:
             raise StateError(
                 f"{path}: schema version {document['version']!r}, expected {STATE_VERSION}"
             )
-        raw_params = document["params"]
+        raw_params, raw_plan, raw_cipher = document["params"], document["plan"], document["cipher"]
         params = SecurityParams(
             raw_params["lambda_bits"],
-            _canonical(raw_params["s_min"]),
+            int(_stored_text(raw_params["s_min"])),
             raw_params["blocks_per_file"],
-            _canonical(raw_params["eps_max"], parse_rational, render_rational),
+            parse_rational(_stored_text(raw_params["eps_max"])),
             EcbcDenominator[raw_params["ecbc_denominator"]],
         )
-        raw_plan = document["plan"]
-        # InfeasibleTargetError is a ValueError: no file fits the ceiling.
-        plan = compute_q_star(
-            Mode[document["mode"]], params, raw_plan["file_size_bytes"], raw_plan["block_bits"]
-        )
-        stored_q_star = _canonical(raw_plan["q_star"])
-        if plan.q_star != stored_q_star:
-            raise StateError(
-                f"{path}: stored q_star {stored_q_star} does not match {plan.q_star} "
-                "recomputed from the stored parameters"
-            )
-        raw_cipher = document["cipher"]
         session = SessionState(
-            plan=plan,
+            # InfeasibleTargetError is a ValueError: no file fits the ceiling.
+            plan=compute_q_star(
+                Mode[document["mode"]], params, raw_plan["file_size_bytes"], raw_plan["block_bits"]
+            ),
             cipher=ToyCipherParams(raw_cipher["block_bits"], raw_cipher["key_seed"]),
             rotation_factor=document["rotation_factor"],
-            key_cost=_canonical(document["key_cost"], parse_rational, render_rational),
+            key_cost=parse_rational(_stored_text(document["key_cost"])),
             pool=None,
             current_key=KeyRecord(document["current_key_id"], None),
-            total_files=_canonical(document["counters"]["total_files"]),
+            total_files=int(_stored_text(document["counters"]["total_files"])),
             events=[RotationEvent(**e) for e in document["events"]],
         )
-        stored = {
-            "per_key_cap": _canonical(document["per_key_cap"]),
-            "files_under_current_key": _canonical(document["counters"]["files_under_current_key"]),
-            "total_key_cost": _canonical(
-                document["total_key_cost"], parse_rational, render_rational
-            ),
-        }
     except (KeyError, TypeError, ValueError) as exc:
         if isinstance(exc, StateError):
             raise
         raise StateError(f"{path}: malformed or inconsistent state document ({exc})") from exc
 
-    for name, value in stored.items():
-        derived = getattr(session, name)
-        if value != derived:
-            raise StateError(
-                f"{path}: stored {name} {value} is not {derived}, "
-                "the value derived from the plan, its per-key cap and the event log"
-            )
+    derived = _document(session)
+    if json.dumps(document, sort_keys=True) != json.dumps(derived, sort_keys=True):
+        stored, recomputed = (
+            {k: json.dumps(v, sort_keys=True) for k, v in doc.items()} for doc in (document, derived)
+        )
+        key = min(k for k in stored.keys() | recomputed.keys() if stored.get(k) != recomputed.get(k))
+        raise StateError(
+            f"{path}: malformed or inconsistent state document ({key}: stored "
+            f"{stored.get(key, 'absent')}, recomputed {recomputed.get(key, 'absent')} from the "
+            "stored inputs, the per-key cap and the event log)"
+        )
     return session

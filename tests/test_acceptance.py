@@ -158,7 +158,9 @@ def test_gain_bracket_randomized(gain_cases: list) -> None:
         assert k < ratio < k * k, (mode, params, q_star, k)
         # The reported decimals may tie at display precision; the exact
         # comparison above is the guarantee.
-        assert report.lower_bound_bits <= report.delta_bits <= report.upper_bound_bits
+        bracket = report.lower_bound_bits, report.delta_bits, report.upper_bound_bits
+        low, gain, high = (value.as_fraction() for value in bracket)
+        assert low <= gain <= high
     print(
         f"ACCEPTANCE PASS gain-bracket: {len(gain_cases)} randomized cases, "
         f"0 violations of k < ratio < k^2"

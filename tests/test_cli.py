@@ -117,6 +117,25 @@ def test_huge_exponents_exit_2(capsys):
         assert err.startswith("error:") and "must lie in" in err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["rotate", "--key-seed", "-1"],
+        ["rotate", "--simulate-keys", "-1"],
+        ["rotate", "--rotation-factor", "-1"],
+        ["simulate", "--seed", "-1"],
+        ["simulate", "--q", "-4"],
+        ["improve", "--k", "-1"],
+        ["plan", "--lambda", "-1"],
+    ],
+)
+def test_negative_integer_option_is_named(capsys, argv):
+    command, flag, value = argv
+    code, _, err = run(capsys, command, "--mode", "ctr", flag, value)
+    assert code == 2
+    assert f"argument {flag}" in err and f"{value} is negative" in err
+
+
 # ------------------------------------------------------- improve and benefit
 
 

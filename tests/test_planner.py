@@ -148,14 +148,16 @@ def test_improvement_closed_and_direct_agree():
         for k in (2, 3, 16, 1024):
             r = improvement_bits(mode, p, plan.q_star, k)
             digits = r.delta_bits.digits
-            closed = log2_rational(Fraction(k), digits) + log2_rational(
-                paper_one_plus_x(mode, p, plan.q_star, k), digits
-            )
-            direct = log2_rational(paper_bound(mode, p, Fraction(plan.q_star)), digits) - log2_rational(
-                paper_bound(mode, p, Fraction(plan.q_star, k)), digits
+
+            def log2(value: Fraction) -> Fraction:
+                return log2_rational(value, digits).as_fraction()
+
+            closed = log2(Fraction(k)) + log2(paper_one_plus_x(mode, p, plan.q_star, k))
+            direct = log2(paper_bound(mode, p, Fraction(plan.q_star))) - log2(
+                paper_bound(mode, p, Fraction(plan.q_star, k))
             )
             for path in (closed, direct):
-                gap = (r.delta_bits - path).as_fraction()
+                gap = r.delta_bits.as_fraction() - path
                 assert abs(gap) < Fraction(1, 10**9), (mode, k)
 
 
@@ -177,7 +179,9 @@ def test_improvement_bracket_random_small_params():
             continue
         k = rng.randrange(2, min(plan.q_star, 4096) + 1)
         r = improvement_bits(mode, params, plan.q_star, k)
-        assert r.lower_bound_bits < r.delta_bits < r.upper_bound_bits
+        bracket = r.lower_bound_bits, r.delta_bits, r.upper_bound_bits
+        low, gain, high = (value.as_fraction() for value in bracket)
+        assert low < gain < high
 
 
 def test_improvement_k1_and_validation():

@@ -521,6 +521,43 @@ def test_state_round_trip_exact_params(tmp_path):
         assert again.read_text() == path.read_text()
 
 
+def test_load_rejects_what_persist_state_never_writes(tmp_path):
+    path, document = persisted(tmp_path, 10, 3)
+    inf = float("inf")  # json writes and reads it as Infinity; int(inf) raises OverflowError
+    for edit, match in (
+        (lambda d: d.update(version=2.0), "version"),
+        (lambda d: d.update(comment="audited"), "comment"),
+        (lambda d: d["params"].update(rounds=8), "rounds"),
+        (lambda d: d["counters"].update(bytes_written="24"), "bytes_written"),
+        (lambda d: d["params"].update(s_min=inf), "got float"),
+        (lambda d: d["params"].update(eps_max=inf), "got float"),
+        (lambda d: d.update(key_cost=inf), "got float"),
+        (lambda d: d["counters"].update(total_files=inf), "got float"),
+    ):
+        copy = json.loads(json.dumps(document))
+        edit(copy)
+        with pytest.raises(StateError, match=match):
+            load_tampered(path, copy)
+
+
+@pytest.mark.parametrize("mode", list(Mode))
+@pytest.mark.parametrize("rotation_factor", [1, 2])
+def test_state_round_trip_every_mode(tmp_path, mode, rotation_factor):
+    params = SecurityParams.from_bits(16, 14, 4, target_bits=7)  # q_star 7, 3, 6
+    session = open_session(
+        simulate_pool(10, 128, 1), mode, params, 8, rotation_factor, TOY_CIPHER
+    )
+    for _ in range(session.plan.q_star + 1):
+        encrypt_file(session, b"x")
+    assert session.events
+    path, again = tmp_path / "state.json", tmp_path / "again.json"
+    persist_state(session, str(path))
+    loaded = load_state(str(path))
+    assert loaded == session
+    persist_state(loaded, str(again))
+    assert again.read_text() == path.read_text()
+
+
 def test_accounting_identity_random_runs():
     rng = random.Random(55)
     for _ in range(20):

@@ -31,16 +31,6 @@ from fractions import Fraction
 
 from .exactmath import as_natural
 
-__all__ = [
-    "Mode",
-    "EcbcDenominator",
-    "SecurityParams",
-    "BoundTerms",
-    "bound_terms",
-    "budget_quadratic",
-    "bound_at",
-]
-
 # Cap on lambda_bits, s_min_bits and target_bits: far above any real cipher
 # or entropy floor, and small enough that 1 << bits stays cheap.
 MAX_EXPONENT_BITS = 4096

@@ -36,8 +36,6 @@ from .planner import (
     volume_mb,
 )
 
-__all__ = ["main"]
-
 _SIZE_PATTERN = re.compile(r"^\s*([0-9]+(?:\.[0-9]+)?)\s*(B|KB|MB|GB)?\s*$", re.IGNORECASE)
 _SIZE_UNITS = {"B": 1, "KB": 1024, "MB": 1024**2, "GB": 1024**3}
 

@@ -21,10 +21,10 @@ slot, trial), never on call order, so results are bit-identical regardless
 of chunking, and the scalar and vectorized paths agree value for value.
 
 Trials run in chunks of about _CHUNK_ELEMENTS elements.  Each estimate
-allocates one workspace, a few buffers sized for a single chunk plus the
+allocates its mode's buffers once, sized for a single chunk, with the
 per-slot draw bases that every trial shares, and every chunk draws, runs the
-Feistel rounds and sorts in place in views of it, so a chunk allocates only
-a few rows of per-trial or per-slot values.
+Feistel rounds and sorts in place in views of them, so a chunk allocates
+only a few rows of per-trial or per-slot values.
 
 numpy is imported inside the vectorized kernels, not at module level, so
 planning, the scalar toy cipher and rotation sessions run without loading
@@ -34,25 +34,12 @@ it; the first collision estimate pays its import.
 from __future__ import annotations
 
 import math
+from collections.abc import Callable
 from dataclasses import dataclass
 from fractions import Fraction
 
 from .advmodel import Mode, bound_terms
 from .exactmath import as_natural
-
-__all__ = [
-    "ToyCipherParams",
-    "TrialConfig",
-    "EmpiricalResult",
-    "Z_99",
-    "mix64",
-    "draw64",
-    "toy_prp",
-    "ctr_encrypt",
-    "cbc_encrypt",
-    "ecbc_mac",
-    "estimate_collision_probability",
-]
 
 _M64 = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
@@ -64,19 +51,32 @@ _LANE = 0xD6E8FEB86659FD93
 Z_99 = 2.5758293035489004
 
 # elements per trial chunk (q per CTR trial, q*l per CBC trial): each buffer
-# of an estimate's workspace holds one chunk, at most 1 MB of uint64
+# of an estimate holds one chunk, at most 1 MB of uint64
 _CHUNK_ELEMENTS = 1 << 17
 _ROUNDS = 6  # Feistel rounds of the toy cipher, in sessions and trials alike
 
-# counter-based draw purposes; distinct purposes never share a stream
+# counter-based draw purposes, every one the package uses; distinct purposes
+# never share a stream
 _P_IV = 1
 _P_KEY = 2
 _P_PLAINTEXT = 3
+_P_KEY_MATERIAL = 4  # simulated QKD key bytes
+_P_SESSION_IV = 5  # a rotation session's per-file IVs
 
 # CBC plaintext block j of file i draws from slot i*_PLAINTEXT_SLOTS + j, so
 # files stay apart only while blocks_per_file <= _PLAINTEXT_SLOTS.  With
 # q*l <= 2**24 that also keeps every slot below 2**32, clear of the purpose.
 _PLAINTEXT_SLOTS = 256
+
+
+def as_u64(value: int, what: str) -> int:
+    """Validate and return an integer in [0, 2**64).
+
+    draw64 reads seeds mod 2**64, so a wider seed would alias a narrower one.
+    """
+    if as_natural(value) > _M64:
+        raise ValueError(f"{what} must be a 64-bit integer")
+    return value
 
 
 def mix64(x: int) -> int:
@@ -164,8 +164,7 @@ class ToyCipherParams:
     def __post_init__(self) -> None:
         if not 8 <= as_natural(self.block_bits) <= 24:
             raise ValueError("block_bits must lie in [8, 24]")
-        if as_natural(self.key_seed) >= 1 << 64:
-            raise ValueError("key_seed must be a 64-bit integer")
+        as_u64(self.key_seed, "key_seed")
 
 
 def _round_keys(key: int) -> list[int]:
@@ -245,16 +244,10 @@ def toy_prp(params: ToyCipherParams, block: int) -> int:
 # ------------------------------------------------------------ mode operations
 
 
-def _check_key(key: int) -> int:
-    if not 0 <= key < 1 << 64:
-        raise ValueError("key must be a 64-bit integer")
-    return key
-
-
 def ctr_encrypt(params: ToyCipherParams, key: int, iv: int, blocks: list[int]) -> list[int]:
     """Counter mode: block j is XOR-masked with E(iv + j mod N)."""
     n = 1 << params.block_bits
-    round_keys = _round_keys(_check_key(key))
+    round_keys = _round_keys(as_u64(key, "key"))
     _check_block(params.block_bits, iv, "iv")
     out = []
     for j, block in enumerate(blocks):
@@ -265,7 +258,7 @@ def ctr_encrypt(params: ToyCipherParams, key: int, iv: int, blocks: list[int]) -
 
 
 def cbc_encrypt(params: ToyCipherParams, key: int, iv: int, blocks: list[int]) -> list[int]:
-    round_keys = _round_keys(_check_key(key))
+    round_keys = _round_keys(as_u64(key, "key"))
     _check_block(params.block_bits, iv, "iv")
     prev = iv
     out = []
@@ -280,13 +273,8 @@ def ecbc_mac(params: ToyCipherParams, key1: int, key2: int, blocks: list[int]) -
     """Encrypted CBC-MAC: CBC chain under key1, final state re-encrypted under key2."""
     if not blocks:
         raise ValueError("ecbc_mac requires at least one block")
-    round_keys1 = _round_keys(_check_key(key1))
-    round_keys2 = _round_keys(_check_key(key2))
-    state = 0
-    for block in blocks:
-        _check_block(params.block_bits, block)
-        state = _permute(params.block_bits, round_keys1, block ^ state)
-    return _permute(params.block_bits, round_keys2, state)
+    round_keys2 = _round_keys(as_u64(key2, "key"))
+    return _permute(params.block_bits, round_keys2, cbc_encrypt(params, key1, 0, blocks)[-1])
 
 
 # ------------------------------------------------------------------ trials
@@ -319,8 +307,7 @@ class TrialConfig:
         if self.mode is Mode.CBC and self.blocks_per_file > _PLAINTEXT_SLOTS:
             raise ValueError(f"CBC trials support at most {_PLAINTEXT_SLOTS} blocks_per_file")
         as_natural(self.trials)
-        if as_natural(self.rng_seed) >= 1 << 64:
-            raise ValueError("rng_seed must be a 64-bit integer")
+        as_u64(self.rng_seed, "rng_seed")
 
 
 @dataclass(frozen=True)
@@ -334,59 +321,78 @@ class EmpiricalResult:
     collisions: int
 
 
-def _ctr_collisions(config: TrialConfig, lo: int, hi: int, workspace: list[np.ndarray]) -> int:
+def _ctr_counter(config: TrialConfig, chunk: int) -> Callable[[int, int], int]:
+    """Collision count of CTR trials lo..hi-1, for up to chunk trials at a time."""
     import numpy as np
 
-    rows = hi - lo
-    *buffers, iv_bases = workspace
-    draws, scratch, ivs, gaps = (buffer[:rows] for buffer in buffers)
-    n = 1 << config.block_bits
-    _draw_np(draws, scratch, iv_bases, _trial_lanes(lo, hi)[:, None])
-    draws &= n - 1
-    # uint32 holds every IV and gap exactly, since n <= 2**24
-    np.copyto(ivs, draws, casting="unsafe")
-    ivs.sort(axis=1)
-    flat = ivs.reshape(-1)
-    np.subtract(flat[1:], flat[:-1], out=gaps.reshape(-1)[:-1])
-    # the last column spans two trials; it holds the gap round the circle instead
-    np.subtract(ivs[:, 0] + n, ivs[:, -1], out=gaps[:, -1])
-    return int(np.count_nonzero(gaps.min(axis=1) < config.blocks_per_file))
+    q, n = config.q_files, 1 << config.block_bits
+    # a trial per row, so each trial's IVs sort in place; uint32 holds every
+    # IV and gap exactly, since n <= 2**24
+    draw_rows = np.empty((2, chunk, q), np.uint64)
+    iv_rows = np.empty((2, chunk, q), np.uint32)
+    iv_bases = _stream_bases(config.rng_seed, _P_IV, np.arange(q, dtype=np.uint64))
+
+    def count(lo: int, hi: int) -> int:
+        draws, scratch = draw_rows[:, : hi - lo]
+        ivs, gaps = iv_rows[:, : hi - lo]
+        _draw_np(draws, scratch, iv_bases, _trial_lanes(lo, hi)[:, None])
+        draws &= n - 1
+        np.copyto(ivs, draws, casting="unsafe")
+        ivs.sort(axis=1)
+        flat = ivs.reshape(-1)
+        np.subtract(flat[1:], flat[:-1], out=gaps.reshape(-1)[:-1])
+        # the last column spans two trials; it holds the gap round the circle instead
+        np.subtract(ivs[:, 0] + n, ivs[:, -1], out=gaps[:, -1])
+        return int(np.count_nonzero(gaps.min(axis=1) < config.blocks_per_file))
+
+    return count
 
 
-def _cbc_collisions(config: TrialConfig, lo: int, hi: int, workspace: list[np.ndarray]) -> int:
+def _cbc_counter(config: TrialConfig, chunk: int) -> Callable[[int, int], int]:
+    """Collision count of CBC trials lo..hi-1, for up to chunk trials at a time."""
     import numpy as np
 
-    rows = hi - lo
-    *chains, round_keys, key_scratch, blocks, equal, key_bases, iv_bases = workspace
-    prev, pt, left, right, f, scratch = (buffer[:, :rows] for buffer in chains)
-    round_keys, key_scratch = round_keys[:, :rows], key_scratch[:, :rows]
-    blocks, equal = blocks[:rows], equal[:rows]
-    mask = (1 << config.block_bits) - 1
     q, l = config.q_files, config.blocks_per_file
-    lanes = _trial_lanes(lo, hi)
-    # the keys borrow key_scratch's first row until the round keys are derived
-    keys = key_scratch[:1]
-    _draw_np(keys, round_keys[:1], key_bases, lanes)
-    _round_keys_np(keys, round_keys, key_scratch)
-    _draw_np(prev, scratch, iv_bases, lanes)
-    prev &= mask
+    mask = (1 << config.block_bits) - 1
+    # a trial per column, so per-trial keys and lanes broadcast along
+    # contiguous rows; the blocks keep a trial per row for the sort
+    chain_rows = np.empty((6, q, chunk), np.uint64)
+    key_rows = np.empty((2, _ROUNDS, chunk), np.uint64)
+    block_rows = np.empty((chunk, q * l), np.uint32)
+    equal_rows = np.empty((chunk, q * l), np.bool_)
+    key_bases = _stream_bases(config.rng_seed, _P_KEY, np.zeros((1, 1), np.uint64))
+    iv_bases = _stream_bases(config.rng_seed, _P_IV, np.arange(q, dtype=np.uint64)[:, None])
     # q*l plaintext bases would outgrow the chunk budget, so they are derived per chunk
     plaintext_slots = np.arange(q, dtype=np.uint64)[:, None] * _PLAINTEXT_SLOTS
-    for j in range(l):
-        _draw_np(pt, scratch, _stream_bases(config.rng_seed, _P_PLAINTEXT, plaintext_slots + j), lanes)
-        pt &= mask
-        pt ^= prev
-        _permute_np(config.block_bits, round_keys, pt, prev, (left, right, f, scratch))
-        np.copyto(blocks[:, j::l], prev.T, casting="unsafe")
-    blocks.sort(axis=1)
-    flat, flat_equal = blocks.reshape(-1), equal.reshape(-1)
-    np.equal(flat[1:], flat[:-1], out=flat_equal[:-1])
-    equal[:, -1] = False  # that column compared two trials
-    # the hits come in trial order; count the distinct trials among them
-    hit_trials = np.flatnonzero(flat_equal) // (q * l)
-    if hit_trials.size == 0:
-        return 0
-    return 1 + int(np.count_nonzero(hit_trials[1:] != hit_trials[:-1]))
+
+    def count(lo: int, hi: int) -> int:
+        prev, pt, left, right, f, scratch = chain_rows[:, :, : hi - lo]
+        round_keys, key_scratch = key_rows[:, :, : hi - lo]
+        blocks, equal = block_rows[: hi - lo], equal_rows[: hi - lo]
+        lanes = _trial_lanes(lo, hi)
+        # the keys borrow key_scratch's first row until the round keys are derived
+        keys = key_scratch[:1]
+        _draw_np(keys, round_keys[:1], key_bases, lanes)
+        _round_keys_np(keys, round_keys, key_scratch)
+        _draw_np(prev, scratch, iv_bases, lanes)
+        prev &= mask
+        for j in range(l):
+            _draw_np(pt, scratch, _stream_bases(config.rng_seed, _P_PLAINTEXT, plaintext_slots + j), lanes)
+            pt &= mask
+            pt ^= prev
+            _permute_np(config.block_bits, round_keys, pt, prev, (left, right, f, scratch))
+            np.copyto(blocks[:, j::l], prev.T, casting="unsafe")
+        blocks.sort(axis=1)
+        flat, flat_equal = blocks.reshape(-1), equal.reshape(-1)
+        np.equal(flat[1:], flat[:-1], out=flat_equal[:-1])
+        equal[:, -1] = False  # that column compared two trials
+        # the hits come in trial order; count the distinct trials among them
+        hit_trials = np.flatnonzero(flat_equal) // (q * l)
+        if hit_trials.size == 0:
+            return 0
+        return 1 + int(np.count_nonzero(hit_trials[1:] != hit_trials[:-1]))
+
+    return count
 
 
 def estimate_collision_probability(config: TrialConfig) -> EmpiricalResult:
@@ -398,32 +404,11 @@ def estimate_collision_probability(config: TrialConfig) -> EmpiricalResult:
     """
     if config.trials < 1000:
         raise ValueError("trials must be >= 1000")
-    import numpy as np
-
     q, l = config.q_files, config.blocks_per_file
     per_trial = q if config.mode is Mode.CTR else q * l
     chunk = min(config.trials, max(1, _CHUNK_ELEMENTS // per_trial))
-    # one workspace per estimate, with the per-slot draw bases every trial
-    # shares; every chunk runs in views of its leading trials
-    seed, slots = config.rng_seed, np.arange(q, dtype=np.uint64)
-    if config.mode is Mode.CTR:
-        count_chunk = _ctr_collisions
-        # a trial per row, so each trial's IVs sort in place
-        workspace = [np.empty((chunk, q), dtype) for dtype in (np.uint64, np.uint64, np.uint32, np.uint32)]
-        workspace.append(_stream_bases(seed, _P_IV, slots))
-    else:
-        count_chunk = _cbc_collisions
-        # a trial per column, so per-trial keys and lanes broadcast along
-        # contiguous rows; the blocks keep a trial per row for the sort
-        workspace = [np.empty((height, chunk), np.uint64) for height in (q,) * 6 + (_ROUNDS,) * 2]
-        workspace += [np.empty((chunk, q * l), np.uint32), np.empty((chunk, q * l), np.bool_)]
-        workspace += [
-            _stream_bases(seed, _P_KEY, np.zeros((1, 1), np.uint64)),
-            _stream_bases(seed, _P_IV, slots[:, None]),
-        ]
-    collisions = 0
-    for lo in range(0, config.trials, chunk):
-        collisions += count_chunk(config, lo, min(lo + chunk, config.trials), workspace)
+    count = (_ctr_counter if config.mode is Mode.CTR else _cbc_counter)(config, chunk)
+    collisions = sum(count(lo, min(lo + chunk, config.trials)) for lo in range(0, config.trials, chunk))
 
     # the bound's birthday term at the scaled-down domain
     terms = bound_terms(config.mode, config.blocks_per_file, 1 << config.block_bits)

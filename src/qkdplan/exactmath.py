@@ -28,16 +28,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import isqrt
 
-__all__ = [
-    "FixedDecimal",
-    "DEFAULT_PRECISION",
-    "as_natural",
-    "parse_rational",
-    "render_rational",
-    "max_q_quadratic",
-    "log2_rational",
-]
-
 DEFAULT_PRECISION = 9
 
 # Guard bits for the fixed-point log2 mantissa; truncation over all the

@@ -26,20 +26,6 @@ from .exactmath import (
     max_q_quadratic,
 )
 
-__all__ = [
-    "InfeasibleTargetError",
-    "RotationPlan",
-    "ImprovementReport",
-    "SweepRow",
-    "blocks_per_file",
-    "volume_kb",
-    "volume_mb",
-    "compute_q_star",
-    "improvement_bits",
-    "benefit",
-    "sweep_k",
-]
-
 _IMPROVEMENT_PRECISION = 12  # internal; reports round no further than this
 
 
@@ -108,14 +94,16 @@ def compute_q_star(
 
     file_size_bytes, when given, must chunk (at block_bits, default the
     security parameter) into exactly params.blocks_per_file blocks; when
-    omitted the per-file size is derived from the block count.  The plan
-    records both, so calling this again with the plan's mode, params,
-    file_size_bytes and block_bits rebuilds it.  Raises
+    omitted the per-file size is derived from the block count, which needs
+    block_bits >= 1.  The plan records both, so calling this again with the
+    plan's mode, params, file_size_bytes and block_bits rebuilds it.  Raises
     InfeasibleTargetError when not even one file fits under the ceiling.
     """
     if block_bits is None:
         block_bits = params.lambda_bits
     if file_size_bytes is None:
+        if as_natural(block_bits) < 1:
+            raise ValueError("block_bits must be >= 1")
         file_size_bytes = (params.blocks_per_file * block_bits + 7) // 8
     else:
         implied = blocks_per_file(file_size_bytes, block_bits)

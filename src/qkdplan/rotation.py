@@ -32,28 +32,17 @@ from dataclasses import dataclass, field, fields
 from fractions import Fraction
 
 from .advmodel import EcbcDenominator, Mode, SecurityParams
-from .empirics import ToyCipherParams, cbc_encrypt, ctr_encrypt, draw64, ecbc_mac
+from .empirics import (
+    _P_KEY_MATERIAL, _P_SESSION_IV, ToyCipherParams, as_u64, cbc_encrypt, ctr_encrypt, draw64, ecbc_mac
+)
 from .exactmath import as_natural, parse_rational, render_rational
 from .planner import RotationPlan, compute_q_star
 
-__all__ = [
-    "PoolExhaustedError",
-    "StateError",
-    "OversizedFileError",
-    "KeyRecord",
-    "KeyPool",
-    "RotationEvent",
-    "SessionState",
-    "ingest_keys",
-    "simulate_pool",
-    "open_session",
-    "encrypt_file",
-    "export_events",
-    "persist_state",
-    "load_state",
-]
-
 STATE_VERSION = 2
+
+# QKD keys are 128 or 256 bits; the cap keeps a typo from generating or
+# reading gigabytes of key material
+_MAX_KEY_BITS = 4096
 
 _DEFAULT_CIPHER = ToyCipherParams(block_bits=16, key_seed=0)
 
@@ -85,6 +74,11 @@ class KeyRecord:
         as_natural(self.key_id)
 
 
+def _check_key_len(key_len_bits: int) -> None:
+    if not 8 <= as_natural(key_len_bits) <= _MAX_KEY_BITS or key_len_bits % 8:
+        raise ValueError(f"key_len_bits must be a multiple of 8 in [8, {_MAX_KEY_BITS}]")
+
+
 class KeyPool:
     """Ordered pool of keys; each is dispensed at most once.
 
@@ -99,8 +93,7 @@ class KeyPool:
         cost: Fraction = Fraction(1),
         source: str = "",
     ):
-        if key_len_bits < 8 or key_len_bits % 8:
-            raise ValueError("key_len_bits must be a positive multiple of 8")
+        _check_key_len(key_len_bits)
         for record in records:
             if record.key_material is None or len(record.key_material) * 8 != key_len_bits:
                 raise ValueError(f"key {record.key_id} is not {key_len_bits} bits")
@@ -128,6 +121,7 @@ class KeyPool:
 
 def ingest_keys(path: str, key_len_bits: int, cost: Fraction = Fraction(1)) -> KeyPool:
     """Load a pool from a text file of hex keys, one per line, no separators."""
+    _check_key_len(key_len_bits)
     hex_len = key_len_bits // 4
     records = []
     with open(path, encoding="ascii") as handle:
@@ -151,14 +145,12 @@ def simulate_pool(
     count: int, key_len_bits: int, seed: int, cost: Fraction = Fraction(1)
 ) -> KeyPool:
     """Deterministic stand-in for a QKD delivery: count keys derived from seed."""
-    if as_natural(seed) >= 1 << 64:
-        raise ValueError("seed must be a 64-bit integer")
+    _check_key_len(key_len_bits)
+    as_u64(seed, "seed")
     key_bytes = key_len_bits // 8
     records = []
     for i in range(as_natural(count)):
-        material = bytes(
-            draw64(seed, 4, i, j) & 0xFF for j in range(key_bytes)
-        )
+        material = bytes(draw64(seed, _P_KEY_MATERIAL, i, j) & 0xFF for j in range(key_bytes))
         records.append(KeyRecord(i, material))
     return KeyPool(records, key_len_bits, cost, source=f"simulated(seed={seed})")
 
@@ -286,7 +278,7 @@ def _encrypt_blocks(session: SessionState, data: bytes) -> bytes:
     if mode is Mode.ECBC_MAC:
         tag = ecbc_mac(cipher, k1, k2, blocks)
         return tag.to_bytes(block_bytes, "big")
-    iv = draw64(iv_seed, 5, 0, session.total_files) & ((1 << cipher.block_bits) - 1)
+    iv = draw64(iv_seed, _P_SESSION_IV, 0, session.total_files) & ((1 << cipher.block_bits) - 1)
     encrypt = ctr_encrypt if mode is Mode.CTR else cbc_encrypt
     out = encrypt(cipher, k1, iv, blocks)
     return b"".join(b.to_bytes(block_bytes, "big") for b in [iv] + out)

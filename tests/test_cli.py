@@ -299,6 +299,15 @@ def rotate_args(manifest, *extra):
     ]
 
 
+def test_rotate_rejects_key_length_outside_the_rule(capsys, tmp_path):
+    manifest = tmp_path / "manifest.txt"
+    manifest.write_text("8\n")
+    for bits in ("12", "4104", "8000000000"):  # 10**9 key bytes would take minutes to draw
+        code, out, err = run(capsys, *rotate_args(manifest, "--key-len-bits", bits))
+        assert (code, out) == (2, "")
+        assert err == "error: key_len_bits must be a multiple of 8 in [8, 4096]\n"
+
+
 def test_rotate_manifest_run(capsys, tmp_path):
     manifest = tmp_path / "manifest.txt"
     manifest.write_text("# four files\nfileA 8\nfileB 8\n6\nfileD 4\n")

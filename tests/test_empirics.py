@@ -207,6 +207,17 @@ def test_ecbc_mac_basics():
         ecbc_mac(params, 10, 20, [1 << 12])
 
 
+def test_ecbc_mac_is_the_cbc_chain_reencrypted_under_key2():
+    rng = random.Random(23)
+    for width in range(8, 25):
+        params = ToyCipherParams(width, key_seed=0)
+        for count in (1, 2, 7):
+            blocks = [rng.randrange(1 << width) for _ in range(count)]
+            k1, k2 = rng.getrandbits(64), rng.getrandbits(64)
+            chain_end = cbc_encrypt(params, k1, 0, blocks)[-1]
+            assert ecbc_mac(params, k1, k2, blocks) == toy_prp(ToyCipherParams(width, k2), chain_end)
+
+
 def test_ecbc_tag_collisions_near_inverse_domain():
     # distinct random 2-block messages under random key pairs collide with
     # probability close to 1/domain

@@ -2,8 +2,10 @@
 
 from __future__ import annotations
 
+import ast
 import importlib
 import pkgutil
+from pathlib import Path
 
 import qkdplan
 
@@ -65,8 +67,47 @@ def test_star_import_and_dir_list_every_public_name():
 
 
 def test_every_exported_name_resolves():
-    modules = [importlib.import_module(f"qkdplan.{m.name}") for m in pkgutil.iter_modules(qkdplan.__path__)]
+    modules = [m.name for m in pkgutil.iter_modules(qkdplan.__path__)]
     assert len(modules) == 6
-    for module in [qkdplan, *modules]:
-        missing = [name for name in module.__all__ if not hasattr(module, name)]
-        assert not missing, f"{module.__name__}.__all__ names undefined {missing}"
+    for module_name, names in qkdplan._EXPORTS.items():
+        module = importlib.import_module(f"qkdplan.{module_name}")
+        missing = [name for name in names if not hasattr(module, name)]
+        assert not missing, f"qkdplan._EXPORTS names {missing}, which {module.__name__} does not define"
+
+
+def _package_trees():
+    for path in sorted(Path(qkdplan.__file__).parent.glob("*.py")):
+        yield path.name, ast.parse(path.read_text(encoding="utf-8"))
+
+
+def test_only_the_package_lists_the_public_surface():
+    # a module-level __all__ would be a second list of public names to keep in step with _EXPORTS
+    found = [
+        f"{name}:{node.lineno}"
+        for name, tree in _package_trees()
+        if name != "__init__.py"
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.Assign, ast.AugAssign, ast.AnnAssign))
+        for target in (node.targets if isinstance(node, ast.Assign) else [node.target])
+        if isinstance(target, ast.Name) and target.id == "__all__"
+    ]
+    assert found == []
+
+
+def test_every_draw_names_its_purpose():
+    # streams never alias: each purpose is a distinct named constant in empirics' table
+    empirics_tree = dict(_package_trees())["empirics.py"]
+    purposes = {
+        node.targets[0].id: node.value.value
+        for node in empirics_tree.body
+        if isinstance(node, ast.Assign) and getattr(node.targets[0], "id", "").startswith("_P_")
+    }
+    assert len(set(purposes.values())) == len(purposes) >= 5
+    bad = []
+    for name, tree in _package_trees():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call) and getattr(node.func, "id", None) in ("draw64", "_stream_bases"):
+                purpose = node.args[1]
+                if not (isinstance(purpose, ast.Name) and purpose.id in purposes):
+                    bad.append(f"{name}:{node.lineno}")
+    assert bad == []

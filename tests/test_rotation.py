@@ -10,6 +10,7 @@ from fractions import Fraction
 
 import pytest
 
+from qkdplan import rotation
 from qkdplan.advmodel import Mode, SecurityParams
 from qkdplan.empirics import ToyCipherParams
 from qkdplan.rotation import (
@@ -55,6 +56,21 @@ def test_simulate_pool_seed_is_64_bit():
         simulate_pool(1, 128, 1 << 64)
 
 
+def test_key_length_is_checked_before_any_work(tmp_path, monkeypatch):
+    def no_draws(*args):
+        raise AssertionError("drew key material for a rejected key length")
+
+    monkeypatch.setattr(rotation, "draw64", no_draws)
+    absent = tmp_path / "absent.txt"
+    for bits in (12, 4104, 8 * 10**9):
+        with pytest.raises(ValueError, match=r"multiple of 8 in \[8, 4096\]"):
+            simulate_pool(100000, bits, 0)
+        with pytest.raises(ValueError, match=r"multiple of 8 in \[8, 4096\]"):
+            ingest_keys(str(absent), bits)  # before the file is opened
+    monkeypatch.undo()
+    assert [len(r.key_material) for r in simulate_pool(2, 4096, 0)._records] == [512, 512]
+
+
 def test_ingest_keys_hex_lines(tmp_path):
     path = tmp_path / "keys.txt"
     keys = ["ab" * 16, "CD" * 16, "0123456789abcdef" * 2]
@@ -86,8 +102,9 @@ def test_pool_dispenses_each_key_once():
 
 
 def test_pool_validation():
-    with pytest.raises(ValueError, match="multiple of 8"):
-        KeyPool([], 12)
+    for bits in (0, 12, 4104, 8 * 10**9):
+        with pytest.raises(ValueError, match=r"multiple of 8 in \[8, 4096\]"):
+            KeyPool([], bits)
     with pytest.raises(ValueError, match="128 bits"):
         KeyPool([KeyRecord(0, b"\x00" * 8)], 128)
     with pytest.raises(ValueError, match="cost"):
@@ -125,6 +142,10 @@ def test_open_session_validation():
     with pytest.raises(ValueError, match="whole-byte blocks"):
         open_session(pool, Mode.CTR, twelve_bit, cipher=TOY_CIPHER)
     assert pool.remaining() == 2
+    for width in (0, -8):  # with no file size, the width alone sizes each file
+        with pytest.raises(ValueError):
+            open_session(pool, Mode.CTR, TOY_PARAMS, cipher=TOY_CIPHER, block_bits=width)
+        assert pool.remaining() == 2
 
 
 def test_lazy_rotation_schedule():

@@ -137,10 +137,14 @@ def test_toy_prp_inverse_round_trip():
 
 
 def test_toy_prp_scalar_matches_batch():
+    for bits in range(8, 25):
+        params = ToyCipherParams(bits, key_seed=99 + bits)
+        xs = np.unique(np.linspace(0, (1 << bits) - 1, 300).astype(np.uint64))
+        batch = toy_prp_batch(params, xs)
+        assert all(toy_prp(params, int(x)) == int(y) for x, y in zip(xs, batch)), bits
     params = ToyCipherParams(16, key_seed=99)
     xs = np.arange(0, 1 << 16, 251, dtype=np.uint64)
     batch = toy_prp_batch(params, xs)
-    assert all(toy_prp(params, int(x)) == int(y) for x, y in zip(xs, batch))
     # explicit key overrides key_seed
     keyed = toy_prp_batch(params, xs, key=555)
     assert not np.array_equal(batch, keyed)

@@ -81,6 +81,19 @@ def bound_terms(
     raise TypeError(f"unknown mode: {mode!r}")
 
 
+def check_key_cost(cost: Fraction) -> Fraction:
+    """Validate and return a per-key cost as a Fraction: positive, with a
+    numerator and a denominator of at most 2*MAX_EXPONENT_BITS bits, so the
+    cost and its multiples print well inside the interpreter's 4300-digit
+    limit on int-to-str conversion."""
+    cost = Fraction(cost)
+    if cost <= 0:
+        raise ValueError(f"key_cost {cost} is not positive")
+    if max(cost.numerator.bit_length(), cost.denominator.bit_length()) > 2 * MAX_EXPONENT_BITS:
+        raise ValueError(f"key_cost numerator and denominator must fit in {2 * MAX_EXPONENT_BITS} bits")
+    return cost
+
+
 def _exponent(name: str, bits: int) -> int:
     if not 1 <= as_natural(bits) <= MAX_EXPONENT_BITS:
         raise ValueError(f"{name} must lie in [1, {MAX_EXPONENT_BITS}]")

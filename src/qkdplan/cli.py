@@ -22,7 +22,7 @@ import re
 import sys
 from fractions import Fraction
 
-from .advmodel import EcbcDenominator, Mode, SecurityParams, bound_at
+from .advmodel import MAX_EXPONENT_BITS, EcbcDenominator, Mode, SecurityParams, bound_at, check_key_cost
 from .exactmath import FixedDecimal, as_natural, parse_rational
 from .planner import (
     InfeasibleTargetError,
@@ -64,6 +64,19 @@ def _natural(text: str) -> int:
         return as_natural(value)
     except ValueError as exc:
         raise argparse.ArgumentTypeError(str(exc)) from None
+
+
+def _key_cost(text: str) -> Fraction:
+    """The --key-cost value, rejected before any work if it breaks
+    check_key_cost's rule.  Fraction turns an exponent N into 10**N, so the
+    text's length and its exponent are bounded before Fraction reads it: the
+    longest text the rule admits is two integers below 2**(2*MAX_EXPONENT_BITS)
+    and a slash."""
+    longest = 2 * len(str((1 << 2 * MAX_EXPONENT_BITS) - 1)) + 1
+    exponent = text.lower().partition("e")[2]
+    if len(text) > longest or len(exponent.strip().lstrip("+-").lstrip("0_")) > 4:
+        raise ValueError(f"--key-cost numerator and denominator must fit in {2 * MAX_EXPONENT_BITS} bits")
+    return check_key_cost(parse_rational(text))
 
 
 def _plan(args: argparse.Namespace) -> RotationPlan:
@@ -193,7 +206,7 @@ def cmd_improve(args: argparse.Namespace) -> int:
 
 def cmd_benefit(args: argparse.Namespace) -> int:
     plan = _plan(args)
-    cost = parse_rational(args.key_cost)
+    cost = _key_cost(args.key_cost)
     report = benefit(plan.mode, plan.params, plan.q_star, args.k, cost)
     fields = [
         ("mode", plan.mode.value),
@@ -221,7 +234,7 @@ def _parse_k_list(text: str) -> list[int]:
 def cmd_sweep(args: argparse.Namespace) -> int:
     plan = _plan(args)
     k_values = _parse_k_list(args.k_list)
-    cost = parse_rational(args.key_cost)
+    cost = _key_cost(args.key_cost)
     rows = sweep_k(plan.mode, plan.params, plan.q_star, k_values, cost)
     print(SWEEP_CSV_HEADER)
     for row in rows:
@@ -370,7 +383,7 @@ def cmd_rotate(args: argparse.Namespace) -> int:
     )
 
     plan = _plan(args)
-    cost = parse_rational(args.key_cost)
+    cost = _key_cost(args.key_cost)
     if args.keys is not None:
         pool = ingest_keys(args.keys, args.key_len_bits, cost)
     else:

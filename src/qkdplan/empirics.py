@@ -154,6 +154,13 @@ def _draw_np(out: np.ndarray, scratch: np.ndarray, bases: np.ndarray, lanes: np.
 # ------------------------------------------------------------------ toy cipher
 
 
+def _toy_block_bits(block_bits: int) -> int:
+    """Validate and return a toy block width, a natural number in [8, 24]."""
+    if not 8 <= as_natural(block_bits) <= 24:
+        raise ValueError("block_bits must lie in [8, 24]")
+    return block_bits
+
+
 @dataclass(frozen=True)
 class ToyCipherParams:
     """Shape of the scaled-down cipher: block width and default key."""
@@ -162,8 +169,7 @@ class ToyCipherParams:
     key_seed: int
 
     def __post_init__(self) -> None:
-        if not 8 <= as_natural(self.block_bits) <= 24:
-            raise ValueError("block_bits must lie in [8, 24]")
+        _toy_block_bits(self.block_bits)
         as_u64(self.key_seed, "key_seed")
 
 
@@ -171,18 +177,38 @@ def _round_keys(key: int) -> list[int]:
     return [mix64(key + (i + 1) * _GOLDEN) for i in range(_ROUNDS)]
 
 
-def _permute(block_bits: int, round_keys: list[int], x: int) -> int:
-    # unbalanced Feistel; half widths swap each round, fine for odd rounds
-    w_left = block_bits // 2
-    w_right = block_bits - w_left
+class _RoundTable(dict):
+    """One Feistel round's function half -> mix64(half ^ rk) & mask, each
+    value computed on its first lookup and kept for the table's lifetime."""
+
+    __slots__ = ("rk", "mask")
+
+    def __init__(self, rk: int, mask: int) -> None:  # dict.__new__ made it empty
+        self.rk, self.mask = rk, mask
+
+    def __missing__(self, half: int) -> int:
+        value = self[half] = mix64(half ^ self.rk) & self.mask
+        return value
+
+
+def _round_tables(block_bits: int, key: int) -> list[_RoundTable]:
+    """The round functions of one key at one width, empty until looked up.
+
+    A key that encrypts n blocks evaluates at most n*_ROUNDS round
+    functions, and a round at most once per value of its input half.
+    """
+    # unbalanced Feistel: round 0 masks to the left half's width, and the
+    # half widths swap each round
+    widths = (block_bits // 2, block_bits - block_bits // 2)
+    return [_RoundTable(rk, (1 << widths[i % 2]) - 1) for i, rk in enumerate(_round_keys(key))]
+
+
+def _permute(block_bits: int, tables: list[_RoundTable], x: int) -> int:
+    w_right = block_bits - block_bits // 2
     left, right = x >> w_right, x & ((1 << w_right) - 1)
-    for rk in round_keys:
-        left, right, w_left, w_right = (
-            right,
-            left ^ (mix64(right ^ rk) & ((1 << w_left) - 1)),
-            w_right,
-            w_left,
-        )
+    for table in tables:
+        left, right = right, left ^ table[right]
+    # _ROUNDS is even, so the halves end at their starting widths
     return (left << w_right) | right
 
 
@@ -238,43 +264,61 @@ def _check_block(block_bits: int, value: int, what: str = "block") -> int:
 def toy_prp(params: ToyCipherParams, block: int) -> int:
     """Permutation the params induce (keyed by key_seed)."""
     block = _check_block(params.block_bits, block)
-    return _permute(params.block_bits, _round_keys(params.key_seed), block)
+    return _permute(params.block_bits, _round_tables(params.block_bits, params.key_seed), block)
 
 
 # ------------------------------------------------------------ mode operations
+#
+# _ctr, _cbc and _mac run a mode under round tables that the caller keeps for
+# as long as the key lives; the public functions build them for one call.  A
+# block is range-checked inline, and _check_block only words the error.
+
+
+def _ctr(block_bits: int, tables: list[_RoundTable], iv: int, blocks: list[int]) -> list[int]:
+    n = 1 << block_bits
+    out = []
+    for j, block in enumerate(blocks):
+        if not 0 <= block < n:
+            _check_block(block_bits, block)
+        out.append(block ^ _permute(block_bits, tables, (iv + j) % n))
+    return out
+
+
+def _cbc(block_bits: int, tables: list[_RoundTable], iv: int, blocks: list[int]) -> list[int]:
+    n = 1 << block_bits
+    prev = iv
+    out = []
+    for block in blocks:
+        if not 0 <= block < n:
+            _check_block(block_bits, block)
+        prev = _permute(block_bits, tables, block ^ prev)
+        out.append(prev)
+    return out
+
+
+def _mac(block_bits: int, tables1: list[_RoundTable], tables2: list[_RoundTable], blocks: list[int]) -> int:
+    """ECBC-MAC of at least one block."""
+    return _permute(block_bits, tables2, _cbc(block_bits, tables1, 0, blocks)[-1])
 
 
 def ctr_encrypt(params: ToyCipherParams, key: int, iv: int, blocks: list[int]) -> list[int]:
     """Counter mode: block j is XOR-masked with E(iv + j mod N)."""
-    n = 1 << params.block_bits
-    round_keys = _round_keys(as_u64(key, "key"))
-    _check_block(params.block_bits, iv, "iv")
-    out = []
-    for j, block in enumerate(blocks):
-        _check_block(params.block_bits, block)
-        mask = _permute(params.block_bits, round_keys, (iv + j) % n)
-        out.append(block ^ mask)
-    return out
+    tables = _round_tables(params.block_bits, as_u64(key, "key"))
+    return _ctr(params.block_bits, tables, _check_block(params.block_bits, iv, "iv"), blocks)
 
 
 def cbc_encrypt(params: ToyCipherParams, key: int, iv: int, blocks: list[int]) -> list[int]:
-    round_keys = _round_keys(as_u64(key, "key"))
-    _check_block(params.block_bits, iv, "iv")
-    prev = iv
-    out = []
-    for block in blocks:
-        _check_block(params.block_bits, block)
-        prev = _permute(params.block_bits, round_keys, block ^ prev)
-        out.append(prev)
-    return out
+    tables = _round_tables(params.block_bits, as_u64(key, "key"))
+    return _cbc(params.block_bits, tables, _check_block(params.block_bits, iv, "iv"), blocks)
 
 
 def ecbc_mac(params: ToyCipherParams, key1: int, key2: int, blocks: list[int]) -> int:
     """Encrypted CBC-MAC: CBC chain under key1, final state re-encrypted under key2."""
     if not blocks:
         raise ValueError("ecbc_mac requires at least one block")
-    round_keys2 = _round_keys(as_u64(key2, "key"))
-    return _permute(params.block_bits, round_keys2, cbc_encrypt(params, key1, 0, blocks)[-1])
+    tables2 = _round_tables(params.block_bits, as_u64(key2, "key"))
+    tables1 = _round_tables(params.block_bits, as_u64(key1, "key"))
+    return _mac(params.block_bits, tables1, tables2, blocks)
 
 
 # ------------------------------------------------------------------ trials
@@ -298,8 +342,7 @@ class TrialConfig:
     def __post_init__(self) -> None:
         if self.mode not in (Mode.CTR, Mode.CBC):
             raise ValueError("collision trials support CTR and CBC only")
-        if not 8 <= self.block_bits <= 24:
-            raise ValueError("block_bits must lie in [8, 24]")
+        _toy_block_bits(self.block_bits)
         if as_natural(self.q_files) < 1 or as_natural(self.blocks_per_file) < 1:
             raise ValueError("q_files and blocks_per_file must be >= 1")
         if self.q_files * self.blocks_per_file > 1 << self.block_bits:

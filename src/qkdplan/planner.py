@@ -17,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .advmodel import Mode, SecurityParams, bound_at, budget_quadratic
+from .advmodel import Mode, SecurityParams, bound_at, budget_quadratic, check_key_cost
 from .exactmath import (
     DEFAULT_PRECISION,
     FixedDecimal,
@@ -181,9 +181,7 @@ def benefit(
     """The gain at k with its bracket, plus its benefit: the security gained
     per unit of key material spent, Q* * delta / (k * cost), rounded to
     DEFAULT_PRECISION."""
-    key_cost = Fraction(key_cost)
-    if key_cost <= 0:
-        raise ValueError("key_cost must be > 0")
+    key_cost = check_key_cost(key_cost)
     report = improvement_bits(mode, params, q_star, k)
     value = report.delta_bits.as_fraction() * q_star / (k * key_cost)
     return SweepRow(**vars(report), benefit=FixedDecimal.from_fraction(value, DEFAULT_PRECISION))

@@ -17,23 +17,31 @@ compute_q_star call open_session makes and accepts only the document that
 session persists, so a hand-edited state file that claims more files per
 key, or larger files, than the plan allows is rejected rather than trusted.
 Loaded sessions are detached (key material is never persisted) and support
-accounting and re-persistence but not further encryption.
+accounting and re-persistence but not further encryption.  A state file or
+event log is written to a temporary file beside it and then renamed into
+place, so a failed write leaves the previous file intact.
 
 Encryption itself uses the scaled-down block cipher so demo runs produce
 real ciphertext; plaintexts are zero-padded into whole blocks and CTR/CBC
-outputs carry their IV as a leading block.
+outputs carry their IV as a leading block.  A key's subkeys and Feistel
+round tables are derived once, when the key is dispensed, and the tables
+fill as files are encrypted; the session holds them for the current key
+only, and they are never persisted.
 """
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
 import json
+import os
 from dataclasses import dataclass, field, fields
 from fractions import Fraction
+from typing import NamedTuple
 
-from .advmodel import EcbcDenominator, Mode, SecurityParams
+from .advmodel import EcbcDenominator, Mode, SecurityParams, check_key_cost
 from .empirics import (
-    _P_KEY_MATERIAL, _P_SESSION_IV, ToyCipherParams, as_u64, cbc_encrypt, ctr_encrypt, draw64, ecbc_mac
+    _P_KEY_MATERIAL, _P_SESSION_IV, ToyCipherParams, _cbc, _ctr, _mac, _round_tables, _RoundTable, as_u64, draw64
 )
 from .exactmath import as_natural, parse_rational, render_rational
 from .planner import RotationPlan, compute_q_star
@@ -83,7 +91,7 @@ class KeyPool:
     """Ordered pool of keys; each is dispensed at most once.
 
     cost is the accounting cost of each key, the same for every key in the
-    pool, and must be positive.
+    pool; advmodel.check_key_cost states its rule.
     """
 
     def __init__(
@@ -94,12 +102,10 @@ class KeyPool:
         source: str = "",
     ):
         _check_key_len(key_len_bits)
+        self.cost = check_key_cost(cost)
         for record in records:
             if record.key_material is None or len(record.key_material) * 8 != key_len_bits:
                 raise ValueError(f"key {record.key_id} is not {key_len_bits} bits")
-        self.cost = Fraction(cost)
-        if self.cost <= 0:
-            raise ValueError("key cost must be positive")
         self.key_len_bits = key_len_bits
         self.source = source
         self._records = list(records)
@@ -122,6 +128,7 @@ class KeyPool:
 def ingest_keys(path: str, key_len_bits: int, cost: Fraction = Fraction(1)) -> KeyPool:
     """Load a pool from a text file of hex keys, one per line, no separators."""
     _check_key_len(key_len_bits)
+    check_key_cost(cost)
     hex_len = key_len_bits // 4
     records = []
     with open(path, encoding="ascii") as handle:
@@ -146,6 +153,7 @@ def simulate_pool(
 ) -> KeyPool:
     """Deterministic stand-in for a QKD delivery: count keys derived from seed."""
     _check_key_len(key_len_bits)
+    check_key_cost(cost)
     as_u64(seed, "seed")
     key_bytes = key_len_bits // 8
     records = []
@@ -167,15 +175,24 @@ class RotationEvent:
             as_natural(getattr(self, f.name))
 
 
+class _KeySchedule(NamedTuple):
+    """What one key fixes: the round tables of its two cipher subkeys
+    (CTR and CBC use the first, ECBC-MAC both) and its IV seed."""
+
+    tables1: list[_RoundTable]
+    tables2: list[_RoundTable]
+    iv_seed: int
+
+
 @dataclass
 class SessionState:
     """Mutable state of one encryption session (single-writer).
 
     __post_init__ is the one place the session rules are checked; the per-key
     cap and the files under the current key are derived, not stored.
-    key_cost is the pool's per-key cost.  Equality leaves out the pool and,
-    through KeyRecord, the key material, so a session equals its persisted
-    and reloaded (detached) twin.
+    key_cost is the pool's per-key cost.  Equality leaves out the pool, the
+    current key's schedule and, through KeyRecord, the key material, so a
+    session equals its persisted and reloaded (detached) twin.
     """
 
     plan: RotationPlan
@@ -186,6 +203,9 @@ class SessionState:
     current_key: KeyRecord
     total_files: int = 0
     events: list[RotationEvent] = field(default_factory=list)
+    # the current key's cipher, set with current_key by _use_key; None on a
+    # detached session
+    _key_schedule: _KeySchedule | None = field(default=None, init=False, compare=False, repr=False)
 
     def __post_init__(self) -> None:
         if as_natural(self.rotation_factor) < 1:
@@ -200,8 +220,7 @@ class SessionState:
             raise ValueError("session cipher block_bits must be a whole number of bytes")
         if self.plan.block_bits % 8:  # else the persisted plan would not load
             raise ValueError("session files must chunk into whole-byte blocks")
-        if self.key_cost <= 0:
-            raise ValueError(f"key_cost {self.key_cost} is not positive")
+        check_key_cost(self.key_cost)
         # Lazy rotation fixes the schedule: event i fires once (i+1)*cap files
         # are done, and the current key holds the rest, at least one file.
         under = self.files_under_current_key
@@ -254,33 +273,37 @@ def open_session(
         pool=pool,
         current_key=KeyRecord(0, None),  # stand-in until the checks pass
     )
-    session.current_key = pool.dispense()
+    _use_key(session, pool.dispense())
     return session
 
 
-def _subkeys(material: bytes) -> tuple[int, int, int]:
-    digest = hashlib.blake2b(material, digest_size=24, person=b"qkdplan-sess").digest()
-    return tuple(int.from_bytes(digest[i : i + 8], "big") for i in (0, 8, 16))
+def _use_key(session: SessionState, record: KeyRecord) -> None:
+    """Make record the current key and derive its schedule, dropping the old one."""
+    digest = hashlib.blake2b(record.key_material, digest_size=24, person=b"qkdplan-sess").digest()
+    k1, k2, iv_seed = (int.from_bytes(digest[i : i + 8], "big") for i in (0, 8, 16))
+    block_bits = session.cipher.block_bits
+    session.current_key = record
+    session._key_schedule = _KeySchedule(_round_tables(block_bits, k1), _round_tables(block_bits, k2), iv_seed)
 
 
 def _encrypt_blocks(session: SessionState, data: bytes) -> bytes:
-    cipher = session.cipher
-    if session.current_key.key_material is None:
+    schedule = session._key_schedule
+    if schedule is None:
         raise StateError("detached session has no key material; open a fresh session")
-    block_bytes = cipher.block_bits // 8
+    block_bits = session.cipher.block_bits
+    block_bytes = block_bits // 8
     padded = data + bytes(-len(data) % block_bytes)
     blocks = [
         int.from_bytes(padded[i : i + block_bytes], "big")
         for i in range(0, len(padded), block_bytes)
     ] or [0]
-    k1, k2, iv_seed = _subkeys(session.current_key.key_material)
     mode = session.plan.mode
     if mode is Mode.ECBC_MAC:
-        tag = ecbc_mac(cipher, k1, k2, blocks)
+        tag = _mac(block_bits, schedule.tables1, schedule.tables2, blocks)
         return tag.to_bytes(block_bytes, "big")
-    iv = draw64(iv_seed, _P_SESSION_IV, 0, session.total_files) & ((1 << cipher.block_bits) - 1)
-    encrypt = ctr_encrypt if mode is Mode.CTR else cbc_encrypt
-    out = encrypt(cipher, k1, iv, blocks)
+    iv = draw64(schedule.iv_seed, _P_SESSION_IV, 0, session.total_files) & ((1 << block_bits) - 1)
+    encrypt = _ctr if mode is Mode.CTR else _cbc
+    out = encrypt(block_bits, schedule.tables1, iv, blocks)
     return b"".join(b.to_bytes(block_bytes, "big") for b in [iv] + out)
 
 
@@ -307,18 +330,29 @@ def encrypt_file(session: SessionState, data: bytes) -> tuple[bytes, RotationEve
             at_file_count=session.total_files,
         )
         session.events.append(event)
-        session.current_key = fresh
+        _use_key(session, fresh)
 
     ciphertext = _encrypt_blocks(session, data)
     session.total_files += 1
     return ciphertext, event
 
 
+def _replace_file(path: str, text: str) -> None:
+    """Write text to path through a temporary file beside it, so path holds
+    either its old content or all of text, never a part."""
+    temp = f"{path}.{os.getpid()}.tmp"
+    try:
+        with open(temp, "w", encoding="ascii") as handle:
+            handle.write(text)
+        os.replace(temp, path)
+    finally:
+        with contextlib.suppress(FileNotFoundError):
+            os.unlink(temp)
+
+
 def export_events(session: SessionState, path: str) -> None:
     """Write the rotation event log as JSON lines, one event per line."""
-    with open(path, "w", encoding="ascii") as handle:
-        for event in session.events:
-            handle.write(json.dumps(vars(event), sort_keys=True) + "\n")
+    _replace_file(path, "".join(json.dumps(vars(event), sort_keys=True) + "\n" for event in session.events))
 
 
 def _document(session: SessionState) -> dict:
@@ -360,9 +394,7 @@ def _document(session: SessionState) -> dict:
 
 def persist_state(session: SessionState, path: str) -> None:
     """Serialize the session's auditable state (never key material)."""
-    with open(path, "w", encoding="ascii") as handle:
-        json.dump(_document(session), handle, indent=2, sort_keys=True)
-        handle.write("\n")
+    _replace_file(path, json.dumps(_document(session), indent=2, sort_keys=True) + "\n")
 
 
 def _stored_text(value: object) -> str:

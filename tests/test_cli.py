@@ -308,6 +308,23 @@ def test_rotate_rejects_key_length_outside_the_rule(capsys, tmp_path):
         assert err == "error: key_len_bits must be a multiple of 8 in [8, 4096]\n"
 
 
+def test_oversized_key_cost_exits_2_before_any_work(capsys, tmp_path):
+    # 1e-5000 used to encrypt the manifest and print its table before the
+    # total cost overflowed int-to-str; 1e-999999999 asks Fraction for 10**999999999
+    manifest = tmp_path / "manifest.txt"
+    manifest.write_text("8\n8\n")
+    state = tmp_path / "state.json"
+    for cost in ("1e-5000", "1e-999999999", "1/" + "7" * 5000, str(1 << 8192)):
+        code, out, err = run(capsys, *rotate_args(manifest, "--key-cost", cost, "--state-out", str(state)))
+        assert (code, out) == (2, "")
+        assert "numerator and denominator must fit in 8192 bits" in err
+        code, out, _ = run(capsys, "benefit", "--mode", "ctr", "--k", "2", "--key-cost", cost)
+        assert (code, out) == (2, "")
+    assert not state.exists()
+    code, out, _ = run(capsys, "benefit", "--mode", "ctr", "--k", "2", "--key-cost", "1e-2000")
+    assert code == 0 and "key_cost  1e-2000\n" in out
+
+
 def test_rotate_manifest_run(capsys, tmp_path):
     manifest = tmp_path / "manifest.txt"
     manifest.write_text("# four files\nfileA 8\nfileB 8\n6\nfileD 4\n")

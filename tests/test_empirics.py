@@ -155,6 +155,8 @@ def test_toy_cipher_params_validation():
         ToyCipherParams(7, 0)
     with pytest.raises(ValueError):
         ToyCipherParams(25, 0)
+    with pytest.raises(TypeError, match="natural number required, got float"):
+        ToyCipherParams(16.0, 0)
     with pytest.raises(ValueError):
         ToyCipherParams(16, 1 << 64)
 
@@ -258,6 +260,9 @@ def test_trial_config_validation():
         TrialConfig(Mode.CTR, 16, 0, 4, 1000, 0)
     with pytest.raises(ValueError):
         TrialConfig(Mode.CTR, 30, 4, 4, 1000, 0)
+    # one width rule with ToyCipherParams, which also rejects a float width
+    with pytest.raises(TypeError, match="natural number required, got float"):
+        TrialConfig(Mode.CTR, 16.0, 4, 4, 1000, 0)
     # CBC file i's block j draws plaintext slot i*256 + j: at 257 blocks,
     # file 0's last block would share file 1's first plaintext
     TrialConfig(Mode.CBC, 16, 4, 256, 1000, 0)

@@ -212,6 +212,9 @@ def test_benefit_scales_inversely_with_cost():
     assert abs(one - 3 * three) < Fraction(1, 10**6)
     with pytest.raises(ValueError):
         benefit(Mode.CBC, p, 123575, 4, Fraction(0))
+    # the key cost's cap: its benefit could not be printed
+    with pytest.raises(ValueError, match="8192 bits"):
+        benefit(Mode.CBC, p, 123575, 4, Fraction(1, 10**5000))
 
 
 def test_sweep_rows_and_monotonicity():

@@ -10,7 +10,7 @@ from fractions import Fraction
 
 import pytest
 
-from qkdplan import rotation
+from qkdplan import empirics, rotation
 from qkdplan.advmodel import Mode, SecurityParams
 from qkdplan.empirics import ToyCipherParams
 from qkdplan.rotation import (
@@ -109,6 +109,20 @@ def test_pool_validation():
         KeyPool([KeyRecord(0, b"\x00" * 8)], 128)
     with pytest.raises(ValueError, match="cost"):
         KeyPool([KeyRecord(0, b"\x00" * 16)], 128, Fraction(0))
+    KeyPool([], 128, Fraction((1 << 8192) - 1, (1 << 8192) - 3))
+    for cost in (Fraction(1, 1 << 8192), Fraction(1 << 8192, 3)):
+        with pytest.raises(ValueError, match="8192 bits"):
+            KeyPool([], 128, cost)
+
+
+def test_key_cost_is_checked_before_any_key_is_read(tmp_path, monkeypatch):
+    # 1/10**5000 used to pass here and fail only when a total cost was printed
+    huge = Fraction(1, 10**5000)
+    monkeypatch.setattr(rotation, "draw64", None)  # any key drawn would raise TypeError
+    with pytest.raises(ValueError, match="8192 bits"):
+        simulate_pool(100000, 128, 0, huge)
+    with pytest.raises(ValueError, match="8192 bits"):
+        ingest_keys(str(tmp_path / "absent.txt"), 128, huge)  # not FileNotFoundError
 
 
 # ------------------------------------------------------------------ sessions
@@ -183,6 +197,34 @@ def test_rotation_factor_shrinks_cap():
     assert session.keys_consumed == 4
 
 
+def _table_entries(tables) -> int:
+    return sum(len(table) for table in tables)
+
+
+@pytest.mark.parametrize("mode", list(Mode))
+def test_round_tables_fill_lazily_for_the_current_key_only(mode, tmp_path):
+    session = toy_session(mode=mode)  # 4 blocks per file
+    schedule = session._key_schedule
+    for files in range(1, session.per_key_cap + 1):
+        encrypt_file(session, b"abcdefgh")
+        blocks = 4 * files
+        assert session._key_schedule is schedule
+        # a lookup per block and round at most, so never more round functions than blocks
+        assert all(len(table) <= blocks for table in schedule.tables1)
+        assert _table_entries(schedule.tables1) <= blocks * empirics._ROUNDS
+        # ECBC-MAC re-encrypts one chain end per file under the second key
+        second = files if mode is Mode.ECBC_MAC else 0
+        assert _table_entries(schedule.tables2) <= second * empirics._ROUNDS
+    _, event = encrypt_file(session, b"abcdefgh")
+    assert event is not None
+    fresh = session._key_schedule
+    assert fresh is not schedule
+    assert _table_entries(fresh.tables1) <= 4 * empirics._ROUNDS
+    path = tmp_path / "state.json"
+    persist_state(session, str(path))
+    assert load_state(str(path))._key_schedule is None
+
+
 def test_pool_exhaustion_is_clean():
     session = toy_session(pool_size=2)
     for _ in range(6):
@@ -239,6 +281,30 @@ def test_export_events_json_lines(tmp_path):
     assert len(lines) == 2
     first = json.loads(lines[0])
     assert first == {"event_index": 0, "old_key_id": 0, "new_key_id": 1, "at_file_count": 3}
+
+
+def test_failed_write_keeps_the_previous_file(tmp_path, monkeypatch):
+    session = toy_session()
+    for _ in range(7):
+        encrypt_file(session, b"x")
+    state, events = tmp_path / "state.json", tmp_path / "events.jsonl"
+    persist_state(session, str(state))
+    export_events(session, str(events))
+    good_state, good_events = state.read_bytes(), events.read_bytes()
+    encrypt_file(session, b"x")
+    # a cost too wide to print: the document fails after the old code had
+    # already truncated the file
+    session.key_cost = Fraction(1, 10**5000)
+    with pytest.raises(ValueError, match="4300"):
+        persist_state(session, str(state))
+    # an event log that fails after its first line
+    dumps = json.dumps
+    lines = iter([True, False])
+    monkeypatch.setattr(json, "dumps", lambda *a, **k: dumps(*a, **k) if next(lines) else 1 / 0)
+    with pytest.raises(ZeroDivisionError):
+        export_events(session, str(events))
+    assert (state.read_bytes(), events.read_bytes()) == (good_state, good_events)
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["events.jsonl", "state.json"]
 
 
 def test_state_round_trip(tmp_path):

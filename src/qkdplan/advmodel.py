@@ -18,9 +18,17 @@ selectable so planned figures can be matched either way.
 
 ``bound_terms`` is the only place these formulas are written down: it returns
 each mode's integer coefficients of lin*Q/s_min + (quad*Q^2 + const)/D.  The
-bound, the planner's quadratic budget (cleared to integers here and nowhere
-else), the Monte Carlo birthday bound and the rotation gain are all derived
-from that record.  Everything is an exact integer or Fraction.
+Monte Carlo birthday bound reads that record directly; everything else goes
+through ``bound_parts``, its one integer form over the common denominator
+s_min*D:
+
+    bound(Q) = (L + B + C) / (s_min*D),
+    L = lin*Q*D,  B = s_min*quad*Q^2,  C = s_min*const.
+
+The bound at any rational Q, the planner's quadratic budget (cleared to
+integers here and nowhere else) and the rotation gain's ratio
+bound(Q)/bound(Q/k) = k * k(L+B+C) / (kL + B + k^2*C) all derive from those
+three integers.  Everything is an exact integer or Fraction.
 """
 
 from __future__ import annotations
@@ -86,12 +94,19 @@ def check_key_cost(cost: Fraction) -> Fraction:
     numerator and a denominator of at most 2*MAX_EXPONENT_BITS bits, so the
     cost and its multiples print well inside the interpreter's 4300-digit
     limit on int-to-str conversion."""
-    cost = Fraction(cost)
+    cost = _narrow_rational("key_cost", cost)
     if cost <= 0:
         raise ValueError(f"key_cost {cost} is not positive")
-    if max(cost.numerator.bit_length(), cost.denominator.bit_length()) > 2 * MAX_EXPONENT_BITS:
-        raise ValueError(f"key_cost numerator and denominator must fit in {2 * MAX_EXPONENT_BITS} bits")
     return cost
+
+
+def _narrow_rational(name: str, value: Fraction) -> Fraction:
+    """value as a Fraction whose numerator and denominator fit in
+    2*MAX_EXPONENT_BITS bits, checked before any arithmetic on it."""
+    value = Fraction(value)
+    if max(value.numerator.bit_length(), value.denominator.bit_length()) > 2 * MAX_EXPONENT_BITS:
+        raise ValueError(f"{name} numerator and denominator must fit in {2 * MAX_EXPONENT_BITS} bits")
+    return value
 
 
 def _exponent(name: str, bits: int) -> int:
@@ -105,9 +120,11 @@ class SecurityParams:
     """Static parameters of one planning problem.
 
     lambda_bits     cipher block / security parameter; N = 2**lambda_bits
-    s_min           min-entropy floor magnitude (typically a power of two)
+    s_min           min-entropy floor magnitude (typically a power of two),
+                    at most 2**MAX_EXPONENT_BITS
     blocks_per_file l, cipher blocks in one fixed-size file
-    eps_max         advantage ceiling the plan must respect
+    eps_max         advantage ceiling the plan must respect; its numerator
+                    and denominator fit in 2*MAX_EXPONENT_BITS bits
     ecbc_denominator  which D the ECBC-MAC terms divide by
     """
 
@@ -119,11 +136,11 @@ class SecurityParams:
 
     def __post_init__(self) -> None:
         _exponent("lambda_bits", self.lambda_bits)
-        if as_natural(self.s_min) < 2:
-            raise ValueError("s_min must be >= 2")
+        if not 2 <= as_natural(self.s_min) <= 1 << MAX_EXPONENT_BITS:
+            raise ValueError(f"s_min must lie in [2, 2**{MAX_EXPONENT_BITS}]")
         if as_natural(self.blocks_per_file) < 1:
             raise ValueError("blocks_per_file must be >= 1")
-        eps = Fraction(self.eps_max)
+        eps = _narrow_rational("eps_max", self.eps_max)
         if not 0 < eps < 1:
             raise ValueError("eps_max must lie in (0, 1)")
         object.__setattr__(self, "eps_max", eps)
@@ -157,27 +174,42 @@ class SecurityParams:
         return bound_terms(mode, self.blocks_per_file, self.domain_size, self.ecbc_denominator)
 
 
+def bound_parts(mode: Mode, params: SecurityParams, q_files: int) -> tuple[int, int, int]:
+    """The bound at q_files files as three integers (L, B, C) over the common
+    denominator s_min*D: bound(Q) = (L + B + C) / (s_min*D), with
+    L = lin*Q*D, B = s_min*quad*Q^2 and C = s_min*const.
+
+    Scaling Q by 1/k divides L by k and B by k^2 and leaves C, so the rotation
+    gain's ratio needs no second evaluation and no Fraction.
+    """
+    t = params.terms(mode)
+    s = params.s_min
+    return t.lin * q_files * t.den, s * t.quad * q_files * q_files, s * t.const
+
+
 def bound_at(mode: Mode, params: SecurityParams, q_files: Fraction) -> Fraction:
     """Advantage bound at a possibly fractional file count.
 
     The rational q_files form exists so callers can evaluate at Q/k exactly
-    when comparing rotated against unrotated schedules.
+    when comparing rotated against unrotated schedules.  At Q = n/d it is
+    (d*L + B + d^2*C) / (d^2*s_min*D), with (L, B, C) the bound_parts at n.
     """
     q = Fraction(q_files)
     if q < 0:
         raise ValueError("q_files must be >= 0")
-    t = params.terms(mode)
-    return t.lin * q / params.s_min + (t.quad * q * q + t.const) / t.den
+    n, d = q.as_integer_ratio()
+    lin, quad, const = bound_parts(mode, params, n)
+    return Fraction(d * lin + quad + d * d * const, d * d * params.s_min * params.terms(mode).den)
 
 
 def budget_quadratic(mode: Mode, params: SecurityParams) -> tuple[int, int, int]:
     """Integers (a, b, c) with bound_at(Q) <= eps_max exactly when
     a*Q^2 + b*Q <= c.
 
-    With eps_max = p/r, the constraint is multiplied through by s_min*D*r.
-    c is negative when the bound's constant term alone exceeds eps_max.
+    With eps_max = p/r, r*(L + B + C) <= p*s_min*D is read off bound_parts
+    at Q = 1: a = r*B(1), b = r*L(1) and c = p*s_min*D - r*C.  c is negative
+    when the bound's constant term alone exceeds eps_max.
     """
-    t = params.terms(mode)
-    s = params.s_min
+    lin, quad, const = bound_parts(mode, params, 1)
     p, r = params.eps_max.as_integer_ratio()
-    return t.quad * s * r, t.lin * t.den * r, p * s * t.den - t.const * s * r
+    return quad * r, lin * r, p * params.s_min * params.terms(mode).den - const * r

@@ -66,17 +66,24 @@ def _natural(text: str) -> int:
         raise argparse.ArgumentTypeError(str(exc)) from None
 
 
-def _key_cost(text: str) -> Fraction:
-    """The --key-cost value, rejected before any work if it breaks
-    check_key_cost's rule.  Fraction turns an exponent N into 10**N, so the
-    text's length and its exponent are bounded before Fraction reads it: the
-    longest text the rule admits is two integers below 2**(2*MAX_EXPONENT_BITS)
-    and a slash."""
+def _rational_option(option: str, text: str) -> Fraction:
+    """The rational an option's text gives, rejected before any work if its
+    numerator or denominator cannot fit in 2*MAX_EXPONENT_BITS bits, the
+    library's rule for --key-cost and --eps.  Fraction turns an exponent N
+    into 10**N, so the text's length and its exponent are bounded before
+    Fraction reads it: the longest text the rule admits is two integers below
+    2**(2*MAX_EXPONENT_BITS) and a slash."""
     longest = 2 * len(str((1 << 2 * MAX_EXPONENT_BITS) - 1)) + 1
     exponent = text.lower().partition("e")[2]
     if len(text) > longest or len(exponent.strip().lstrip("+-").lstrip("0_")) > 4:
-        raise ValueError(f"--key-cost numerator and denominator must fit in {2 * MAX_EXPONENT_BITS} bits")
-    return check_key_cost(parse_rational(text))
+        raise ValueError(f"{option} numerator and denominator must fit in {2 * MAX_EXPONENT_BITS} bits")
+    return parse_rational(text)
+
+
+def _key_cost(text: str) -> Fraction:
+    """The --key-cost value, rejected before any work if it breaks
+    check_key_cost's rule."""
+    return check_key_cost(_rational_option("--key-cost", text))
 
 
 def _plan(args: argparse.Namespace) -> RotationPlan:
@@ -84,7 +91,7 @@ def _plan(args: argparse.Namespace) -> RotationPlan:
     size = parse_file_size(args.file_size)
     block_bits = args.block_bits if args.block_bits is not None else args.lambda_bits
     if args.eps is not None:
-        ceiling = {"eps_max": parse_rational(args.eps)}
+        ceiling = {"eps_max": _rational_option("--eps", args.eps)}
     else:
         ceiling = {"target_bits": args.target_bits if args.target_bits is not None else 80}
     params = SecurityParams.from_bits(
@@ -384,11 +391,8 @@ def cmd_rotate(args: argparse.Namespace) -> int:
 
     plan = _plan(args)
     cost = _key_cost(args.key_cost)
-    if args.keys is not None:
-        pool = ingest_keys(args.keys, args.key_len_bits, cost)
-    else:
-        pool = simulate_pool(args.simulate_keys, args.key_len_bits, args.key_seed, cost)
-
+    # the manifest is checked before the pool is built: drawing or reading
+    # the keys is the slow part of a run that the manifest can still refuse
     manifest = _read_manifest(args.manifest)
     for name, file_bytes in manifest:
         if file_bytes > plan.file_size_bytes:
@@ -396,6 +400,11 @@ def cmd_rotate(args: argparse.Namespace) -> int:
                 f"manifest file {name!r} is {file_bytes} bytes, above the "
                 f"planned per-file size {plan.file_size_bytes}"
             )
+
+    if args.keys is not None:
+        pool = ingest_keys(args.keys, args.key_len_bits, cost)
+    else:
+        pool = simulate_pool(args.simulate_keys, args.key_len_bits, args.key_seed, cost)
 
     cipher = ToyCipherParams(args.toy_block_bits, key_seed=0)
     try:

@@ -19,7 +19,11 @@ The two primitives:
     correctly computed without floats.  Integer part from bit lengths;
     fractional bits by the classic square-and-compare recurrence, run on a
     fixed-point mantissa with 64 guard bits so the accumulated truncation
-    stays far below the rounding step.
+    stays far below the rounding step.  The work is done by ``_log2`` on an
+    integer pair (num, den) that need not be in lowest terms: the integer
+    part and the floor of the mantissa depend only on the value num/den, so
+    the rotation gain's ratio is passed as the two integers it is built
+    from, with no gcd.
 """
 
 from __future__ import annotations
@@ -143,42 +147,44 @@ def max_q_quadratic(a: int, b: int, c: int) -> int:
     return q
 
 
-def _floor_log2(value: Fraction) -> int:
-    """floor(log2(p/q)) via bit lengths plus one exact comparison."""
-    p, q = value.numerator, value.denominator
-    e = p.bit_length() - q.bit_length()  # true floor is e or e-1
-    if e >= 0:
-        return e if (q << e) <= p else e - 1
-    return e if q <= (p << -e) else e - 1
-
-
 def log2_rational(value: Fraction, precision_digits: int = DEFAULT_PRECISION) -> FixedDecimal:
     """log2 of a positive rational, rounded to precision_digits decimals.
 
     The rendered value differs from the true logarithm by less than
-    10**-precision_digits.  Fractional bits come from repeatedly squaring the
-    mantissa m in [1, 2): each squaring emits one bit of log2(m).  The
-    mantissa lives in fixed point with 64 guard bits, so truncation over the
-    ~4*digits squarings is negligible against the decimal rounding step.
+    10**-precision_digits.
     """
     value = Fraction(value)
     if value <= 0:
         raise ValueError("log2 requires a positive value")
     if precision_digits < 1:
         raise ValueError("precision_digits must be >= 1")
+    return _log2(value.numerator, value.denominator, precision_digits)
 
+
+def _log2(num: int, den: int, precision_digits: int) -> FixedDecimal:
+    """log2(num/den) for positive integers num and den, in lowest terms or
+    not, rounded as log2_rational rounds it.
+
+    Fractional bits come from repeatedly squaring the mantissa m in [1, 2):
+    each squaring emits one bit of log2(m).  The mantissa lives in fixed
+    point with 64 guard bits, so truncation over the ~4*digits squarings is
+    negligible against the decimal rounding step.
+    """
     # 10**-d in bits, plus slack so decimal rounding dominates all error.
     frac_bits = (precision_digits * 10 + 2) // 3 + 8
     width = frac_bits + _LOG2_GUARD_BITS
 
-    e = _floor_log2(value)
-    p, q = value.numerator, value.denominator
-    # mantissa m = value / 2**e in [1, 2), as floor(m * 2**width)
+    # floor(log2(num/den)) is e or e-1; one exact comparison decides
+    e = num.bit_length() - den.bit_length()
     if e >= 0:
-        mant = (p << width) // (q << e)
+        e -= (den << e) > num
     else:
-        mant = (p << (width - e)) // q
-
+        e -= den > (num << -e)
+    # mantissa m = (num/den) / 2**e in [1, 2), as floor(m * 2**width)
+    if e >= 0:
+        mant = (num << width) // (den << e)
+    else:
+        mant = (num << (width - e)) // den
     one = 1 << width
     bits = 0
     for _ in range(frac_bits):

@@ -4,23 +4,31 @@ the schedule across k keys buys.
 ``compute_q_star`` turns the mode's advantage bound (advmodel's bound table)
 into the integer constraint a*Q^2 + b*Q <= c and maximizes exactly.
 ``improvement_bits`` quantifies the security gained by encrypting Q*/k files
-under each of k keys instead of Q* under one: the gain is
-log2(bound(Q*) / bound(Q*/k)), computed once from one exact rational.  That
-ratio always lies strictly between k and k^2 for k >= 2, so the gain lies
-between log2(k) and 2*log2(k): rotation at least halves the effective
-exposure per key but cannot beat the square-law limit of the birthday terms.
-The bracket is checked on the exact ratio before any rounding.
+under each of k keys instead of Q* under one: ``delta_bits`` is
+log2(bound(Q*) / bound(Q*/k)), the gain against one key.  With advmodel's
+bound_parts (L, B, C) at Q*, that ratio is k*num/den for the integers
+num = k(L+B+C) and den = kL + B + k^2*C, so it is formed with no Fraction.
+It always lies strictly between k and k^2 for k >= 2, i.e. den < num < k*den,
+so the gain lies between log2(k) and 2*log2(k): rotation at least halves the
+effective exposure per key but cannot beat the square-law limit of the
+birthday terms.  The bracket is checked on the integers before any rounding.
+
+An adversary who sees all k keys' traffic gets up to k*bound(Q*/k) by the
+hybrid bound over k independent keys, so the whole schedule's gain is
+delta_bits - log2(k) = log2(num/den), which lies in (0, log2(k)).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 
-from .advmodel import Mode, SecurityParams, bound_at, budget_quadratic, check_key_cost
+from .advmodel import Mode, SecurityParams, bound_at, bound_parts, budget_quadratic, check_key_cost
 from .exactmath import (
     DEFAULT_PRECISION,
     FixedDecimal,
+    _log2,
     as_natural,
     log2_rational,
     max_q_quadratic,
@@ -156,19 +164,28 @@ def improvement_bits(
     if k == 1:
         return ImprovementReport(1, zero, zero, zero)
 
-    ratio = bound_at(mode, params, Fraction(q_star)) / bound_at(mode, params, Fraction(q_star, k))
-    # log2 k < gain < 2 log2 k iff k < ratio < k^2; checked before rounding.
-    if not k < ratio < k * k:
-        raise AssertionError(f"bound ratio {ratio} at k={k} lies outside ({k}, {k * k})")
-    # Rounded as log2 k + log2(ratio / k): both terms round into [0, log2 k],
+    lin, quad, const = bound_parts(mode, params, q_star)
+    # bound(Q*)/bound(Q*/k) = k*num/den; log2 k < gain < 2 log2 k iff
+    # den < num < k*den, checked before rounding.
+    num = k * (lin + quad + const)
+    den = k * lin + quad + k * k * const
+    if not den < num < k * den:
+        raise AssertionError(f"bound ratio {k}*{num}/{den} at k={k} lies outside ({k}, {k * k})")
+    # Rounded as log2 k + log2(num/den): both terms round into [0, log2 k],
     # so the reported gain cannot step outside the reported bracket.
-    log2_k = log2_rational(Fraction(k), _IMPROVEMENT_PRECISION)
+    log2_k = _log2_k(k)
     return ImprovementReport(
         k=k,
-        delta_bits=log2_k + log2_rational(ratio / k, _IMPROVEMENT_PRECISION),
+        delta_bits=log2_k + _log2(num, den, _IMPROVEMENT_PRECISION),
         lower_bound_bits=log2_k,
         upper_bound_bits=2 * log2_k,
     )
+
+
+@lru_cache(maxsize=256)
+def _log2_k(k: int) -> FixedDecimal:
+    """log2 k at the gain's precision; a sweep asks for the same few k."""
+    return log2_rational(Fraction(k), _IMPROVEMENT_PRECISION)
 
 
 def benefit(
@@ -183,7 +200,9 @@ def benefit(
     DEFAULT_PRECISION."""
     key_cost = check_key_cost(key_cost)
     report = improvement_bits(mode, params, q_star, k)
-    value = report.delta_bits.as_fraction() * q_star / (k * key_cost)
+    delta = report.delta_bits
+    cost_num, cost_den = key_cost.as_integer_ratio()
+    value = Fraction(delta.scaled * q_star * cost_den, 10**delta.digits * k * cost_num)
     return SweepRow(**vars(report), benefit=FixedDecimal.from_fraction(value, DEFAULT_PRECISION))
 
 

@@ -8,11 +8,13 @@ here.
 from __future__ import annotations
 
 import random
+import time
 from fractions import Fraction
 
 import pytest
 
-from qkdplan.advmodel import EcbcDenominator, Mode, SecurityParams, bound_at
+from qkdplan.advmodel import MAX_EXPONENT_BITS, EcbcDenominator, Mode, SecurityParams, bound_at
+from qkdplan.planner import InfeasibleTargetError, compute_q_star
 
 
 def reference_params(eps_bits: int = 80, denom: EcbcDenominator = EcbcDenominator.TWO_N) -> SecurityParams:
@@ -39,6 +41,38 @@ def test_params_validation():
         SecurityParams.from_bits(8, 4, 1)  # neither target nor eps
     with pytest.raises(ValueError):
         SecurityParams.from_bits(8, 4, 1, target_bits=3, eps_max=Fraction(1, 8))
+
+
+def test_s_min_and_eps_have_a_size_rule():
+    # s_min <= 2**MAX_EXPONENT_BITS; eps's numerator and denominator fit in
+    # 2*MAX_EXPONENT_BITS bits.  Wider values are rejected before any
+    # arithmetic: a 10**6-bit s_min used to take over a second to plan.
+    top = 1 << MAX_EXPONENT_BITS
+    wide = 1 << 2 * MAX_EXPONENT_BITS
+    SecurityParams(128, top, 96, Fraction(1, 1 << 80))
+    SecurityParams(128, 1 << 121, 96, Fraction(wide - 2, wide - 1))
+    start = time.perf_counter()
+    for s_min, eps, message in (
+        (top + 1, Fraction(1, 1 << 80), "s_min must lie in"),
+        (1 << 10**6, Fraction(1, 1 << 80), "s_min must lie in"),
+        (1 << 121, Fraction(1, wide), "eps_max numerator and denominator"),
+        (1 << 121, Fraction(wide - 1, wide + 1), "eps_max numerator and denominator"),
+        (1 << 121, Fraction(1, 1 << 10**6), "eps_max numerator and denominator"),
+    ):
+        with pytest.raises(ValueError, match=message):
+            SecurityParams(128, s_min, 96, eps)
+    assert time.perf_counter() - start < 0.5
+
+
+@pytest.mark.parametrize("bits", [(1, 1, 1), (4096, 4096, 4096), (4096, 4096, 4000), (64, 4096, 4090), (4096, 1, 1)])
+def test_every_from_bits_input_still_plans(bits):
+    lam, s_min_bits, target_bits = bits
+    for mode in Mode:
+        params = SecurityParams.from_bits(lam, s_min_bits, 1, target_bits=target_bits)
+        try:
+            compute_q_star(mode, params)
+        except InfeasibleTargetError:
+            pass
 
 
 def test_bound_formulas_exact_small_case():

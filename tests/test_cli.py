@@ -6,6 +6,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from fractions import Fraction
 from pathlib import Path
 
@@ -323,6 +324,38 @@ def test_oversized_key_cost_exits_2_before_any_work(capsys, tmp_path):
     assert not state.exists()
     code, out, _ = run(capsys, "benefit", "--mode", "ctr", "--k", "2", "--key-cost", "1e-2000")
     assert code == 0 and "key_cost  1e-2000\n" in out
+
+
+def test_oversized_eps_exits_2_in_milliseconds(capsys):
+    # Fraction turns 1e-N into 10**N: 1e-1000000 used to take 14 s to exit 3
+    wide = 1 << 8192
+    for eps in ("1e-1000000", "1e-300000", "1e-99999", "1/" + "7" * 5000, f"1/{wide}", f"{wide - 1}/{wide + 1}"):
+        start = time.perf_counter()
+        code, out, err = run(capsys, "plan", "--mode", "ctr", "--eps", eps)
+        assert time.perf_counter() - start < 0.5, eps
+        assert (code, out) == (2, ""), eps
+        assert "numerator and denominator must fit in 8192 bits" in err
+    code, out, _ = run(capsys, "plan", "--mode", "ctr", "--eps", f"1/{wide - 1}")
+    assert code == 3  # accepted, and far below the bound at one file
+
+
+def test_rotate_checks_the_manifest_before_building_the_pool(capsys, tmp_path, monkeypatch):
+    # a 100000-key pool used to be drawn before a bad manifest was refused
+    def no_pool(*args):
+        pytest.fail("the key pool was built before the manifest was checked")
+
+    monkeypatch.setattr("qkdplan.rotation.simulate_pool", no_pool)
+    monkeypatch.setattr("qkdplan.rotation.ingest_keys", no_pool)
+    keys = tmp_path / "keys.txt"
+    keys.write_text("00" * 16 + "\n")
+    manifest = tmp_path / "manifest.txt"
+    for text, message in (("8\na b c\n", "manifest lines are"), ("8\nbig 9\n", "above the planned per-file size")):
+        manifest.write_text(text)
+        for source in (["--simulate-keys", "100000"], ["--keys", str(keys)]):
+            base = ["rotate", "--mode", "ctr", *TOY, "--manifest", str(manifest)]
+            code, out, err = run(capsys, *base, *source)
+            assert (code, out) == (2, "")
+            assert message in err
 
 
 def test_rotate_manifest_run(capsys, tmp_path):

@@ -144,7 +144,7 @@ exactmath.isqrt = lambda n: 0  # collapses the integer root to Q=0
 raises(exactmath.max_q_quadratic, 1, 0, 100)
 exactmath.isqrt = real_isqrt
 
-planner.bound_at = lambda mode, params, q: q  # a linear bound: ratio exactly k
+planner.bound_parts = lambda mode, params, q: (q, 0, 0)  # a linear bound: ratio exactly k
 params = SecurityParams.from_bits(16, 14, 4, target_bits=9)
 raises(planner.improvement_bits, Mode.CTR, params, 3, 2)
 """

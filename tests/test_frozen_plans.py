@@ -1,4 +1,5 @@
-"""Frozen digests of the planner's outputs.
+"""Frozen digests of the planner's outputs, and the integer gain ratio
+against its Fraction definition.
 
 The digests were computed before the rotation gain moved from a ratio of two
 bound_at Fractions to one integer ratio, and must not change: a planner
@@ -9,12 +10,14 @@ bracket or of a benefit fails here.
 from __future__ import annotations
 
 import hashlib
+import random
 from fractions import Fraction
 
 import pytest
 
-from qkdplan.advmodel import EcbcDenominator, Mode, SecurityParams
-from qkdplan.planner import compute_q_star, sweep_k
+from qkdplan.advmodel import EcbcDenominator, Mode, SecurityParams, bound_at, bound_parts
+from qkdplan.exactmath import _log2, log2_rational
+from qkdplan.planner import InfeasibleTargetError, compute_q_star, improvement_bits, sweep_k
 
 # The default sweep list of the CLI, plus k that are not powers of two
 K_VALUES = [1 << i for i in range(11)] + [3, 5, 1000]
@@ -69,3 +72,47 @@ def _plan_text(problem: str, mode: Mode, denom: EcbcDenominator) -> str:
 def test_plan_outputs_are_frozen(problem, mode, denom):
     digest = hashlib.sha256(_plan_text(problem, mode, denom).encode()).hexdigest()
     assert digest == DIGESTS[(problem, mode, denom)]
+
+
+def test_integer_ratio_is_the_bound_ratio():
+    # bound(Q*)/bound(Q*/k) as two bound_at Fractions, against k*num/den
+    # from bound_parts, and the reported gain against the Fraction ratio
+    rng = random.Random(1717)
+    checked = 0
+    while checked < 300:
+        lam = rng.randrange(24, 200)
+        params = SecurityParams(
+            lam,
+            rng.randrange(2, 1 << rng.randrange(8, lam + 8)),
+            rng.randrange(1, 200),
+            Fraction(rng.randrange(1, 1 << 20), 1 << rng.randrange(21, lam)),
+            rng.choice(list(EcbcDenominator)),
+        )
+        mode = rng.choice(list(Mode))
+        try:
+            q_star = compute_q_star(mode, params).q_star
+        except InfeasibleTargetError:
+            continue
+        if q_star < 2:
+            continue
+        k = rng.choice([2, 3, q_star, rng.randrange(2, q_star + 1)])
+        lin, quad, const = bound_parts(mode, params, q_star)
+        num, den = k * (lin + quad + const), k * lin + quad + k * k * const
+        ratio = bound_at(mode, params, Fraction(q_star)) / bound_at(mode, params, Fraction(q_star, k))
+        assert Fraction(k * num, den) == ratio, (mode, params, q_star, k)
+        digits = 12
+        want = log2_rational(Fraction(k), digits) + log2_rational(ratio / k, digits)
+        assert improvement_bits(mode, params, q_star, k).delta_bits == want
+        checked += 1
+
+
+def test_log2_of_an_unreduced_pair():
+    rng = random.Random(2929)
+    for _ in range(500):
+        num = rng.randrange(1, 1 << rng.randrange(1, 300))
+        den = rng.randrange(1, 1 << rng.randrange(1, 300))
+        scale = rng.randrange(1, 1 << rng.randrange(1, 200))
+        digits = rng.randrange(1, 40)
+        want = log2_rational(Fraction(num, den), digits)
+        assert _log2(num * scale, den * scale, digits) == want
+        assert _log2(num, den, digits) == want

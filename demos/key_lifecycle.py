@@ -42,7 +42,7 @@ for index in range(10):
     note = f"  <- rotated {event.old_key_id}->{event.new_key_id}" if event else ""
     print(
         f"file {index}: {len(data)} plaintext bytes -> {len(blob)} ciphertext bytes, "
-        f"key #{session.current_key.key_id}{note}"
+        f"key #{session.current_key_id}{note}"
     )
 
 print(f"rotations so far: {[(e.old_key_id, e.new_key_id) for e in session.events]}")

@@ -28,7 +28,7 @@ _EXPORTS = {
         "blocks_per_file", "compute_q_star", "improvement_bits", "sweep_k", "volume_kb", "volume_mb",
     ),
     "rotation": (
-        "KeyPool", "KeyRecord", "OversizedFileError", "PoolExhaustedError", "RotationEvent",
+        "KeyPool", "OversizedFileError", "PoolExhaustedError", "RotationEvent",
         "SessionState", "StateError", "encrypt_file", "export_events", "ingest_keys", "load_state",
         "open_session", "persist_state", "simulate_pool",
     ),

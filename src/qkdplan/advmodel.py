@@ -37,11 +37,7 @@ import enum
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .exactmath import as_natural
-
-# Cap on lambda_bits, s_min_bits and target_bits: far above any real cipher
-# or entropy floor, and small enough that 1 << bits stays cheap.
-MAX_EXPONENT_BITS = 4096
+from .exactmath import MAX_EXPONENT_BITS, as_natural
 
 
 class Mode(enum.Enum):
@@ -190,8 +186,9 @@ def bound_parts(mode: Mode, params: SecurityParams, q_files: int) -> tuple[int, 
 def bound_at(mode: Mode, params: SecurityParams, q_files: Fraction) -> Fraction:
     """Advantage bound at a possibly fractional file count.
 
-    The rational q_files form exists so callers can evaluate at Q/k exactly
-    when comparing rotated against unrotated schedules.  At Q = n/d it is
+    The package evaluates it at whole file counts only; the rational q_files
+    form is what the tests evaluate at Q/k, as the reference the rotation
+    gain's integer ratio is checked against.  At Q = n/d it is
     (d*L + B + d^2*C) / (d^2*s_min*D), with (L, B, C) the bound_parts at n.
     """
     q = Fraction(q_files)

@@ -22,7 +22,7 @@ import re
 import sys
 from fractions import Fraction
 
-from .advmodel import MAX_EXPONENT_BITS, EcbcDenominator, Mode, SecurityParams, bound_at, check_key_cost
+from .advmodel import EcbcDenominator, Mode, SecurityParams, bound_at, check_key_cost
 from .exactmath import FixedDecimal, as_natural, parse_rational
 from .planner import (
     InfeasibleTargetError,
@@ -66,24 +66,10 @@ def _natural(text: str) -> int:
         raise argparse.ArgumentTypeError(str(exc)) from None
 
 
-def _rational_option(option: str, text: str) -> Fraction:
-    """The rational an option's text gives, rejected before any work if its
-    numerator or denominator cannot fit in 2*MAX_EXPONENT_BITS bits, the
-    library's rule for --key-cost and --eps.  Fraction turns an exponent N
-    into 10**N, so the text's length and its exponent are bounded before
-    Fraction reads it: the longest text the rule admits is two integers below
-    2**(2*MAX_EXPONENT_BITS) and a slash."""
-    longest = 2 * len(str((1 << 2 * MAX_EXPONENT_BITS) - 1)) + 1
-    exponent = text.lower().partition("e")[2]
-    if len(text) > longest or len(exponent.strip().lstrip("+-").lstrip("0_")) > 4:
-        raise ValueError(f"{option} numerator and denominator must fit in {2 * MAX_EXPONENT_BITS} bits")
-    return parse_rational(text)
-
-
 def _key_cost(text: str) -> Fraction:
     """The --key-cost value, rejected before any work if it breaks
     check_key_cost's rule."""
-    return check_key_cost(_rational_option("--key-cost", text))
+    return check_key_cost(parse_rational(text))
 
 
 def _plan(args: argparse.Namespace) -> RotationPlan:
@@ -91,7 +77,7 @@ def _plan(args: argparse.Namespace) -> RotationPlan:
     size = parse_file_size(args.file_size)
     block_bits = args.block_bits if args.block_bits is not None else args.lambda_bits
     if args.eps is not None:
-        ceiling = {"eps_max": _rational_option("--eps", args.eps)}
+        ceiling = {"eps_max": parse_rational(args.eps)}
     else:
         ceiling = {"target_bits": args.target_bits if args.target_bits is not None else 80}
     params = SecurityParams.from_bits(

@@ -34,6 +34,13 @@ from math import isqrt
 
 DEFAULT_PRECISION = 9
 
+# Cap on lambda_bits, s_min_bits and target_bits, and half the bit width of
+# a rational's numerator or denominator: far above any real cipher or
+# entropy floor, and small enough that 1 << bits stays cheap.
+MAX_EXPONENT_BITS = 4096
+# two integers below 2**(2*MAX_EXPONENT_BITS) and a slash
+_LONGEST_RATIONAL = 2 * len(str((1 << 2 * MAX_EXPONENT_BITS) - 1)) + 1
+
 # Guard bits for the fixed-point log2 mantissa; truncation over all the
 # squarings stays below 2**-GUARD, far under any supported decimal step.
 _LOG2_GUARD_BITS = 64
@@ -48,8 +55,18 @@ def as_natural(value: int) -> int:
     return value
 
 
-def parse_rational(text: str | int | Fraction) -> Fraction:
-    """Parse a nonnegative rational from "p/q", a decimal string, or an int."""
+def parse_rational(text: str) -> Fraction:
+    """Parse a nonnegative rational from "p/q" or a decimal string ("1.5",
+    "1e-3") with no surrounding whitespace.  Fraction turns an exponent N
+    into 10**N, so text longer, or with a longer exponent, than a rational
+    of 2*MAX_EXPONENT_BITS-bit parts can have is rejected before Fraction
+    reads it; render_rational's text of every such rational parses."""
+    if text != text.strip():
+        raise ValueError(f"rational {text!r} has surrounding whitespace")
+    exponent = text.lower().partition("e")[2]
+    if len(text) > _LONGEST_RATIONAL or len(exponent.lstrip("+-").lstrip("0_")) > 4:
+        shown = text if len(text) <= 24 else f"{text[:20]}..."
+        raise ValueError(f"rational {shown}: numerator and denominator must fit in {2 * MAX_EXPONENT_BITS} bits")
     try:
         value = Fraction(text)
     except ZeroDivisionError:

@@ -7,6 +7,8 @@ session costs one key, and every per_key_cap files thereafter costs one
 more.  With rotation_factor 1 the cap is the full planned Q*, so a run of
 T files consumes exactly ceil(T / Q*) keys; larger factors rotate
 proportionally earlier for defense in depth at the same planned level.
+A key's id is its pool position, so the event log's key chain runs through
+increasing ids: no key serves two stretches of a session.
 
 Every session rule lives in SessionState.__post_init__, so a session opened
 from a pool and one loaded from disk pass the same checks.  Sessions persist
@@ -15,7 +17,8 @@ exact parameters, the file size and block width, planned Q*, counters, and
 the full rotation event log.  Loading rebuilds the session with the same
 compute_q_star call open_session makes and accepts only the document that
 session persists, so a hand-edited state file that claims more files per
-key, or larger files, than the plan allows is rejected rather than trusted.
+key, or larger files, than the plan allows, or a key chain that does not
+run forward, is rejected rather than trusted.
 Loaded sessions are detached (key material is never persisted) and support
 accounting and re-persistence but not further encryption.  A state file or
 event log is written to a temporary file beside it and then renamed into
@@ -67,21 +70,6 @@ class OversizedFileError(ValueError):
     """A file exceeds the per-file size the plan was computed for."""
 
 
-@dataclass
-class KeyRecord:
-    """One key as delivered: a nonnegative id and material.
-
-    Records compare by key_id alone.  key_material is None only on records
-    rebuilt from persisted state, which never contains material.
-    """
-
-    key_id: int
-    key_material: bytes | None = field(compare=False)
-
-    def __post_init__(self) -> None:
-        as_natural(self.key_id)
-
-
 def _check_key_len(key_len_bits: int) -> None:
     if not 8 <= as_natural(key_len_bits) <= _MAX_KEY_BITS or key_len_bits % 8:
         raise ValueError(f"key_len_bits must be a multiple of 8 in [8, {_MAX_KEY_BITS}]")
@@ -90,39 +78,41 @@ def _check_key_len(key_len_bits: int) -> None:
 class KeyPool:
     """Ordered pool of keys; each is dispensed at most once.
 
-    cost is the accounting cost of each key, the same for every key in the
-    pool; advmodel.check_key_cost states its rule.
+    dispense() returns (key_id, material), the id being the key's position,
+    so equal material twice is two keys.  cost is the accounting cost of
+    each key, the same for every key in the pool; advmodel.check_key_cost
+    states its rule.
     """
 
     def __init__(
         self,
-        records: list[KeyRecord],
+        keys: list[bytes],
         key_len_bits: int,
         cost: Fraction = Fraction(1),
         source: str = "",
     ):
         _check_key_len(key_len_bits)
         self.cost = check_key_cost(cost)
-        for record in records:
-            if record.key_material is None or len(record.key_material) * 8 != key_len_bits:
-                raise ValueError(f"key {record.key_id} is not {key_len_bits} bits")
+        for key_id, material in enumerate(keys):
+            if not isinstance(material, bytes) or len(material) * 8 != key_len_bits:
+                raise ValueError(f"key {key_id} is not {key_len_bits} bits")
         self.key_len_bits = key_len_bits
         self.source = source
-        self._records = list(records)
+        self._keys = list(keys)
         self._cursor = 0
 
     def __len__(self) -> int:
-        return len(self._records)
+        return len(self._keys)
 
     def remaining(self) -> int:
-        return len(self._records) - self._cursor
+        return len(self._keys) - self._cursor
 
-    def dispense(self) -> KeyRecord:
-        if self._cursor >= len(self._records):
+    def dispense(self) -> tuple[int, bytes]:
+        if self._cursor >= len(self._keys):
             raise PoolExhaustedError(f"pool {self.source or '<anonymous>'} is empty")
-        record = self._records[self._cursor]
+        key_id = self._cursor
         self._cursor += 1
-        return record
+        return key_id, self._keys[key_id]
 
 
 def ingest_keys(path: str, key_len_bits: int, cost: Fraction = Fraction(1)) -> KeyPool:
@@ -130,7 +120,7 @@ def ingest_keys(path: str, key_len_bits: int, cost: Fraction = Fraction(1)) -> K
     _check_key_len(key_len_bits)
     check_key_cost(cost)
     hex_len = key_len_bits // 4
-    records = []
+    keys = []
     with open(path, encoding="ascii") as handle:
         for lineno, raw in enumerate(handle, start=1):
             line = raw.strip()
@@ -141,11 +131,10 @@ def ingest_keys(path: str, key_len_bits: int, cost: Fraction = Fraction(1)) -> K
                     f"{path}:{lineno}: expected {hex_len} hex digits, got {len(line)}"
                 )
             try:
-                material = bytes.fromhex(line)
+                keys.append(bytes.fromhex(line))
             except ValueError as exc:
                 raise ValueError(f"{path}:{lineno}: not valid hex") from exc
-            records.append(KeyRecord(len(records), material))
-    return KeyPool(records, key_len_bits, cost, source=path)
+    return KeyPool(keys, key_len_bits, cost, source=path)
 
 
 def simulate_pool(
@@ -156,11 +145,10 @@ def simulate_pool(
     check_key_cost(cost)
     as_u64(seed, "seed")
     key_bytes = key_len_bits // 8
-    records = []
+    keys = []
     for i in range(as_natural(count)):
-        material = bytes(draw64(seed, _P_KEY_MATERIAL, i, j) & 0xFF for j in range(key_bytes))
-        records.append(KeyRecord(i, material))
-    return KeyPool(records, key_len_bits, cost, source=f"simulated(seed={seed})")
+        keys.append(bytes(draw64(seed, _P_KEY_MATERIAL, i, j) & 0xFF for j in range(key_bytes)))
+    return KeyPool(keys, key_len_bits, cost, source=f"simulated(seed={seed})")
 
 
 @dataclass(frozen=True)
@@ -190,9 +178,10 @@ class SessionState:
 
     __post_init__ is the one place the session rules are checked; the per-key
     cap and the files under the current key are derived, not stored.
-    key_cost is the pool's per-key cost.  Equality leaves out the pool, the
-    current key's schedule and, through KeyRecord, the key material, so a
-    session equals its persisted and reloaded (detached) twin.
+    current_key_id is a pool position; key_cost is the pool's per-key cost.
+    Equality leaves out the pool and the current key's schedule, which hold
+    the key material, so a session equals its persisted and reloaded
+    (detached) twin.
     """
 
     plan: RotationPlan
@@ -200,11 +189,11 @@ class SessionState:
     rotation_factor: int
     key_cost: Fraction
     pool: KeyPool | None = field(compare=False)
-    current_key: KeyRecord
+    current_key_id: int
     total_files: int = 0
     events: list[RotationEvent] = field(default_factory=list)
-    # the current key's cipher, set with current_key by _use_key; None on a
-    # detached session
+    # the current key's cipher, set with current_key_id by _use_key; None on
+    # a detached session
     _key_schedule: _KeySchedule | None = field(default=None, init=False, compare=False, repr=False)
 
     def __post_init__(self) -> None:
@@ -229,12 +218,13 @@ class SessionState:
                 f"total_files {self.total_files} is not {len(self.events)} rotations of "
                 f"{cap} files plus {cap} >= files_under_current_key {under} >= 1"
             )
-        # event i hands over to the key event i+1 retires, the last to the current key
-        chain = [e.old_key_id for e in self.events] + [self.current_key.key_id]
+        # event i hands over to the key event i+1 retires, the last to the
+        # current key; ids are pool positions, so each hands over to a later key
+        chain = [e.old_key_id for e in self.events] + [as_natural(self.current_key_id)]
         for i, event in enumerate(self.events):
             if event.event_index != i or event.at_file_count != (i + 1) * cap:
                 raise ValueError(f"event log entry {i} is off the lazy rotation schedule")
-            if event.new_key_id != chain[i + 1] or event.new_key_id == event.old_key_id:
+            if event.new_key_id != chain[i + 1] or event.new_key_id <= event.old_key_id:
                 raise ValueError(f"event log entry {i} breaks the key chain")
 
     @property
@@ -271,18 +261,18 @@ def open_session(
         rotation_factor=rotation_factor,
         key_cost=pool.cost,
         pool=pool,
-        current_key=KeyRecord(0, None),  # stand-in until the checks pass
+        current_key_id=len(pool) - pool.remaining(),  # the id dispense returns next
     )
-    _use_key(session, pool.dispense())
+    _use_key(session, *pool.dispense())
     return session
 
 
-def _use_key(session: SessionState, record: KeyRecord) -> None:
-    """Make record the current key and derive its schedule, dropping the old one."""
-    digest = hashlib.blake2b(record.key_material, digest_size=24, person=b"qkdplan-sess").digest()
+def _use_key(session: SessionState, key_id: int, material: bytes) -> None:
+    """Make key_id the current key and derive its schedule, dropping the old one."""
+    digest = hashlib.blake2b(material, digest_size=24, person=b"qkdplan-sess").digest()
     k1, k2, iv_seed = (int.from_bytes(digest[i : i + 8], "big") for i in (0, 8, 16))
     block_bits = session.cipher.block_bits
-    session.current_key = record
+    session.current_key_id = key_id
     session._key_schedule = _KeySchedule(_round_tables(block_bits, k1), _round_tables(block_bits, k2), iv_seed)
 
 
@@ -322,15 +312,15 @@ def encrypt_file(session: SessionState, data: bytes) -> tuple[bytes, RotationEve
     if session.files_under_current_key >= session.per_key_cap:
         if session.pool is None:
             raise StateError("detached session cannot rotate; open a fresh session")
-        fresh = session.pool.dispense()  # raises PoolExhaustedError when drained
+        key_id, material = session.pool.dispense()  # raises PoolExhaustedError when drained
         event = RotationEvent(
             event_index=len(session.events),
-            old_key_id=session.current_key.key_id,
-            new_key_id=fresh.key_id,
+            old_key_id=session.current_key_id,
+            new_key_id=key_id,
             at_file_count=session.total_files,
         )
         session.events.append(event)
-        _use_key(session, fresh)
+        _use_key(session, key_id, material)
 
     ciphertext = _encrypt_blocks(session, data)
     session.total_files += 1
@@ -382,7 +372,7 @@ def _document(session: SessionState) -> dict:
         "rotation_factor": session.rotation_factor,
         "per_key_cap": str(session.per_key_cap),
         "key_cost": render_rational(session.key_cost),
-        "current_key_id": session.current_key.key_id,
+        "current_key_id": session.current_key_id,
         "counters": {
             "total_files": str(session.total_files),
             "files_under_current_key": str(session.files_under_current_key),
@@ -447,7 +437,7 @@ def load_state(path: str) -> SessionState:
             rotation_factor=document["rotation_factor"],
             key_cost=parse_rational(_stored_text(document["key_cost"])),
             pool=None,
-            current_key=KeyRecord(document["current_key_id"], None),
+            current_key_id=document["current_key_id"],
             total_files=int(_stored_text(document["counters"]["total_files"])),
             events=[RotationEvent(**e) for e in document["events"]],
         )

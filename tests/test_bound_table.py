@@ -13,8 +13,7 @@ from qkdplan.advmodel import EcbcDenominator, Mode, SecurityParams, bound_at
 from qkdplan.empirics import TrialConfig, estimate_collision_probability
 from qkdplan.planner import InfeasibleTargetError, compute_q_star
 
-# Derandomized so every run tries the same examples.
-PROPERTY = settings(max_examples=150, deadline=None, derandomize=True, database=None)
+PROPERTY = settings(max_examples=150)
 
 
 @st.composite

@@ -326,6 +326,18 @@ def test_oversized_key_cost_exits_2_before_any_work(capsys, tmp_path):
     assert code == 0 and "key_cost  1e-2000\n" in out
 
 
+def test_rational_text_with_whitespace_exits_2(capsys):
+    # benefit echoes --key-cost, so "1/2\n" used to print a three-line csv
+    for argv in (
+        ("benefit", "--mode", "ctr", "--format", "csv", "--key-cost", "1/2\n"),
+        ("sweep", "--mode", "ctr", "--key-cost", " 1"),
+        ("plan", "--mode", "ctr", "--eps", "1/1024 "),
+    ):
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (2, ""), argv
+        assert "surrounding whitespace" in err
+
+
 def test_oversized_eps_exits_2_in_milliseconds(capsys):
     # Fraction turns 1e-N into 10**N: 1e-1000000 used to take 14 s to exit 3
     wide = 1 << 8192

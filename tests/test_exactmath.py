@@ -16,11 +16,12 @@ from pathlib import Path
 
 import mpmath
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import qkdplan
 from qkdplan.exactmath import (
+    MAX_EXPONENT_BITS,
     FixedDecimal,
     as_natural,
     log2_rational,
@@ -40,13 +41,23 @@ def test_natural_rejects_negative_and_nonint():
 def test_rational_parse_and_render():
     assert parse_rational("3/4") == Fraction(3, 4)
     assert parse_rational("1.5") == Fraction(3, 2)
-    assert parse_rational(7) == Fraction(7)
+    assert parse_rational("7") == Fraction(7)
     assert render_rational(Fraction(3, 4)) == "3/4"
     assert render_rational(Fraction(8, 4)) == "2"
     assert parse_rational(render_rational(Fraction(12345, 67))) == Fraction(12345, 67)
-    for bad in ("-1/2", "1/0"):
+    for bad in ("-1/2", "1/0", " 1/2", "1/2\n", "1e-10000000", "1E+0099999", "1/" + "7" * 5000):
         with pytest.raises(ValueError):
             parse_rational(bad)
+
+
+_WIDE = 1 << 2 * MAX_EXPONENT_BITS
+
+
+@settings(max_examples=100)
+@given(st.integers(0, _WIDE - 1), st.integers(1, _WIDE - 1))
+@example(_WIDE - 1, _WIDE - 2)  # the longest text: two coprime 2467-digit integers
+def test_every_rendered_rational_parses(p: int, q: int):
+    assert parse_rational(render_rational(Fraction(p, q))) == Fraction(p, q)
 
 
 # ---------------------------------------------------------------- FixedDecimal
@@ -193,7 +204,7 @@ def test_log2_powers_of_two_are_exact():
 _operands = st.integers(1, 400).flatmap(lambda bits: st.integers(1, 1 << bits))
 
 
-@settings(max_examples=400, deadline=None, derandomize=True, database=None)
+@settings(max_examples=400)
 @given(_operands, _operands, st.integers(1, 60))
 def test_log2_matches_mpmath_oracle(p: int, q: int, digits: int):
     got = log2_rational(Fraction(p, q), digits)

@@ -16,7 +16,6 @@ PUBLIC = [
     "ImprovementReport",
     "InfeasibleTargetError",
     "KeyPool",
-    "KeyRecord",
     "Mode",
     "OversizedFileError",
     "PoolExhaustedError",

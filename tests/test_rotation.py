@@ -5,6 +5,7 @@ from __future__ import annotations
 import json
 import math
 import random
+import time
 from dataclasses import replace
 from fractions import Fraction
 
@@ -15,7 +16,6 @@ from qkdplan.advmodel import Mode, SecurityParams
 from qkdplan.empirics import ToyCipherParams
 from qkdplan.rotation import (
     KeyPool,
-    KeyRecord,
     OversizedFileError,
     PoolExhaustedError,
     StateError,
@@ -43,9 +43,9 @@ def toy_session(pool_size=10, rotation_factor=1, mode=Mode.CTR, seed=1):
 def test_simulate_pool_is_deterministic():
     a = simulate_pool(5, 128, 7)
     b = simulate_pool(5, 128, 7)
-    assert [r.key_material for r in a._records] == [r.key_material for r in b._records]
-    assert len({r.key_material for r in a._records}) == 5
-    assert all(len(r.key_material) == 16 for r in a._records)
+    assert a._keys == b._keys
+    assert len(set(a._keys)) == 5
+    assert all(len(key) == 16 for key in a._keys)
 
 
 def test_simulate_pool_seed_is_64_bit():
@@ -68,7 +68,7 @@ def test_key_length_is_checked_before_any_work(tmp_path, monkeypatch):
         with pytest.raises(ValueError, match=r"multiple of 8 in \[8, 4096\]"):
             ingest_keys(str(absent), bits)  # before the file is opened
     monkeypatch.undo()
-    assert [len(r.key_material) for r in simulate_pool(2, 4096, 0)._records] == [512, 512]
+    assert [len(key) for key in simulate_pool(2, 4096, 0)._keys] == [512, 512]
 
 
 def test_ingest_keys_hex_lines(tmp_path):
@@ -77,8 +77,8 @@ def test_ingest_keys_hex_lines(tmp_path):
     path.write_text("\n".join(keys) + "\n\n")
     pool = ingest_keys(str(path), 128)
     assert len(pool) == 3
-    assert pool.dispense().key_material == bytes.fromhex("ab" * 16)
-    assert pool.dispense().key_material == bytes.fromhex("cd" * 16)
+    assert pool.dispense() == (0, bytes.fromhex("ab" * 16))
+    assert pool.dispense() == (1, bytes.fromhex("cd" * 16))
 
 
 def test_ingest_keys_rejects_bad_lines(tmp_path):
@@ -94,11 +94,26 @@ def test_ingest_keys_rejects_bad_lines(tmp_path):
 
 def test_pool_dispenses_each_key_once():
     pool = simulate_pool(4, 128, 1)
-    ids = [pool.dispense().key_id for _ in range(4)]
+    ids = [pool.dispense()[0] for _ in range(4)]
     assert ids == [0, 1, 2, 3]
     assert pool.remaining() == 0
     with pytest.raises(PoolExhaustedError):
         pool.dispense()
+
+
+def test_key_ids_are_pool_positions(tmp_path):
+    # two deliveries of the same bytes are two keys: ids 0 and 1, a chain
+    # that runs forward, and a checkpoint that loads
+    key = bytes(range(16))
+    pool = KeyPool([key, key], 128)
+    assert [pool.dispense(), pool.dispense()] == [(0, key), (1, key)]
+    session = open_session(KeyPool([key, key], 128), Mode.CTR, TOY_PARAMS, 8, cipher=TOY_CIPHER)
+    for _ in range(4):
+        encrypt_file(session, b"x")
+    assert [(e.old_key_id, e.new_key_id) for e in session.events] == [(0, 1)]
+    path = tmp_path / "state.json"
+    persist_state(session, str(path))
+    assert load_state(str(path)) == session
 
 
 def test_pool_validation():
@@ -106,9 +121,9 @@ def test_pool_validation():
         with pytest.raises(ValueError, match=r"multiple of 8 in \[8, 4096\]"):
             KeyPool([], bits)
     with pytest.raises(ValueError, match="128 bits"):
-        KeyPool([KeyRecord(0, b"\x00" * 8)], 128)
+        KeyPool([b"\x00" * 8], 128)
     with pytest.raises(ValueError, match="cost"):
-        KeyPool([KeyRecord(0, b"\x00" * 16)], 128, Fraction(0))
+        KeyPool([b"\x00" * 16], 128, Fraction(0))
     KeyPool([], 128, Fraction((1 << 8192) - 1, (1 << 8192) - 3))
     for cost in (Fraction(1, 1 << 8192), Fraction(1 << 8192, 3)):
         with pytest.raises(ValueError, match="8192 bits"):
@@ -133,7 +148,7 @@ def test_open_session_dispenses_first_key():
     session = open_session(pool, Mode.CTR, TOY_PARAMS, 8, cipher=TOY_CIPHER)
     assert session.plan.q_star == 3
     assert session.per_key_cap == 3
-    assert session.current_key.key_id == 0
+    assert session.current_key_id == 0
     assert pool.remaining() == 1
     assert session.total_files == 0 and session.files_under_current_key == 0
     assert session.keys_consumed == 1
@@ -316,7 +331,7 @@ def test_state_round_trip(tmp_path):
     loaded = load_state(str(path))
     assert loaded == session
     assert loaded.pool is None
-    assert loaded.current_key.key_material is None
+    assert loaded._key_schedule is None
     # accounting still works on the detached copy
     assert loaded.keys_consumed == 2
     assert loaded.total_key_cost == 2
@@ -324,11 +339,10 @@ def test_state_round_trip(tmp_path):
     path2 = tmp_path / "state2.json"
     persist_state(loaded, str(path2))
     assert path.read_text() == path2.read_text()
-    # equality ignores key material and the pool, but no accounting field
-    assert KeyRecord(1, b"a") == KeyRecord(1, b"b")
+    # equality ignores the pool and the key schedule, but no accounting field
     one = toy_session()
     encrypt_file(one, b"x")  # one file, no rotation: these twins are valid sessions
-    assert replace(one, current_key=KeyRecord(one.current_key.key_id + 1, None)) != one
+    assert replace(one, current_key_id=one.current_key_id + 1) != one
     assert replace(one, rotation_factor=3) != one  # cap 1
     encrypt_file(session, b"abcdefgh")
     assert session != loaded
@@ -448,6 +462,22 @@ def test_load_rejects_broken_key_chain(tmp_path):
     document["events"][1]["old_key_id"] = 5
     with pytest.raises(StateError, match="key chain"):
         load_tampered(path, document)
+
+
+def test_load_rejects_a_key_chain_that_does_not_run_forward(tmp_path):
+    path, document = persisted(tmp_path, 10, 7)
+
+    def chained(ids):
+        copy = json.loads(json.dumps(document))
+        for event, old, new in zip(copy["events"], ids, ids[1:]):
+            event.update(old_key_id=old, new_key_id=new)
+        copy["current_key_id"] = ids[-1]
+        return copy
+
+    assert load_tampered(path, chained([0, 2, 5, 9])).current_key_id == 9  # keys other sessions took
+    for ids in ([5, 3, 4, 6], [0, 1, 0, 2], [0, 1, 1, 2]):
+        with pytest.raises(StateError, match="entry 1 breaks the key chain" if ids[0] == 0 else "entry 0"):
+            load_tampered(path, chained(ids))
 
 
 def test_load_rejects_params_that_admit_no_file(tmp_path):
@@ -580,6 +610,23 @@ def test_load_rejects_huge_exponents(tmp_path):
         tampered = dict(document, params={**document["params"], name: value})
         with pytest.raises(StateError, match="must lie in" if name == "lambda_bits" else "malformed"):
             load_tampered(path, tampered)
+
+
+def test_load_bounds_rational_text_before_reading_it(tmp_path):
+    # Fraction turns 1e-N into 10**N: these took 12 s and 154 s to fail
+    path, document = persisted(tmp_path, 10, 2)
+    for edit in (
+        lambda d: d["params"].update(eps_max="1e-10000000"),
+        lambda d: d.update(key_cost="1e-50000000"),
+        lambda d: d["params"].update(eps_max=" 1/1024"),
+        lambda d: d.update(key_cost="1\n"),
+    ):
+        copy = json.loads(json.dumps(document))
+        edit(copy)
+        start = time.perf_counter()
+        with pytest.raises(StateError, match="malformed"):
+            load_tampered(path, copy)
+        assert time.perf_counter() - start < 0.5
 
 
 def test_load_rejects_non_ascii_state(tmp_path):

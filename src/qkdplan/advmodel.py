@@ -34,10 +34,9 @@ three integers.  Everything is an exact integer or Fraction.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
 from fractions import Fraction
 
-from .exactmath import MAX_EXPONENT_BITS, as_natural
+from .exactmath import MAX_EXPONENT_BITS, _Record, as_natural
 
 
 class Mode(enum.Enum):
@@ -53,17 +52,19 @@ class EcbcDenominator(enum.Enum):
     PAPER_COMPAT_N = "paper-compat-n"
 
 
-@dataclass(frozen=True)
-class BoundTerms:
+class BoundTerms(_Record):
     """One mode's advantage bound as integer coefficients:
 
         bound(Q) = lin*Q/s_min + (quad*Q^2 + const)/den
     """
 
-    lin: int
-    quad: int
-    const: int
-    den: int
+    __slots__ = _fields = ("lin", "quad", "const", "den")
+
+    def __init__(self, lin: int, quad: int, const: int, den: int) -> None:
+        object.__setattr__(self, "lin", lin)
+        object.__setattr__(self, "quad", quad)
+        object.__setattr__(self, "const", const)
+        object.__setattr__(self, "den", den)
 
 
 def bound_terms(
@@ -111,8 +112,7 @@ def _exponent(name: str, bits: int) -> int:
     return bits
 
 
-@dataclass(frozen=True)
-class SecurityParams:
+class SecurityParams(_Record):
     """Static parameters of one planning problem.
 
     lambda_bits     cipher block / security parameter; N = 2**lambda_bits
@@ -124,24 +124,31 @@ class SecurityParams:
     ecbc_denominator  which D the ECBC-MAC terms divide by
     """
 
-    lambda_bits: int
-    s_min: int
-    blocks_per_file: int
-    eps_max: Fraction
-    ecbc_denominator: EcbcDenominator = EcbcDenominator.TWO_N
+    __slots__ = _fields = ("lambda_bits", "s_min", "blocks_per_file", "eps_max", "ecbc_denominator")
 
-    def __post_init__(self) -> None:
-        _exponent("lambda_bits", self.lambda_bits)
-        if not 2 <= as_natural(self.s_min) <= 1 << MAX_EXPONENT_BITS:
+    def __init__(
+        self,
+        lambda_bits: int,
+        s_min: int,
+        blocks_per_file: int,
+        eps_max: Fraction,
+        ecbc_denominator: EcbcDenominator = EcbcDenominator.TWO_N,
+    ) -> None:
+        _exponent("lambda_bits", lambda_bits)
+        if not 2 <= as_natural(s_min) <= 1 << MAX_EXPONENT_BITS:
             raise ValueError(f"s_min must lie in [2, 2**{MAX_EXPONENT_BITS}]")
-        if as_natural(self.blocks_per_file) < 1:
+        if as_natural(blocks_per_file) < 1:
             raise ValueError("blocks_per_file must be >= 1")
-        eps = _narrow_rational("eps_max", self.eps_max)
+        eps = _narrow_rational("eps_max", eps_max)
         if not 0 < eps < 1:
             raise ValueError("eps_max must lie in (0, 1)")
-        object.__setattr__(self, "eps_max", eps)
-        if not isinstance(self.ecbc_denominator, EcbcDenominator):
+        if not isinstance(ecbc_denominator, EcbcDenominator):
             raise TypeError("ecbc_denominator must be an EcbcDenominator")
+        object.__setattr__(self, "lambda_bits", lambda_bits)
+        object.__setattr__(self, "s_min", s_min)
+        object.__setattr__(self, "blocks_per_file", blocks_per_file)
+        object.__setattr__(self, "eps_max", eps)
+        object.__setattr__(self, "ecbc_denominator", ecbc_denominator)
 
     @classmethod
     def from_bits(

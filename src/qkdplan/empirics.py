@@ -35,11 +35,10 @@ from __future__ import annotations
 
 import math
 from collections.abc import Callable
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .advmodel import Mode, bound_terms
-from .exactmath import as_natural
+from .exactmath import _Record, as_natural
 
 _M64 = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
@@ -161,16 +160,16 @@ def _toy_block_bits(block_bits: int) -> int:
     return block_bits
 
 
-@dataclass(frozen=True)
-class ToyCipherParams:
+class ToyCipherParams(_Record):
     """Shape of the scaled-down cipher: block width and default key."""
 
-    block_bits: int
-    key_seed: int
+    __slots__ = _fields = ("block_bits", "key_seed")
 
-    def __post_init__(self) -> None:
-        _toy_block_bits(self.block_bits)
-        as_u64(self.key_seed, "key_seed")
+    def __init__(self, block_bits: int, key_seed: int) -> None:
+        _toy_block_bits(block_bits)
+        as_u64(key_seed, "key_seed")
+        object.__setattr__(self, "block_bits", block_bits)
+        object.__setattr__(self, "key_seed", key_seed)
 
 
 def _round_keys(key: int) -> list[int]:
@@ -324,44 +323,55 @@ def ecbc_mac(params: ToyCipherParams, key1: int, key2: int, blocks: list[int]) -
 # ------------------------------------------------------------------ trials
 
 
-@dataclass(frozen=True)
-class TrialConfig:
+class TrialConfig(_Record):
     """One Monte Carlo experiment: mode, domain, load, trial count, seed.
 
     Trials draw a fresh 64-bit cipher key per trial and run the toy cipher;
     IVs and plaintexts are uniform on the block domain.
     """
 
-    mode: Mode
-    block_bits: int
-    q_files: int
-    blocks_per_file: int
-    trials: int
-    rng_seed: int
+    __slots__ = _fields = ("mode", "block_bits", "q_files", "blocks_per_file", "trials", "rng_seed")
 
-    def __post_init__(self) -> None:
-        if self.mode not in (Mode.CTR, Mode.CBC):
+    def __init__(
+        self, mode: Mode, block_bits: int, q_files: int, blocks_per_file: int, trials: int, rng_seed: int
+    ) -> None:
+        if mode not in (Mode.CTR, Mode.CBC):
             raise ValueError("collision trials support CTR and CBC only")
-        _toy_block_bits(self.block_bits)
-        if as_natural(self.q_files) < 1 or as_natural(self.blocks_per_file) < 1:
+        _toy_block_bits(block_bits)
+        if as_natural(q_files) < 1 or as_natural(blocks_per_file) < 1:
             raise ValueError("q_files and blocks_per_file must be >= 1")
-        if self.q_files * self.blocks_per_file > 1 << self.block_bits:
+        if q_files * blocks_per_file > 1 << block_bits:
             raise ValueError("q_files * blocks_per_file exceeds the block domain")
-        if self.mode is Mode.CBC and self.blocks_per_file > _PLAINTEXT_SLOTS:
+        if mode is Mode.CBC and blocks_per_file > _PLAINTEXT_SLOTS:
             raise ValueError(f"CBC trials support at most {_PLAINTEXT_SLOTS} blocks_per_file")
-        as_natural(self.trials)
-        as_u64(self.rng_seed, "rng_seed")
+        as_natural(trials)
+        as_u64(rng_seed, "rng_seed")
+        object.__setattr__(self, "mode", mode)
+        object.__setattr__(self, "block_bits", block_bits)
+        object.__setattr__(self, "q_files", q_files)
+        object.__setattr__(self, "blocks_per_file", blocks_per_file)
+        object.__setattr__(self, "trials", trials)
+        object.__setattr__(self, "rng_seed", rng_seed)
 
 
-@dataclass(frozen=True)
-class EmpiricalResult:
+class EmpiricalResult(_Record):
     """Measured collision fraction with its 99% half-width and the bound."""
 
-    collision_fraction: float
-    theoretical_bound: Fraction
-    trials: int
-    half_width_99: float
-    collisions: int
+    __slots__ = _fields = ("collision_fraction", "theoretical_bound", "trials", "half_width_99", "collisions")
+
+    def __init__(
+        self,
+        collision_fraction: float,
+        theoretical_bound: Fraction,
+        trials: int,
+        half_width_99: float,
+        collisions: int,
+    ) -> None:
+        object.__setattr__(self, "collision_fraction", collision_fraction)
+        object.__setattr__(self, "theoretical_bound", theoretical_bound)
+        object.__setattr__(self, "trials", trials)
+        object.__setattr__(self, "half_width_99", half_width_99)
+        object.__setattr__(self, "collisions", collisions)
 
 
 def _ctr_counter(config: TrialConfig, chunk: int) -> Callable[[int, int], int]:

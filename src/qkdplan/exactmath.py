@@ -28,9 +28,9 @@ The two primitives:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import isqrt
+from operator import attrgetter
 
 DEFAULT_PRECISION = 9
 
@@ -83,8 +83,53 @@ def render_rational(value: Fraction) -> str:
     return f"{value.numerator}/{value.denominator}"
 
 
-@dataclass(frozen=True)
-class FixedDecimal:
+class _Record:
+    """Base of the package's immutable value records.
+
+    A subclass names its fields, in constructor order, in both __slots__ and
+    _fields, and its __init__ checks its arguments and stores each field with
+    object.__setattr__.  Assigning or deleting a field afterwards raises
+    AttributeError.  Two records are equal when they are of the same class
+    and their field tuples are equal, and equal records hash equal.  The repr
+    is Name(field=value, ...), and pickle and copy rebuild a record through
+    its __init__.
+    """
+
+    __slots__ = ()
+    _fields: tuple[str, ...] = ()
+
+    def __init_subclass__(cls, **kwargs) -> None:
+        super().__init_subclass__(**kwargs)
+        # one C-level getter per class reads the field tuple
+        cls._values = attrgetter(*cls._fields)
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to field {name!r} of {type(self).__name__}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r} of {type(self).__name__}")
+
+    def __eq__(self, other: object):
+        if other.__class__ is self.__class__:
+            return self._values(self) == self._values(other)
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._values(self))
+
+    def __repr__(self) -> str:
+        shown = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{type(self).__qualname__}({shown})"
+
+    def __reduce__(self):
+        return type(self), self._values(self)
+
+    def _asdict(self) -> dict[str, object]:
+        """The fields by name, in constructor order."""
+        return dict(zip(self._fields, self._values(self)))
+
+
+class FixedDecimal(_Record):
     """Signed fixed-point decimal: the value is scaled / 10**digits.
 
     Used for every human-facing bit count.  Producers guarantee the rendered
@@ -92,12 +137,13 @@ class FixedDecimal:
     FixedDecimals is exact (scales are aligned, never reduced).
     """
 
-    scaled: int
-    digits: int
+    __slots__ = _fields = ("scaled", "digits")
 
-    def __post_init__(self) -> None:
-        if self.digits < 0:
+    def __init__(self, scaled: int, digits: int) -> None:
+        if digits < 0:
             raise ValueError("digits must be >= 0")
+        object.__setattr__(self, "scaled", scaled)
+        object.__setattr__(self, "digits", digits)
 
     @classmethod
     def from_fraction(cls, value: Fraction, digits: int) -> "FixedDecimal":

@@ -20,7 +20,6 @@ delta_bits - log2(k) = log2(num/den), which lies in (0, log2(k)).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
@@ -29,6 +28,7 @@ from .exactmath import (
     DEFAULT_PRECISION,
     FixedDecimal,
     _log2,
+    _Record,
     as_natural,
     log2_rational,
     max_q_quadratic,
@@ -41,38 +41,70 @@ class InfeasibleTargetError(ValueError):
     """The advantage ceiling cannot be met by even a single file."""
 
 
-@dataclass(frozen=True)
-class RotationPlan:
+class RotationPlan(_Record):
     """Result of maximizing the per-key file budget for one mode."""
 
-    mode: Mode
-    params: SecurityParams
-    q_star: int
-    eps_at_q_star: Fraction
-    worst_case_bits: FixedDecimal
-    file_size_bytes: int
-    block_bits: int  # the width that chunks file_size_bytes into params.blocks_per_file
+    __slots__ = _fields = (
+        "mode", "params", "q_star", "eps_at_q_star", "worst_case_bits", "file_size_bytes", "block_bits"
+    )
+
+    def __init__(
+        self,
+        mode: Mode,
+        params: SecurityParams,
+        q_star: int,
+        eps_at_q_star: Fraction,
+        worst_case_bits: FixedDecimal,
+        file_size_bytes: int,
+        block_bits: int,  # the width that chunks file_size_bytes into params.blocks_per_file
+    ) -> None:
+        object.__setattr__(self, "mode", mode)
+        object.__setattr__(self, "params", params)
+        object.__setattr__(self, "q_star", q_star)
+        object.__setattr__(self, "eps_at_q_star", eps_at_q_star)
+        object.__setattr__(self, "worst_case_bits", worst_case_bits)
+        object.__setattr__(self, "file_size_bytes", file_size_bytes)
+        object.__setattr__(self, "block_bits", block_bits)
 
     @property
     def max_data_volume_bytes(self) -> int:
         return self.q_star * self.file_size_bytes
 
 
-@dataclass(frozen=True)
-class ImprovementReport:
+class ImprovementReport(_Record):
     """Security gained by a k-way key rotation of a fixed Q* schedule."""
 
-    k: int
-    delta_bits: FixedDecimal
-    lower_bound_bits: FixedDecimal  # log2(k)
-    upper_bound_bits: FixedDecimal  # 2*log2(k)
+    __slots__ = _fields = ("k", "delta_bits", "lower_bound_bits", "upper_bound_bits")
+
+    def __init__(
+        self,
+        k: int,
+        delta_bits: FixedDecimal,
+        lower_bound_bits: FixedDecimal,  # log2(k)
+        upper_bound_bits: FixedDecimal,  # 2*log2(k)
+    ) -> None:
+        object.__setattr__(self, "k", k)
+        object.__setattr__(self, "delta_bits", delta_bits)
+        object.__setattr__(self, "lower_bound_bits", lower_bound_bits)
+        object.__setattr__(self, "upper_bound_bits", upper_bound_bits)
 
 
-@dataclass(frozen=True)
 class SweepRow(ImprovementReport):
     """A rotation gain at k, with its bracket and its benefit per key spent."""
 
-    benefit: FixedDecimal
+    __slots__ = ("benefit",)
+    _fields = ImprovementReport._fields + __slots__
+
+    def __init__(
+        self,
+        k: int,
+        delta_bits: FixedDecimal,
+        lower_bound_bits: FixedDecimal,
+        upper_bound_bits: FixedDecimal,
+        benefit: FixedDecimal,
+    ) -> None:
+        super().__init__(k, delta_bits, lower_bound_bits, upper_bound_bits)
+        object.__setattr__(self, "benefit", benefit)
 
 
 def blocks_per_file(file_size_bytes: int, block_bits: int) -> int:
@@ -203,7 +235,7 @@ def benefit(
     delta = report.delta_bits
     cost_num, cost_den = key_cost.as_integer_ratio()
     value = Fraction(delta.scaled * q_star * cost_den, 10**delta.digits * k * cost_num)
-    return SweepRow(**vars(report), benefit=FixedDecimal.from_fraction(value, DEFAULT_PRECISION))
+    return SweepRow(**report._asdict(), benefit=FixedDecimal.from_fraction(value, DEFAULT_PRECISION))
 
 
 def sweep_k(

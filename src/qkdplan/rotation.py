@@ -10,7 +10,7 @@ proportionally earlier for defense in depth at the same planned level.
 A key's id is its pool position, so the event log's key chain runs through
 increasing ids: no key serves two stretches of a session.
 
-Every session rule lives in SessionState.__post_init__, so a session opened
+Every session rule lives in SessionState.__init__, so a session opened
 from a pool and one loaded from disk pass the same checks.  Sessions persist
 to a versioned JSON document with every count that matters for audit: the
 exact parameters, the file size and block width, planned Q*, counters, and
@@ -38,15 +38,14 @@ import contextlib
 import hashlib
 import json
 import os
-from dataclasses import dataclass, field, fields
 from fractions import Fraction
-from typing import NamedTuple
+from operator import attrgetter
 
 from .advmodel import EcbcDenominator, Mode, SecurityParams, check_key_cost
 from .empirics import (
     _P_KEY_MATERIAL, _P_SESSION_IV, ToyCipherParams, _cbc, _ctr, _mac, _round_tables, _RoundTable, as_u64, draw64
 )
-from .exactmath import as_natural, parse_rational, render_rational
+from .exactmath import _Record, as_natural, parse_rational, render_rational
 from .planner import RotationPlan, compute_q_star
 
 STATE_VERSION = 2
@@ -76,12 +75,13 @@ def _check_key_len(key_len_bits: int) -> None:
 
 
 class KeyPool:
-    """Ordered pool of keys; each is dispensed at most once.
+    """Ordered pool of distinct keys; each is dispensed at most once.
 
-    dispense() returns (key_id, material), the id being the key's position,
-    so equal material twice is two keys.  cost is the accounting cost of
-    each key, the same for every key in the pool; advmodel.check_key_cost
-    states its rule.
+    dispense() returns (key_id, material), the id being the key's position.
+    The same material at two positions is rejected, since a rotation from
+    one to the other would keep encrypting under the same bytes.  cost is
+    the accounting cost of each key, the same for every key in the pool;
+    advmodel.check_key_cost states its rule.
     """
 
     def __init__(
@@ -93,9 +93,13 @@ class KeyPool:
     ):
         _check_key_len(key_len_bits)
         self.cost = check_key_cost(cost)
+        first_id: dict[bytes, int] = {}
         for key_id, material in enumerate(keys):
             if not isinstance(material, bytes) or len(material) * 8 != key_len_bits:
                 raise ValueError(f"key {key_id} is not {key_len_bits} bits")
+            earlier = first_id.setdefault(material, key_id)
+            if earlier != key_id:
+                raise ValueError(f"key {key_id} repeats the material of key {earlier}")
         self.key_len_bits = key_len_bits
         self.source = source
         self._keys = list(keys)
@@ -140,7 +144,10 @@ def ingest_keys(path: str, key_len_bits: int, cost: Fraction = Fraction(1)) -> K
 def simulate_pool(
     count: int, key_len_bits: int, seed: int, cost: Fraction = Fraction(1)
 ) -> KeyPool:
-    """Deterministic stand-in for a QKD delivery: count keys derived from seed."""
+    """Deterministic stand-in for a QKD delivery: count keys derived from seed.
+
+    Short keys can repeat (two 8-bit keys are equal one time in 256), and
+    KeyPool refuses a pool that holds the same material twice."""
     _check_key_len(key_len_bits)
     check_key_cost(cost)
     as_u64(seed, "seed")
@@ -151,32 +158,36 @@ def simulate_pool(
     return KeyPool(keys, key_len_bits, cost, source=f"simulated(seed={seed})")
 
 
-@dataclass(frozen=True)
-class RotationEvent:
-    event_index: int
-    old_key_id: int
-    new_key_id: int
-    at_file_count: int  # files completed when the rotation fired
+class RotationEvent(_Record):
+    __slots__ = _fields = ("event_index", "old_key_id", "new_key_id", "at_file_count")
 
-    def __post_init__(self) -> None:
-        for f in fields(self):
-            as_natural(getattr(self, f.name))
+    def __init__(
+        self,
+        event_index: int,
+        old_key_id: int,
+        new_key_id: int,
+        at_file_count: int,  # files completed when the rotation fired
+    ) -> None:
+        object.__setattr__(self, "event_index", as_natural(event_index))
+        object.__setattr__(self, "old_key_id", as_natural(old_key_id))
+        object.__setattr__(self, "new_key_id", as_natural(new_key_id))
+        object.__setattr__(self, "at_file_count", as_natural(at_file_count))
 
 
-class _KeySchedule(NamedTuple):
+class _KeySchedule:
     """What one key fixes: the round tables of its two cipher subkeys
     (CTR and CBC use the first, ECBC-MAC both) and its IV seed."""
 
-    tables1: list[_RoundTable]
-    tables2: list[_RoundTable]
-    iv_seed: int
+    __slots__ = ("tables1", "tables2", "iv_seed")
+
+    def __init__(self, tables1: list[_RoundTable], tables2: list[_RoundTable], iv_seed: int) -> None:
+        self.tables1, self.tables2, self.iv_seed = tables1, tables2, iv_seed
 
 
-@dataclass
 class SessionState:
     """Mutable state of one encryption session (single-writer).
 
-    __post_init__ is the one place the session rules are checked; the per-key
+    __init__ is the one place the session rules are checked; the per-key
     cap and the files under the current key are derived, not stored.
     current_key_id is a pool position; key_cost is the pool's per-key cost.
     Equality leaves out the pool and the current key's schedule, which hold
@@ -184,19 +195,38 @@ class SessionState:
     (detached) twin.
     """
 
-    plan: RotationPlan
-    cipher: ToyCipherParams
-    rotation_factor: int
-    key_cost: Fraction
-    pool: KeyPool | None = field(compare=False)
-    current_key_id: int
-    total_files: int = 0
-    events: list[RotationEvent] = field(default_factory=list)
-    # the current key's cipher, set with current_key_id by _use_key; None on
-    # a detached session
-    _key_schedule: _KeySchedule | None = field(default=None, init=False, compare=False, repr=False)
+    # _Record's repr shows _fields, and its equality compares _values
+    _fields = (
+        "plan", "cipher", "rotation_factor", "key_cost", "pool", "current_key_id", "total_files", "events"
+    )
+    _values = attrgetter(*(name for name in _fields if name != "pool"))
+    __repr__ = _Record.__repr__
+    __eq__ = _Record.__eq__
+    __hash__ = None  # mutable
 
-    def __post_init__(self) -> None:
+    def __init__(
+        self,
+        plan: RotationPlan,
+        cipher: ToyCipherParams,
+        rotation_factor: int,
+        key_cost: Fraction,
+        pool: KeyPool | None,
+        current_key_id: int,
+        total_files: int = 0,
+        events: list[RotationEvent] | None = None,
+    ) -> None:
+        self.plan = plan
+        self.cipher = cipher
+        self.rotation_factor = rotation_factor
+        self.key_cost = key_cost
+        self.pool = pool
+        self.current_key_id = current_key_id
+        self.total_files = total_files
+        self.events = [] if events is None else events
+        # the current key's cipher, set with current_key_id by _use_key; None
+        # on a detached session
+        self._key_schedule: _KeySchedule | None = None
+
         if as_natural(self.rotation_factor) < 1:
             raise ValueError("rotation_factor must be >= 1")
         cap = self.per_key_cap
@@ -342,7 +372,7 @@ def _replace_file(path: str, text: str) -> None:
 
 def export_events(session: SessionState, path: str) -> None:
     """Write the rotation event log as JSON lines, one event per line."""
-    _replace_file(path, "".join(json.dumps(vars(event), sort_keys=True) + "\n" for event in session.events))
+    _replace_file(path, "".join(json.dumps(event._asdict(), sort_keys=True) + "\n" for event in session.events))
 
 
 def _document(session: SessionState) -> dict:
@@ -378,7 +408,7 @@ def _document(session: SessionState) -> dict:
             "files_under_current_key": str(session.files_under_current_key),
         },
         "total_key_cost": render_rational(session.total_key_cost),
-        "events": [vars(e) for e in session.events],
+        "events": [e._asdict() for e in session.events],
     }
 
 

@@ -497,7 +497,10 @@ else:
     import qkdplan.cli as cli
     if argv:
         assert cli.main(argv) == 0, argv
-print(json.dumps([sorted(m for m in sys.modules if m.split(".")[0] == "qkdplan"), "numpy" in sys.modules]))
+print(json.dumps([
+    sorted(m for m in sys.modules if m.split(".")[0] == "qkdplan"),
+    *(name in sys.modules for name in ("numpy", "dataclasses", "inspect")),
+]))
 """
 
 PLANNING = ["qkdplan", "qkdplan.advmodel", "qkdplan.cli", "qkdplan.exactmath", "qkdplan.planner"]
@@ -507,7 +510,8 @@ def test_numpy_loads_only_for_monte_carlo(tmp_path):
     # One fresh interpreter per case, since this process imported everything
     # long ago.  Planning loads neither the Monte Carlo nor the rotation
     # module, rotate runs the scalar cipher without numpy, and only simulate
-    # imports numpy.
+    # imports numpy.  No command loads dataclasses, and only numpy, in
+    # simulate, loads inspect.
     manifest = tmp_path / "manifest.txt"
     manifest.write_text("8\n8\n8\n8\n")
     rotate = ["rotate", "--mode", "ctr", *TOY, "--simulate-keys", "5",
@@ -534,4 +538,4 @@ def test_numpy_loads_only_for_monte_carlo(tmp_path):
             text=True,
         )
         assert done.returncode == 0, (argv, done.stderr)
-        assert json.loads(done.stdout.splitlines()[-1]) == [modules, numpy], argv
+        assert json.loads(done.stdout.splitlines()[-1]) == [modules, numpy, False, numpy], argv

@@ -6,7 +6,6 @@ import json
 import math
 import random
 import time
-from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -14,10 +13,12 @@ import pytest
 from qkdplan import empirics, rotation
 from qkdplan.advmodel import Mode, SecurityParams
 from qkdplan.empirics import ToyCipherParams
+from qkdplan.cli import main
 from qkdplan.rotation import (
     KeyPool,
     OversizedFileError,
     PoolExhaustedError,
+    SessionState,
     StateError,
     encrypt_file,
     export_events,
@@ -101,19 +102,32 @@ def test_pool_dispenses_each_key_once():
         pool.dispense()
 
 
-def test_key_ids_are_pool_positions(tmp_path):
-    # two deliveries of the same bytes are two keys: ids 0 and 1, a chain
-    # that runs forward, and a checkpoint that loads
-    key = bytes(range(16))
-    pool = KeyPool([key, key], 128)
-    assert [pool.dispense(), pool.dispense()] == [(0, key), (1, key)]
-    session = open_session(KeyPool([key, key], 128), Mode.CTR, TOY_PARAMS, 8, cipher=TOY_CIPHER)
+def test_key_ids_are_pool_positions(tmp_path, capsys):
+    # ids are positions: a chain that runs forward, and a checkpoint that loads
+    a, b = bytes(range(16)), bytes(range(1, 17))
+    pool = KeyPool([a, b], 128)
+    assert [pool.dispense(), pool.dispense()] == [(0, a), (1, b)]
+    session = open_session(KeyPool([a, b], 128), Mode.CTR, TOY_PARAMS, 8, cipher=TOY_CIPHER)
     for _ in range(4):
         encrypt_file(session, b"x")
     assert [(e.old_key_id, e.new_key_id) for e in session.events] == [(0, 1)]
     path = tmp_path / "state.json"
     persist_state(session, str(path))
     assert load_state(str(path)) == session
+    # the same bytes at two positions would rotate 0 -> 1 under one key
+    with pytest.raises(ValueError, match="key 2 repeats the material of key 0"):
+        KeyPool([a, b, a], 128)
+    keys = tmp_path / "keys.txt"
+    keys.write_text(f"{a.hex()}\n{b.hex()}\n{b.hex().upper()}\n")
+    with pytest.raises(ValueError, match="key 2 repeats the material of key 1"):
+        ingest_keys(str(keys), 128)
+    manifest = tmp_path / "manifest.txt"
+    manifest.write_text("8\n")
+    argv = ["rotate", "--mode", "ctr", "--lambda-bits", "16", "--s-min-bits", "14", "--file-size", "8B",
+            "--target-bits", "9", "--keys", str(keys), "--manifest", str(manifest)]  # fmt: skip
+    capsys.readouterr()
+    assert main(argv) == 2
+    assert capsys.readouterr() == ("", "error: key 2 repeats the material of key 1\n")
 
 
 def test_pool_validation():
@@ -342,8 +356,13 @@ def test_state_round_trip(tmp_path):
     # equality ignores the pool and the key schedule, but no accounting field
     one = toy_session()
     encrypt_file(one, b"x")  # one file, no rotation: these twins are valid sessions
-    assert replace(one, current_key_id=one.current_key_id + 1) != one
-    assert replace(one, rotation_factor=3) != one  # cap 1
+    fields = dict(
+        plan=one.plan, cipher=one.cipher, rotation_factor=1, key_cost=one.key_cost, pool=None,
+        current_key_id=one.current_key_id, total_files=1,
+    )  # fmt: skip
+    assert SessionState(**fields) == one
+    assert SessionState(**{**fields, "current_key_id": one.current_key_id + 1}) != one
+    assert SessionState(**{**fields, "rotation_factor": 3}) != one  # cap 1
     encrypt_file(session, b"abcdefgh")
     assert session != loaded
 

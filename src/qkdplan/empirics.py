@@ -355,23 +355,29 @@ class TrialConfig(_Record):
 
 
 class EmpiricalResult(_Record):
-    """Measured collision fraction with its 99% half-width and the bound."""
+    """Collisions seen in a number of trials, with the bound they are held to.
 
-    __slots__ = _fields = ("collision_fraction", "theoretical_bound", "trials", "half_width_99", "collisions")
+    The measured collision fraction and its 99% normal-approximation
+    half-width are derived from the two counts.
+    """
 
-    def __init__(
-        self,
-        collision_fraction: float,
-        theoretical_bound: Fraction,
-        trials: int,
-        half_width_99: float,
-        collisions: int,
-    ) -> None:
-        object.__setattr__(self, "collision_fraction", collision_fraction)
+    __slots__ = _fields = ("theoretical_bound", "trials", "collisions")
+
+    def __init__(self, theoretical_bound: Fraction, trials: int, collisions: int) -> None:
+        if as_natural(trials) < 1 or as_natural(collisions) > trials:
+            raise ValueError(f"need 0 <= collisions <= trials and trials >= 1, got {collisions} of {trials}")
         object.__setattr__(self, "theoretical_bound", theoretical_bound)
         object.__setattr__(self, "trials", trials)
-        object.__setattr__(self, "half_width_99", half_width_99)
         object.__setattr__(self, "collisions", collisions)
+
+    @property
+    def collision_fraction(self) -> float:
+        return self.collisions / self.trials
+
+    @property
+    def half_width_99(self) -> float:
+        fraction = self.collision_fraction
+        return Z_99 * math.sqrt(fraction * (1.0 - fraction) / self.trials)
 
 
 def _ctr_counter(config: TrialConfig, chunk: int) -> Callable[[int, int], int]:
@@ -466,13 +472,4 @@ def estimate_collision_probability(config: TrialConfig) -> EmpiricalResult:
     # the bound's birthday term at the scaled-down domain
     terms = bound_terms(config.mode, config.blocks_per_file, 1 << config.block_bits)
     bound = Fraction(terms.quad * config.q_files**2, terms.den)
-
-    fraction = collisions / config.trials
-    half_width = Z_99 * math.sqrt(fraction * (1.0 - fraction) / config.trials)
-    return EmpiricalResult(
-        collision_fraction=fraction,
-        theoretical_bound=bound,
-        trials=config.trials,
-        half_width_99=half_width,
-        collisions=collisions,
-    )
+    return EmpiricalResult(bound, config.trials, collisions)

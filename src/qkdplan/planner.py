@@ -11,7 +11,8 @@ num = k(L+B+C) and den = kL + B + k^2*C, so it is formed with no Fraction.
 It always lies strictly between k and k^2 for k >= 2, i.e. den < num < k*den,
 so the gain lies between log2(k) and 2*log2(k): rotation at least halves the
 effective exposure per key but cannot beat the square-law limit of the
-birthday terms.  The bracket is checked on the integers before any rounding.
+birthday terms.  The bracket is checked on the integers before any rounding;
+a report stores only k and delta_bits and derives the bracket from k.
 
 An adversary who sees all k keys' traffic gets up to k*bound(Q*/k) by the
 hybrid bound over k independent keys, so the whole schedule's gain is
@@ -42,29 +43,35 @@ class InfeasibleTargetError(ValueError):
 
 
 class RotationPlan(_Record):
-    """Result of maximizing the per-key file budget for one mode."""
+    """Result of maximizing the per-key file budget for one mode.
 
-    __slots__ = _fields = (
-        "mode", "params", "q_star", "eps_at_q_star", "worst_case_bits", "file_size_bytes", "block_bits"
-    )
+    Stores the inputs and Q*; the bound at Q* and the worst-case security
+    level -log2 of it are derived on read.
+    """
+
+    __slots__ = _fields = ("mode", "params", "q_star", "file_size_bytes", "block_bits")
 
     def __init__(
         self,
         mode: Mode,
         params: SecurityParams,
         q_star: int,
-        eps_at_q_star: Fraction,
-        worst_case_bits: FixedDecimal,
         file_size_bytes: int,
         block_bits: int,  # the width that chunks file_size_bytes into params.blocks_per_file
     ) -> None:
         object.__setattr__(self, "mode", mode)
         object.__setattr__(self, "params", params)
         object.__setattr__(self, "q_star", q_star)
-        object.__setattr__(self, "eps_at_q_star", eps_at_q_star)
-        object.__setattr__(self, "worst_case_bits", worst_case_bits)
         object.__setattr__(self, "file_size_bytes", file_size_bytes)
         object.__setattr__(self, "block_bits", block_bits)
+
+    @property
+    def eps_at_q_star(self) -> Fraction:
+        return bound_at(self.mode, self.params, self.q_star)
+
+    @property
+    def worst_case_bits(self) -> FixedDecimal:
+        return -log2_rational(self.eps_at_q_star, DEFAULT_PRECISION)
 
     @property
     def max_data_volume_bytes(self) -> int:
@@ -72,21 +79,27 @@ class RotationPlan(_Record):
 
 
 class ImprovementReport(_Record):
-    """Security gained by a k-way key rotation of a fixed Q* schedule."""
+    """Security gained by a k-way key rotation of a fixed Q* schedule.
 
-    __slots__ = _fields = ("k", "delta_bits", "lower_bound_bits", "upper_bound_bits")
+    delta_bits is the gain against one key, log2(bound(Q*) / bound(Q*/k)),
+    bracketed by lower_bound_bits = log2 k and upper_bound_bits = 2 log2 k,
+    which are derived from k.  delta_bits - lower_bound_bits is the whole
+    schedule's gain, in (0, log2 k).
+    """
 
-    def __init__(
-        self,
-        k: int,
-        delta_bits: FixedDecimal,
-        lower_bound_bits: FixedDecimal,  # log2(k)
-        upper_bound_bits: FixedDecimal,  # 2*log2(k)
-    ) -> None:
+    __slots__ = _fields = ("k", "delta_bits")
+
+    def __init__(self, k: int, delta_bits: FixedDecimal) -> None:
         object.__setattr__(self, "k", k)
         object.__setattr__(self, "delta_bits", delta_bits)
-        object.__setattr__(self, "lower_bound_bits", lower_bound_bits)
-        object.__setattr__(self, "upper_bound_bits", upper_bound_bits)
+
+    @property
+    def lower_bound_bits(self) -> FixedDecimal:
+        return _log2_k(self.k)
+
+    @property
+    def upper_bound_bits(self) -> FixedDecimal:
+        return 2 * _log2_k(self.k)
 
 
 class SweepRow(ImprovementReport):
@@ -95,15 +108,8 @@ class SweepRow(ImprovementReport):
     __slots__ = ("benefit",)
     _fields = ImprovementReport._fields + __slots__
 
-    def __init__(
-        self,
-        k: int,
-        delta_bits: FixedDecimal,
-        lower_bound_bits: FixedDecimal,
-        upper_bound_bits: FixedDecimal,
-        benefit: FixedDecimal,
-    ) -> None:
-        super().__init__(k, delta_bits, lower_bound_bits, upper_bound_bits)
+    def __init__(self, k: int, delta_bits: FixedDecimal, benefit: FixedDecimal) -> None:
+        super().__init__(k, delta_bits)
         object.__setattr__(self, "benefit", benefit)
 
 
@@ -164,16 +170,7 @@ def compute_q_star(
         raise InfeasibleTargetError(
             "advantage ceiling rules out encrypting even one file"
         )
-    eps_at = bound_at(mode, params, Fraction(q_star))
-    return RotationPlan(
-        mode=mode,
-        params=params,
-        q_star=q_star,
-        eps_at_q_star=eps_at,
-        worst_case_bits=-log2_rational(eps_at, DEFAULT_PRECISION),
-        file_size_bytes=file_size_bytes,
-        block_bits=block_bits,
-    )
+    return RotationPlan(mode, params, q_star, file_size_bytes, block_bits)
 
 
 def improvement_bits(
@@ -192,9 +189,8 @@ def improvement_bits(
     if k > as_natural(q_star):
         raise ValueError(f"k={k} exceeds q_star={q_star}; keys would sit idle")
 
-    zero = FixedDecimal(0, _IMPROVEMENT_PRECISION)
     if k == 1:
-        return ImprovementReport(1, zero, zero, zero)
+        return ImprovementReport(1, FixedDecimal(0, _IMPROVEMENT_PRECISION))
 
     lin, quad, const = bound_parts(mode, params, q_star)
     # bound(Q*)/bound(Q*/k) = k*num/den; log2 k < gain < 2 log2 k iff
@@ -205,13 +201,7 @@ def improvement_bits(
         raise AssertionError(f"bound ratio {k}*{num}/{den} at k={k} lies outside ({k}, {k * k})")
     # Rounded as log2 k + log2(num/den): both terms round into [0, log2 k],
     # so the reported gain cannot step outside the reported bracket.
-    log2_k = _log2_k(k)
-    return ImprovementReport(
-        k=k,
-        delta_bits=log2_k + _log2(num, den, _IMPROVEMENT_PRECISION),
-        lower_bound_bits=log2_k,
-        upper_bound_bits=2 * log2_k,
-    )
+    return ImprovementReport(k, _log2_k(k) + _log2(num, den, _IMPROVEMENT_PRECISION))
 
 
 @lru_cache(maxsize=256)
@@ -235,7 +225,7 @@ def benefit(
     delta = report.delta_bits
     cost_num, cost_den = key_cost.as_integer_ratio()
     value = Fraction(delta.scaled * q_star * cost_den, 10**delta.digits * k * cost_num)
-    return SweepRow(**report._asdict(), benefit=FixedDecimal.from_fraction(value, DEFAULT_PRECISION))
+    return SweepRow(report.k, delta, FixedDecimal.from_fraction(value, DEFAULT_PRECISION))
 
 
 def sweep_k(

@@ -38,6 +38,7 @@ import contextlib
 import hashlib
 import json
 import os
+from collections.abc import Iterable
 from fractions import Fraction
 from operator import attrgetter
 
@@ -79,14 +80,16 @@ class KeyPool:
 
     dispense() returns (key_id, material), the id being the key's position.
     The same material at two positions is rejected, since a rotation from
-    one to the other would keep encrypting under the same bytes.  cost is
+    one to the other would keep encrypting under the same bytes.  keys may
+    be any iterable; it is read once, after the key length and cost are
+    checked, and reading stops at the first bad or repeated key.  cost is
     the accounting cost of each key, the same for every key in the pool;
     advmodel.check_key_cost states its rule.
     """
 
     def __init__(
         self,
-        keys: list[bytes],
+        keys: Iterable[bytes],
         key_len_bits: int,
         cost: Fraction = Fraction(1),
         source: str = "",
@@ -102,7 +105,7 @@ class KeyPool:
                 raise ValueError(f"key {key_id} repeats the material of key {earlier}")
         self.key_len_bits = key_len_bits
         self.source = source
-        self._keys = list(keys)
+        self._keys = list(first_id)  # every key is distinct, so these are all of them, in order
         self._cursor = 0
 
     def __len__(self) -> int:
@@ -147,14 +150,13 @@ def simulate_pool(
     """Deterministic stand-in for a QKD delivery: count keys derived from seed.
 
     Short keys can repeat (two 8-bit keys are equal one time in 256), and
-    KeyPool refuses a pool that holds the same material twice."""
-    _check_key_len(key_len_bits)
-    check_key_cost(cost)
+    KeyPool refuses a pool that holds the same material twice; it draws the
+    keys one by one, so it stops drawing at the first repeat."""
     as_u64(seed, "seed")
-    key_bytes = key_len_bits // 8
-    keys = []
-    for i in range(as_natural(count)):
-        keys.append(bytes(draw64(seed, _P_KEY_MATERIAL, i, j) & 0xFF for j in range(key_bytes)))
+    keys = (
+        bytes(draw64(seed, _P_KEY_MATERIAL, i, j) & 0xFF for j in range(key_len_bits // 8))
+        for i in range(as_natural(count))
+    )
     return KeyPool(keys, key_len_bits, cost, source=f"simulated(seed={seed})")
 
 

@@ -274,13 +274,7 @@ def test_simulate_rejects_seed_beyond_64_bits(capsys):
 def test_simulate_bound_violation_exits_4(capsys, monkeypatch):
     # the real estimator cannot violate a sound bound, so fabricate a result
     # to pin down the exit-code contract
-    fake = EmpiricalResult(
-        collision_fraction=0.5,
-        theoretical_bound=Fraction(1, 32),
-        trials=20000,
-        half_width_99=0.001,
-        collisions=10000,
-    )
+    fake = EmpiricalResult(theoretical_bound=Fraction(1, 32), trials=20000, collisions=10000)
     monkeypatch.setattr("qkdplan.empirics.estimate_collision_probability", lambda config: fake)
     code, out, _ = run(
         capsys, "simulate", "--mode", "ctr", "--block-bits", "16", "--q", "16",

@@ -4,10 +4,12 @@ from __future__ import annotations
 
 import ast
 import importlib
+import inspect
 import pkgutil
 from pathlib import Path
 
 import qkdplan
+from qkdplan.exactmath import _Record
 
 PUBLIC = [
     "EcbcDenominator",
@@ -72,6 +74,38 @@ def test_every_exported_name_resolves():
         module = importlib.import_module(f"qkdplan.{module_name}")
         missing = [name for name in names if not hasattr(module, name)]
         assert not missing, f"qkdplan._EXPORTS names {missing}, which {module.__name__} does not define"
+
+
+# each exported record's stored fields, in constructor order
+RECORD_FIELDS = {
+    "EmpiricalResult": ("theoretical_bound", "trials", "collisions"),
+    "FixedDecimal": ("scaled", "digits"),
+    "ImprovementReport": ("k", "delta_bits"),
+    "RotationEvent": ("event_index", "old_key_id", "new_key_id", "at_file_count"),
+    "RotationPlan": ("mode", "params", "q_star", "file_size_bytes", "block_bits"),
+    "SecurityParams": ("lambda_bits", "s_min", "blocks_per_file", "eps_max", "ecbc_denominator"),
+    "SweepRow": ("k", "delta_bits", "benefit"),
+    "ToyCipherParams": ("block_bits", "key_seed"),
+    "TrialConfig": ("mode", "block_bits", "q_files", "blocks_per_file", "trials", "rng_seed"),
+}
+
+
+def test_record_fields_are_the_constructor_parameters_in_order():
+    # pickle and copy rebuild a record positionally from _fields
+    for module in pkgutil.iter_modules(qkdplan.__path__):
+        importlib.import_module(f"qkdplan.{module.name}")
+    found, pending = [], [_Record]
+    while pending:
+        subclasses = pending.pop().__subclasses__()
+        found += subclasses
+        pending += subclasses
+    records = [record for record in found if record.__module__.startswith("qkdplan.")]
+    assert len(records) > len(RECORD_FIELDS)
+    for record in records:
+        parameters = tuple(inspect.signature(record.__init__).parameters)[1:]
+        assert parameters == record._fields, record.__qualname__
+    exported = {name: getattr(qkdplan, name)._fields for name in PUBLIC if getattr(qkdplan, name) in records}
+    assert exported == RECORD_FIELDS
 
 
 def _package_trees():

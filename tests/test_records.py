@@ -1,37 +1,37 @@
 """Value semantics of the package's records: equality, hashing, immutability,
 repr and pickling, each pinned to what the dataclass versions of these
-classes did."""
+classes did.  RotationPlan, ImprovementReport, SweepRow and EmpiricalResult
+now store only their inputs and derive the rest, so their reprs show fewer
+fields than the dataclass versions did; the derived values are pinned by
+attribute instead."""
 
 from __future__ import annotations
 
 import copy
+import math
 import pickle
 from fractions import Fraction
 
 import pytest
 
 from qkdplan.advmodel import BoundTerms, Mode, SecurityParams
-from qkdplan.empirics import EmpiricalResult, ToyCipherParams, TrialConfig
+from qkdplan.empirics import Z_99, EmpiricalResult, ToyCipherParams, TrialConfig
 from qkdplan.exactmath import FixedDecimal
 from qkdplan.planner import ImprovementReport, SweepRow, compute_q_star
 from qkdplan.rotation import RotationEvent, SessionState, simulate_pool
 
 PARAMS = SecurityParams(16, 1 << 14, 4, Fraction(1, 128))
 PLAN = compute_q_star(Mode.CTR, PARAMS, 8)  # q_star 7
-BITS = [FixedDecimal(n, 1) for n in (17, 10, 20, 33)]
+DELTA, BENEFIT = FixedDecimal(17, 1), FixedDecimal(33, 1)
 
 PARAMS_REPR = (
     "SecurityParams(lambda_bits=16, s_min=16384, blocks_per_file=4, eps_max=Fraction(1, 128), "
     "ecbc_denominator=<EcbcDenominator.TWO_N: 'two-n'>)"
 )
 PLAN_REPR = (
-    f"RotationPlan(mode=<Mode.CTR: 'ctr'>, params={PARAMS_REPR}, q_star=7, eps_at_q_star=Fraction(63, 8192), "
-    "worst_case_bits=FixedDecimal(scaled=7022720077, digits=9), file_size_bytes=8, block_bits=16)"
+    f"RotationPlan(mode=<Mode.CTR: 'ctr'>, params={PARAMS_REPR}, q_star=7, file_size_bytes=8, block_bits=16)"
 )
-REPORT_FIELDS = (
-    "k=2, delta_bits=FixedDecimal(scaled=17, digits=1), lower_bound_bits=FixedDecimal(scaled=10, digits=1), "
-    "upper_bound_bits=FixedDecimal(scaled=20, digits=1)"
-)
+REPORT_FIELDS = "k=2, delta_bits=FixedDecimal(scaled=17, digits=1)"
 EVENT_REPR = "RotationEvent(event_index=0, old_key_id=0, new_key_id=1, at_file_count=7)"
 
 
@@ -39,7 +39,7 @@ def session(key_cost=Fraction(1)):
     return SessionState(PLAN, ToyCipherParams(16, 0), 1, key_cost, None, 1, 8, [RotationEvent(0, 0, 1, 7)])
 
 
-# name: (a fresh record, one that must differ from it, its dataclass-era repr)
+# name: (a fresh record, one that must differ from it, its repr)
 CASES = {
     "BoundTerms": (
         lambda: BoundTerms(1, 2, 0, 65536),
@@ -54,13 +54,13 @@ CASES = {
     "FixedDecimal": (lambda: FixedDecimal(-15, 3), FixedDecimal(-150, 4), "FixedDecimal(scaled=-15, digits=3)"),
     "RotationPlan": (lambda: compute_q_star(Mode.CTR, PARAMS, 8), compute_q_star(Mode.CBC, PARAMS, 8), PLAN_REPR),
     "ImprovementReport": (
-        lambda: ImprovementReport(2, *BITS[:3]),
-        SweepRow(2, *BITS),  # same first four fields, another class
+        lambda: ImprovementReport(2, DELTA),
+        SweepRow(2, DELTA, BENEFIT),  # same first two fields, another class
         f"ImprovementReport({REPORT_FIELDS})",
     ),
     "SweepRow": (
-        lambda: SweepRow(2, *BITS),
-        ImprovementReport(2, *BITS[:3]),
+        lambda: SweepRow(2, DELTA, BENEFIT),
+        ImprovementReport(2, DELTA),
         f"SweepRow({REPORT_FIELDS}, benefit=FixedDecimal(scaled=33, digits=1))",
     ),
     "ToyCipherParams": (
@@ -74,10 +74,9 @@ CASES = {
         "TrialConfig(mode=<Mode.CBC: 'cbc'>, block_bits=12, q_files=8, blocks_per_file=4, trials=100, rng_seed=3)",
     ),
     "EmpiricalResult": (
-        lambda: EmpiricalResult(0.25, Fraction(1, 3), 100, 0.01, 25),
-        EmpiricalResult(0.25, Fraction(1, 3), 100, 0.01, 26),
-        "EmpiricalResult(collision_fraction=0.25, theoretical_bound=Fraction(1, 3), trials=100, "
-        "half_width_99=0.01, collisions=25)",
+        lambda: EmpiricalResult(Fraction(1, 3), 100, 25),
+        EmpiricalResult(Fraction(1, 3), 100, 26),
+        "EmpiricalResult(theoretical_bound=Fraction(1, 3), trials=100, collisions=25)",
     ),
     "RotationEvent": (lambda: RotationEvent(0, 0, 1, 7), RotationEvent(0, 0, 2, 7), EVENT_REPR),
     "SessionState": (
@@ -117,3 +116,24 @@ def test_record_semantics(name):
     with pytest.raises(AttributeError):
         one.note = "unlisted"
     assert one == two and repr(one) == shown
+
+
+def test_derived_values_are_read_from_the_stored_fields():
+    assert PLAN.eps_at_q_star == Fraction(63, 8192)
+    assert PLAN.worst_case_bits == FixedDecimal(7022720077, 9)
+    for report in (ImprovementReport(2, DELTA), SweepRow(2, DELTA, BENEFIT)):
+        assert report.lower_bound_bits == FixedDecimal(10**12, 12)
+        assert report.upper_bound_bits == FixedDecimal(2 * 10**12, 12)
+    result = EmpiricalResult(Fraction(1, 3), 100, 25)
+    assert result.collision_fraction == 0.25
+    assert result.half_width_99 == Z_99 * math.sqrt(0.25 * 0.75 / 100)
+    derived = [(PLAN, "worst_case_bits"), (ImprovementReport(2, DELTA), "upper_bound_bits"), (result, "half_width_99")]
+    for record, name in derived:
+        with pytest.raises(AttributeError):
+            setattr(record, name, 0)
+
+
+@pytest.mark.parametrize("trials, collisions", [(0, 0), (-1, 0), (100, -1), (100, 101)])
+def test_empirical_result_counts_must_define_the_fraction(trials, collisions):
+    with pytest.raises(ValueError):
+        EmpiricalResult(Fraction(1, 3), trials, collisions)

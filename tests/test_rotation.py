@@ -72,6 +72,20 @@ def test_key_length_is_checked_before_any_work(tmp_path, monkeypatch):
     assert [len(key) for key in simulate_pool(2, 4096, 0)._keys] == [512, 512]
 
 
+def test_simulated_pool_stops_drawing_at_the_first_repeat(monkeypatch):
+    draws = []
+
+    def counted(*args):
+        draws.append(args)
+        return empirics.draw64(*args)
+
+    monkeypatch.setattr(rotation, "draw64", counted)
+    # 8-bit keys: key 39 repeats key 35, one draw per key byte
+    with pytest.raises(ValueError, match="key 39 repeats the material of key 35"):
+        simulate_pool(200000, 8, 0)
+    assert len(draws) <= 40
+
+
 def test_ingest_keys_hex_lines(tmp_path):
     path = tmp_path / "keys.txt"
     keys = ["ab" * 16, "CD" * 16, "0123456789abcdef" * 2]

@@ -16,7 +16,6 @@ from qkdplan import (
     Mode,
     PoolExhaustedError,
     SecurityParams,
-    ToyCipherParams,
     encrypt_file,
     load_state,
     open_session,
@@ -26,13 +25,7 @@ from qkdplan import (
 
 params = SecurityParams.from_bits(16, 14, 4, target_bits=9)
 pool = simulate_pool(4, 128, seed=2024)
-session = open_session(
-    pool,
-    Mode.CTR,
-    params,
-    cipher=ToyCipherParams(16, key_seed=11),
-    block_bits=16,
-)
+session = open_session(pool, Mode.CTR, params, block_bits=16)
 print(f"plan: {session.plan.q_star} files per key, cap {session.per_key_cap}, pool of 4 keys")
 
 rng = random.Random(5)

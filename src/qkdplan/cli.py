@@ -364,7 +364,6 @@ def _read_manifest(path: str) -> list[tuple[str, int]]:
 
 
 def cmd_rotate(args: argparse.Namespace) -> int:
-    from .empirics import ToyCipherParams
     from .rotation import (
         PoolExhaustedError,
         encrypt_file,
@@ -392,7 +391,6 @@ def cmd_rotate(args: argparse.Namespace) -> int:
     else:
         pool = simulate_pool(args.simulate_keys, args.key_len_bits, args.key_seed, cost)
 
-    cipher = ToyCipherParams(args.toy_block_bits, key_seed=0)
     try:
         session = open_session(
             pool,
@@ -400,7 +398,7 @@ def cmd_rotate(args: argparse.Namespace) -> int:
             plan.params,
             plan.file_size_bytes,
             rotation_factor=args.rotation_factor,
-            cipher=cipher,
+            toy_block_bits=args.toy_block_bits,
             block_bits=plan.block_bits,
         )
     except PoolExhaustedError as exc:

@@ -16,14 +16,15 @@ The two primitives:
 
 ``log2_rational``
     log2 of a positive rational to a requested number of decimal digits,
-    correctly computed without floats.  Integer part from bit lengths;
-    fractional bits by the classic square-and-compare recurrence, run on a
-    fixed-point mantissa with 64 guard bits so the accumulated truncation
-    stays far below the rounding step.  The work is done by ``_log2`` on an
-    integer pair (num, den) that need not be in lowest terms: the integer
-    part and the floor of the mantissa depend only on the value num/den, so
-    the rotation gain's ratio is passed as the two integers it is built
-    from, with no gcd.
+    computed without floats.  The result is faithful (within 10^-d) but not
+    always the nearest: a value just above a rounding midpoint can round
+    down.  Integer part from bit lengths; fractional bits by the classic
+    square-and-compare recurrence, run on a fixed-point mantissa with 64
+    guard bits so the accumulated truncation stays far below the rounding
+    step.  The work is done by ``_log2`` on an integer pair (num, den) that
+    need not be in lowest terms: the integer part and the floor of the
+    mantissa depend only on the value num/den, so the rotation gain's ratio
+    is passed as the two integers it is built from, with no gcd.
 """
 
 from __future__ import annotations

@@ -11,7 +11,7 @@ num = k(L+B+C) and den = kL + B + k^2*C, so it is formed with no Fraction.
 It always lies strictly between k and k^2 for k >= 2, i.e. den < num < k*den,
 so the gain lies between log2(k) and 2*log2(k): rotation at least halves the
 effective exposure per key but cannot beat the square-law limit of the
-birthday terms.  The bracket is checked on the integers before any rounding;
+bound.  The bracket is checked on the integers before any rounding;
 a report stores only k and delta_bits and derives the bracket from k.
 
 An adversary who sees all k keys' traffic gets up to k*bound(Q*/k) by the

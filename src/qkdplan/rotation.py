@@ -7,8 +7,10 @@ session costs one key, and every per_key_cap files thereafter costs one
 more.  With rotation_factor 1 the cap is the full planned Q*, so a run of
 T files consumes exactly ceil(T / Q*) keys; larger factors rotate
 proportionally earlier for defense in depth at the same planned level.
-A key's id is its pool position, so the event log's key chain runs through
-increasing ids: no key serves two stretches of a session.
+A key's id is its pool position, so a session's key chain runs through
+increasing ids: no key serves two stretches of a session.  Rotation i hands
+chain key i over to key i+1 once (i+1)*cap files are done, so a session
+stores the chain and derives the event log, which cannot leave the schedule.
 
 Every session rule lives in SessionState.__init__, so a session opened
 from a pool and one loaded from disk pass the same checks.  Sessions persist
@@ -17,8 +19,8 @@ exact parameters, the file size and block width, planned Q*, counters, and
 the full rotation event log.  Loading rebuilds the session with the same
 compute_q_star call open_session makes and accepts only the document that
 session persists, so a hand-edited state file that claims more files per
-key, or larger files, than the plan allows, or a key chain that does not
-run forward, is rejected rather than trusted.
+key, or larger files, than the plan allows, a rotation off the schedule or
+a key chain that does not run forward, is rejected rather than trusted.
 Loaded sessions are detached (key material is never persisted) and support
 accounting and re-persistence but not further encryption.  A state file or
 event log is written to a temporary file beside it and then renamed into
@@ -38,24 +40,22 @@ import contextlib
 import hashlib
 import json
 import os
-from collections.abc import Iterable
+from collections.abc import Iterable, Iterator
 from fractions import Fraction
 from operator import attrgetter
 
 from .advmodel import EcbcDenominator, Mode, SecurityParams, check_key_cost
 from .empirics import (
-    _P_KEY_MATERIAL, _P_SESSION_IV, ToyCipherParams, _cbc, _ctr, _mac, _round_tables, _RoundTable, as_u64, draw64
+    _P_KEY_MATERIAL, _P_SESSION_IV, _cbc, _ctr, _mac, _round_tables, _RoundTable, _toy_block_bits, as_u64, draw64
 )
 from .exactmath import _Record, as_natural, parse_rational, render_rational
 from .planner import RotationPlan, compute_q_star
 
-STATE_VERSION = 2
+STATE_VERSION = 3
 
 # QKD keys are 128 or 256 bits; the cap keeps a typo from generating or
 # reading gigabytes of key material
 _MAX_KEY_BITS = 4096
-
-_DEFAULT_CIPHER = ToyCipherParams(block_bits=16, key_seed=0)
 
 
 class PoolExhaustedError(RuntimeError):
@@ -123,11 +123,13 @@ class KeyPool:
 
 
 def ingest_keys(path: str, key_len_bits: int, cost: Fraction = Fraction(1)) -> KeyPool:
-    """Load a pool from a text file of hex keys, one per line, no separators."""
-    _check_key_len(key_len_bits)
-    check_key_cost(cost)
+    """Load a pool from a text file of hex keys, one per line, no separators.
+    The file is opened on the pool's first read, after its checks."""
+    return KeyPool(_hex_keys(path, key_len_bits), key_len_bits, cost, source=path)
+
+
+def _hex_keys(path: str, key_len_bits: int) -> Iterator[bytes]:
     hex_len = key_len_bits // 4
-    keys = []
     with open(path, encoding="ascii") as handle:
         for lineno, raw in enumerate(handle, start=1):
             line = raw.strip()
@@ -138,10 +140,10 @@ def ingest_keys(path: str, key_len_bits: int, cost: Fraction = Fraction(1)) -> K
                     f"{path}:{lineno}: expected {hex_len} hex digits, got {len(line)}"
                 )
             try:
-                keys.append(bytes.fromhex(line))
+                key = bytes.fromhex(line)
             except ValueError as exc:
                 raise ValueError(f"{path}:{lineno}: not valid hex") from exc
-    return KeyPool(keys, key_len_bits, cost, source=path)
+            yield key
 
 
 def simulate_pool(
@@ -189,18 +191,16 @@ class _KeySchedule:
 class SessionState:
     """Mutable state of one encryption session (single-writer).
 
-    __init__ is the one place the session rules are checked; the per-key
-    cap and the files under the current key are derived, not stored.
-    current_key_id is a pool position; key_cost is the pool's per-key cost.
-    Equality leaves out the pool and the current key's schedule, which hold
-    the key material, so a session equals its persisted and reloaded
-    (detached) twin.
+    It stores only its inputs, key_ids being the pool positions of the keys
+    used so far, the last the current key.  __init__ is the one place the
+    session rules are checked; the per-key cap, the files under the current
+    key and the event log are derived.  Equality leaves out the pool and the
+    current key's schedule, which hold the key material, so a session equals
+    its persisted and reloaded (detached) twin.
     """
 
     # _Record's repr shows _fields, and its equality compares _values
-    _fields = (
-        "plan", "cipher", "rotation_factor", "key_cost", "pool", "current_key_id", "total_files", "events"
-    )
+    _fields = ("plan", "toy_block_bits", "rotation_factor", "key_cost", "pool", "key_ids", "total_files")
     _values = attrgetter(*(name for name in _fields if name != "pool"))
     __repr__ = _Record.__repr__
     __eq__ = _Record.__eq__
@@ -209,26 +209,25 @@ class SessionState:
     def __init__(
         self,
         plan: RotationPlan,
-        cipher: ToyCipherParams,
+        toy_block_bits: int,
         rotation_factor: int,
         key_cost: Fraction,
         pool: KeyPool | None,
-        current_key_id: int,
+        key_ids: list[int],
         total_files: int = 0,
-        events: list[RotationEvent] | None = None,
     ) -> None:
         self.plan = plan
-        self.cipher = cipher
+        self.toy_block_bits = toy_block_bits
         self.rotation_factor = rotation_factor
         self.key_cost = key_cost
         self.pool = pool
-        self.current_key_id = current_key_id
+        self.key_ids = list(key_ids)
         self.total_files = total_files
-        self.events = [] if events is None else events
-        # the current key's cipher, set with current_key_id by _use_key; None
-        # on a detached session
+        # the current key's cipher, set by _use_key; None on a detached session
         self._key_schedule: _KeySchedule | None = None
 
+        if _toy_block_bits(self.toy_block_bits) % 8:
+            raise ValueError("session cipher block_bits must be a whole number of bytes")
         if as_natural(self.rotation_factor) < 1:
             raise ValueError("rotation_factor must be >= 1")
         cap = self.per_key_cap
@@ -237,43 +236,51 @@ class SessionState:
                 f"rotation_factor {self.rotation_factor} exceeds q_star {self.plan.q_star}; "
                 "every key would rotate before its first file"
             )
-        if self.cipher.block_bits % 8:
-            raise ValueError("session cipher block_bits must be a whole number of bytes")
         if self.plan.block_bits % 8:  # else the persisted plan would not load
             raise ValueError("session files must chunk into whole-byte blocks")
         check_key_cost(self.key_cost)
-        # Lazy rotation fixes the schedule: event i fires once (i+1)*cap files
-        # are done, and the current key holds the rest, at least one file.
+        if not self.key_ids:
+            raise ValueError("key_ids must hold at least the current key")
+        # ids are pool positions, so each key hands over to a later one
+        for i, (old, new) in enumerate(zip([-1] + self.key_ids, self.key_ids)):
+            if as_natural(new) <= old:
+                raise ValueError(f"event log entry {i - 1} breaks the key chain")
+        # Lazy rotation retires each key after cap files, so the current key
+        # holds the rest: at least one file once there is any, at most cap.
         under = self.files_under_current_key
-        if (self.total_files or self.events) and not 1 <= under <= cap:
+        if (self.total_files or len(self.key_ids) > 1) and not 1 <= under <= cap:
             raise ValueError(
-                f"total_files {self.total_files} is not {len(self.events)} rotations of "
+                f"total_files {self.total_files} is not {len(self.key_ids) - 1} rotations of "
                 f"{cap} files plus {cap} >= files_under_current_key {under} >= 1"
             )
-        # event i hands over to the key event i+1 retires, the last to the
-        # current key; ids are pool positions, so each hands over to a later key
-        chain = [e.old_key_id for e in self.events] + [as_natural(self.current_key_id)]
-        for i, event in enumerate(self.events):
-            if event.event_index != i or event.at_file_count != (i + 1) * cap:
-                raise ValueError(f"event log entry {i} is off the lazy rotation schedule")
-            if event.new_key_id != chain[i + 1] or event.new_key_id <= event.old_key_id:
-                raise ValueError(f"event log entry {i} breaks the key chain")
 
     @property
     def per_key_cap(self) -> int:
         return self.plan.q_star // self.rotation_factor
 
     @property
-    def files_under_current_key(self) -> int:
-        return self.total_files - len(self.events) * self.per_key_cap
+    def current_key_id(self) -> int:
+        return self.key_ids[-1]
 
     @property
     def keys_consumed(self) -> int:
-        return len(self.events) + 1
+        return len(self.key_ids)
+
+    @property
+    def files_under_current_key(self) -> int:
+        return self.total_files - (len(self.key_ids) - 1) * self.per_key_cap
 
     @property
     def total_key_cost(self) -> Fraction:
         return self.keys_consumed * self.key_cost
+
+    def _event(self, i: int) -> RotationEvent:
+        """Rotation i: chain key i hands over to key i+1 once (i+1)*cap files are done."""
+        return RotationEvent(i, self.key_ids[i], self.key_ids[i + 1], (i + 1) * self.per_key_cap)
+
+    @property
+    def events(self) -> list[RotationEvent]:
+        return [self._event(i) for i in range(len(self.key_ids) - 1)]
 
 
 def open_session(
@@ -282,29 +289,28 @@ def open_session(
     params: SecurityParams,
     file_size_bytes: int | None = None,
     rotation_factor: int = 1,
-    cipher: ToyCipherParams = _DEFAULT_CIPHER,
+    toy_block_bits: int = 16,
     block_bits: int | None = None,
 ) -> SessionState:
     """Plan, then dispense the first key; counters start at zero.  A session
     that fails its checks is rejected before a key leaves the pool."""
     session = SessionState(
         plan=compute_q_star(mode, params, file_size_bytes, block_bits=block_bits),
-        cipher=cipher,
+        toy_block_bits=toy_block_bits,
         rotation_factor=rotation_factor,
         key_cost=pool.cost,
         pool=pool,
-        current_key_id=len(pool) - pool.remaining(),  # the id dispense returns next
+        key_ids=[len(pool) - pool.remaining()],  # the id dispense returns next
     )
-    _use_key(session, *pool.dispense())
+    _use_key(session, pool.dispense()[1])
     return session
 
 
-def _use_key(session: SessionState, key_id: int, material: bytes) -> None:
-    """Make key_id the current key and derive its schedule, dropping the old one."""
+def _use_key(session: SessionState, material: bytes) -> None:
+    """Derive the schedule of the session's current key, dropping the old one."""
     digest = hashlib.blake2b(material, digest_size=24, person=b"qkdplan-sess").digest()
     k1, k2, iv_seed = (int.from_bytes(digest[i : i + 8], "big") for i in (0, 8, 16))
-    block_bits = session.cipher.block_bits
-    session.current_key_id = key_id
+    block_bits = session.toy_block_bits
     session._key_schedule = _KeySchedule(_round_tables(block_bits, k1), _round_tables(block_bits, k2), iv_seed)
 
 
@@ -312,7 +318,7 @@ def _encrypt_blocks(session: SessionState, data: bytes) -> bytes:
     schedule = session._key_schedule
     if schedule is None:
         raise StateError("detached session has no key material; open a fresh session")
-    block_bits = session.cipher.block_bits
+    block_bits = session.toy_block_bits
     block_bytes = block_bits // 8
     padded = data + bytes(-len(data) % block_bytes)
     blocks = [
@@ -345,14 +351,9 @@ def encrypt_file(session: SessionState, data: bytes) -> tuple[bytes, RotationEve
         if session.pool is None:
             raise StateError("detached session cannot rotate; open a fresh session")
         key_id, material = session.pool.dispense()  # raises PoolExhaustedError when drained
-        event = RotationEvent(
-            event_index=len(session.events),
-            old_key_id=session.current_key_id,
-            new_key_id=key_id,
-            at_file_count=session.total_files,
-        )
-        session.events.append(event)
-        _use_key(session, key_id, material)
+        session.key_ids.append(key_id)
+        _use_key(session, material)
+        event = session._event(len(session.key_ids) - 2)
 
     ciphertext = _encrypt_blocks(session, data)
     session.total_files += 1
@@ -378,7 +379,7 @@ def export_events(session: SessionState, path: str) -> None:
 
 
 def _document(session: SessionState) -> dict:
-    """The schema-v2 state document of a session, the one place its layout
+    """The schema-v3 state document of a session, the one place its layout
     is written: persist_state writes it, and load_state compares against it."""
     plan = session.plan
     params = plan.params
@@ -397,10 +398,7 @@ def _document(session: SessionState) -> dict:
             "file_size_bytes": plan.file_size_bytes,
             "block_bits": plan.block_bits,
         },
-        "cipher": {
-            "block_bits": session.cipher.block_bits,
-            "key_seed": session.cipher.key_seed,
-        },
+        "cipher": {"block_bits": session.toy_block_bits},
         "rotation_factor": session.rotation_factor,
         "per_key_cap": str(session.per_key_cap),
         "key_cost": render_rational(session.key_cost),
@@ -434,9 +432,10 @@ def load_state(path: str) -> SessionState:
     compute_q_star on the stored mode, parameters, file size and block width
     (which rejects a size that is not blocks_per_file blocks of that width and
     parameters under which no file fits), then SessionState and its session
-    rules.  The file is accepted only if it is exactly the document
-    persist_state writes for that session, so a stored q_star, per-key cap,
-    counter or cost the inputs do not give, a number of another type or form
+    rules on the key chain the event log names.  The file is accepted only if
+    it is exactly the document persist_state writes for that session, so a
+    stored q_star, per-key cap, counter, cost or rotation event the inputs do
+    not give, a number of another type or form
     (2.0, "40.9", " 40 ") and an unknown key all fail.  Raises
     FileNotFoundError for a missing path and StateError for anything else.
     """
@@ -452,7 +451,7 @@ def load_state(path: str) -> SessionState:
             raise StateError(
                 f"{path}: schema version {document['version']!r}, expected {STATE_VERSION}"
             )
-        raw_params, raw_plan, raw_cipher = document["params"], document["plan"], document["cipher"]
+        raw_params, raw_plan = document["params"], document["plan"]
         params = SecurityParams(
             raw_params["lambda_bits"],
             int(_stored_text(raw_params["s_min"])),
@@ -465,13 +464,13 @@ def load_state(path: str) -> SessionState:
             plan=compute_q_star(
                 Mode[document["mode"]], params, raw_plan["file_size_bytes"], raw_plan["block_bits"]
             ),
-            cipher=ToyCipherParams(raw_cipher["block_bits"], raw_cipher["key_seed"]),
+            toy_block_bits=document["cipher"]["block_bits"],
             rotation_factor=document["rotation_factor"],
             key_cost=parse_rational(_stored_text(document["key_cost"])),
             pool=None,
-            current_key_id=document["current_key_id"],
+            # event i retires chain key i, and the current key ends the chain
+            key_ids=[e["old_key_id"] for e in document["events"]] + [document["current_key_id"]],
             total_files=int(_stored_text(document["counters"]["total_files"])),
-            events=[RotationEvent(**e) for e in document["events"]],
         )
     except (KeyError, TypeError, ValueError) as exc:
         if isinstance(exc, StateError):

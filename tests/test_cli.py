@@ -14,7 +14,7 @@ import pytest
 
 from qkdplan.advmodel import Mode, SecurityParams
 from qkdplan.cli import SWEEP_CSV_HEADER, main, parse_file_size
-from qkdplan.empirics import EmpiricalResult, ToyCipherParams
+from qkdplan.empirics import EmpiricalResult
 from qkdplan.rotation import encrypt_file, load_state, open_session, simulate_pool
 
 TOY = ["--lambda", "16", "--s-min-bits", "14", "--file-size", "8", "--target-bits", "9"]
@@ -473,7 +473,7 @@ def test_rotate_state_keeps_exact_eps(capsys, tmp_path):
     assert "state_written" in capsys.readouterr().out
     params = SecurityParams(16, 1 << 14, 4, Fraction(3, 1024))
     pool = simulate_pool(5, 128, seed=0)
-    session = open_session(pool, Mode.CTR, params, 8, cipher=ToyCipherParams(16, key_seed=0), block_bits=16)
+    session = open_session(pool, Mode.CTR, params, 8, block_bits=16)
     for _ in range(5):
         encrypt_file(session, bytes(8))
     assert session.plan.q_star == 4

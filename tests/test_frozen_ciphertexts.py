@@ -71,22 +71,22 @@ PAYLOAD_DIGESTS = {
 
 # SHA-256 over the state file
 STATE_DIGESTS = {
-    (Mode.CTR, 8): "4906bc81f06ed624912e9976e42baa210296521c80547e9e506b754a5dfae74d",
-    (Mode.CTR, 16): "fcb2bccea2d29b2b9d5544d54c2ca9da6dd8c5b72d6754a29daf466933194e32",
-    (Mode.CTR, 24): "5f410c913c420b16c9f24fa87a7052dcc1adc807f73310575febcfbb71fa9b64",
-    (Mode.CBC, 8): "91ede1dd32b06e00483a14db64bf4656e8d75cb04a1ae37f60e0860a906c2167",
-    (Mode.CBC, 16): "41fe7a78f3971605ef1df5929f6782d2822577adc41c9f639ddb12b480168552",
-    (Mode.CBC, 24): "8f34fdfcf194020f4ed935a9625fc9112088aeeed7155c991d8cd3deb69bf100",
-    (Mode.ECBC_MAC, 8): "5c46c561c948a92aebaf1de825deeb9dc71d5be5e798164c2fbede613b13b83a",
-    (Mode.ECBC_MAC, 16): "84ed9afdae40f319cea3bb58c6d652d7d62b983ffdb02fad07cb0a60482039a9",
-    (Mode.ECBC_MAC, 24): "0fea0ed2974c0f2975e29f38dce2859a4d1cf11f6fe0bd1a655527302d104f67",
+    (Mode.CTR, 8): "9fb41f63b18a7d797103be7da461275769d43775004ee7cc2741cd44206a59b5",
+    (Mode.CTR, 16): "74cffb98bbc2f69746a49a769bd8f57f7824b2156657d19fa102d9ec4af9c645",
+    (Mode.CTR, 24): "fd6576824c52dbb4e7a1724496b67e54ce8f762666ee1d1887f38bce0b90feed",
+    (Mode.CBC, 8): "9994c518756d18a35e0c6a082781201ee6f3207d8984681c7aaee69ae79f942b",
+    (Mode.CBC, 16): "a65802b2b28780f3373031d39d6d5c1337b9efb763d5d75cffbb0ab85a079940",
+    (Mode.CBC, 24): "685bc3ebfcf3ecfbbb230de110a86fd23f9c94ea4461b9f546924400bdccb1b7",
+    (Mode.ECBC_MAC, 8): "b2803ee00952746f16e53fcd35f2cdaba08805c1585a6b1f9f0948747791a359",
+    (Mode.ECBC_MAC, 16): "a14b6d2a98d787ce0a411cd73e8745567495492ba39bfc6c6e8d3859d2e5f552",
+    (Mode.ECBC_MAC, 24): "24d688f3946b7d2f4d320a4d2a3d0cc6a1661cbc90748e0126b9e02314780175",
 }
 
 
 def _session_bytes(mode: Mode, width: int, tmp_path) -> tuple[bytes, bytes]:
     rng = random.Random(f"{mode.name}/{width}")
     session = open_session(
-        simulate_pool(8, 128, width), mode, SESSION_PARAMS, 8, cipher=ToyCipherParams(width, key_seed=0)
+        simulate_pool(8, 128, width), mode, SESSION_PARAMS, 8, toy_block_bits=width
     )
     out = []
     for size in MANIFEST:

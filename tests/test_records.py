@@ -36,7 +36,7 @@ EVENT_REPR = "RotationEvent(event_index=0, old_key_id=0, new_key_id=1, at_file_c
 
 
 def session(key_cost=Fraction(1)):
-    return SessionState(PLAN, ToyCipherParams(16, 0), 1, key_cost, None, 1, 8, [RotationEvent(0, 0, 1, 7)])
+    return SessionState(PLAN, 16, 1, key_cost, None, [0, 1], 8)
 
 
 # name: (a fresh record, one that must differ from it, its repr)
@@ -82,8 +82,8 @@ CASES = {
     "SessionState": (
         session,
         session(Fraction(2)),
-        f"SessionState(plan={PLAN_REPR}, cipher=ToyCipherParams(block_bits=16, key_seed=0), rotation_factor=1, "
-        f"key_cost=Fraction(1, 1), pool=None, current_key_id=1, total_files=8, events=[{EVENT_REPR}])",
+        f"SessionState(plan={PLAN_REPR}, toy_block_bits=16, rotation_factor=1, "
+        "key_cost=Fraction(1, 1), pool=None, key_ids=[0, 1], total_files=8)",
     ),
 }
 

@@ -12,7 +12,6 @@ import pytest
 
 from qkdplan import empirics, rotation
 from qkdplan.advmodel import Mode, SecurityParams
-from qkdplan.empirics import ToyCipherParams
 from qkdplan.cli import main
 from qkdplan.rotation import (
     KeyPool,
@@ -30,12 +29,11 @@ from qkdplan.rotation import (
 )
 
 TOY_PARAMS = SecurityParams.from_bits(16, 14, 4, target_bits=9)  # q_star = 3
-TOY_CIPHER = ToyCipherParams(16, key_seed=0)
 
 
 def toy_session(pool_size=10, rotation_factor=1, mode=Mode.CTR, seed=1):
     pool = simulate_pool(pool_size, 128, seed)
-    return open_session(pool, mode, TOY_PARAMS, 8, rotation_factor, TOY_CIPHER)
+    return open_session(pool, mode, TOY_PARAMS, 8, rotation_factor)
 
 
 # ----------------------------------------------------------------- key pools
@@ -121,7 +119,7 @@ def test_key_ids_are_pool_positions(tmp_path, capsys):
     a, b = bytes(range(16)), bytes(range(1, 17))
     pool = KeyPool([a, b], 128)
     assert [pool.dispense(), pool.dispense()] == [(0, a), (1, b)]
-    session = open_session(KeyPool([a, b], 128), Mode.CTR, TOY_PARAMS, 8, cipher=TOY_CIPHER)
+    session = open_session(KeyPool([a, b], 128), Mode.CTR, TOY_PARAMS, 8)
     for _ in range(4):
         encrypt_file(session, b"x")
     assert [(e.old_key_id, e.new_key_id) for e in session.events] == [(0, 1)]
@@ -173,7 +171,7 @@ def test_key_cost_is_checked_before_any_key_is_read(tmp_path, monkeypatch):
 
 def test_open_session_dispenses_first_key():
     pool = simulate_pool(2, 128, 1)
-    session = open_session(pool, Mode.CTR, TOY_PARAMS, 8, cipher=TOY_CIPHER)
+    session = open_session(pool, Mode.CTR, TOY_PARAMS, 8)
     assert session.plan.q_star == 3
     assert session.per_key_cap == 3
     assert session.current_key_id == 0
@@ -185,23 +183,21 @@ def test_open_session_dispenses_first_key():
 def test_open_session_validation():
     pool = simulate_pool(2, 128, 1)
     with pytest.raises(ValueError, match="rotation_factor"):
-        open_session(pool, Mode.CTR, TOY_PARAMS, 8, rotation_factor=0, cipher=TOY_CIPHER)
+        open_session(pool, Mode.CTR, TOY_PARAMS, 8, rotation_factor=0)
     assert pool.remaining() == 2
     with pytest.raises(ValueError, match="rotate before its first file"):
-        open_session(pool, Mode.CTR, TOY_PARAMS, 8, rotation_factor=5, cipher=TOY_CIPHER)
+        open_session(pool, Mode.CTR, TOY_PARAMS, 8, rotation_factor=5)
     assert pool.remaining() == 2
     with pytest.raises(ValueError, match="whole number of bytes"):
-        open_session(
-            pool, Mode.CTR, TOY_PARAMS, 8, cipher=ToyCipherParams(12, key_seed=0)
-        )
+        open_session(pool, Mode.CTR, TOY_PARAMS, 8, toy_block_bits=12)
     assert pool.remaining() == 2
     twelve_bit = SecurityParams(12, 1 << 10, 4, Fraction(1, 64))  # files of 4 12-bit blocks
     with pytest.raises(ValueError, match="whole-byte blocks"):
-        open_session(pool, Mode.CTR, twelve_bit, cipher=TOY_CIPHER)
+        open_session(pool, Mode.CTR, twelve_bit)
     assert pool.remaining() == 2
     for width in (0, -8):  # with no file size, the width alone sizes each file
         with pytest.raises(ValueError):
-            open_session(pool, Mode.CTR, TOY_PARAMS, cipher=TOY_CIPHER, block_bits=width)
+            open_session(pool, Mode.CTR, TOY_PARAMS, block_bits=width)
         assert pool.remaining() == 2
 
 
@@ -371,12 +367,14 @@ def test_state_round_trip(tmp_path):
     one = toy_session()
     encrypt_file(one, b"x")  # one file, no rotation: these twins are valid sessions
     fields = dict(
-        plan=one.plan, cipher=one.cipher, rotation_factor=1, key_cost=one.key_cost, pool=None,
-        current_key_id=one.current_key_id, total_files=1,
+        plan=one.plan, toy_block_bits=16, rotation_factor=1, key_cost=one.key_cost, pool=None,
+        key_ids=[one.current_key_id], total_files=1,
     )  # fmt: skip
     assert SessionState(**fields) == one
-    assert SessionState(**{**fields, "current_key_id": one.current_key_id + 1}) != one
+    assert SessionState(**{**fields, "key_ids": [one.current_key_id + 1]}) != one
     assert SessionState(**{**fields, "rotation_factor": 3}) != one  # cap 1
+    with pytest.raises(ValueError, match="at least the current key"):
+        SessionState(**{**fields, "key_ids": []})
     encrypt_file(session, b"abcdefgh")
     assert session != loaded
 
@@ -407,7 +405,7 @@ def test_load_rejects_garbage_and_wrong_version(tmp_path):
     path = tmp_path / "state.json"
     persist_state(session, str(path))
     document = json.loads(path.read_text())
-    for version in (1, 3):
+    for version in (1, 2, 4):
         document["version"] = version
         path.write_text(json.dumps(document))
         with pytest.raises(StateError, match="schema version"):
@@ -449,7 +447,7 @@ def persisted(tmp_path, target_bits, files):
     Targets 10 and 7 bits give per-key caps of 2 and 7 files.
     """
     params = SecurityParams.from_bits(16, 14, 4, target_bits=target_bits)
-    session = open_session(simulate_pool(10, 128, 1), Mode.CTR, params, 8, cipher=TOY_CIPHER)
+    session = open_session(simulate_pool(10, 128, 1), Mode.CTR, params, 8)
     for _ in range(files):
         encrypt_file(session, b"x")
     path = tmp_path / "state.json"
@@ -485,7 +483,7 @@ def test_load_rejects_rotation_off_schedule(tmp_path):
         load_tampered(path, document)
     document["events"][0]["at_file_count"] = 5  # counters consistent, rotation early
     document["counters"]["total_files"] = "10"
-    with pytest.raises(StateError, match="lazy rotation schedule"):
+    with pytest.raises(StateError, match="events: stored"):
         load_tampered(path, document)
 
 
@@ -553,19 +551,25 @@ def test_load_rejects_non_integer_numbers(tmp_path):
     for edit in (
         lambda d: d.update(rotation_factor=1.9),
         lambda d: d.update(current_key_id=1.5),
-        lambda d: d["events"][0].update(at_file_count=2.0),
-        lambda d: d["events"][0].update(new_key_id=1.0),
+        lambda d: d["events"][0].update(old_key_id=0.0),
         lambda d: d["cipher"].update(block_bits=16.0),
         lambda d: d["plan"].update(file_size_bytes=8.7),
     ):
         with pytest.raises(StateError, match="natural number required, got float"):
+            load_tampered(path, tampered(edit))
+    # the loader reads only each event's old key; the rest must be what the chain gives
+    for edit in (
+        lambda d: d["events"][0].update(at_file_count=2.0),
+        lambda d: d["events"][0].update(new_key_id=1.0),
+    ):
+        with pytest.raises(StateError, match="events: stored"):
             load_tampered(path, tampered(edit))
 
 
 def test_load_rejects_numbers_not_in_persisted_form(tmp_path):
     # 40 files at cap 31: the tampers below all parse to the true values
     params = SecurityParams.from_bits(32, 30, 32, target_bits=16)
-    session = open_session(simulate_pool(3, 128, 1), Mode.CTR, params, 128, cipher=TOY_CIPHER)
+    session = open_session(simulate_pool(3, 128, 1), Mode.CTR, params, 128)
     for _ in range(40):
         encrypt_file(session, b"x")
     path = tmp_path / "state.json"
@@ -675,7 +679,7 @@ def test_state_round_trip_exact_params(tmp_path):
         (SecurityParams(16, 10000, 4, Fraction(1, 512)), ("10000", "1/512")),
         (SecurityParams(16, 1 << 14, 4, Fraction(3, 1024)), ("16384", "3/1024")),
     ):
-        session = open_session(simulate_pool(5, 128, 1), Mode.CTR, params, cipher=TOY_CIPHER)
+        session = open_session(simulate_pool(5, 128, 1), Mode.CTR, params)
         for _ in range(5):
             encrypt_file(session, b"x")
         path, again = tmp_path / "state.json", tmp_path / "again.json"
@@ -711,9 +715,7 @@ def test_load_rejects_what_persist_state_never_writes(tmp_path):
 @pytest.mark.parametrize("rotation_factor", [1, 2])
 def test_state_round_trip_every_mode(tmp_path, mode, rotation_factor):
     params = SecurityParams.from_bits(16, 14, 4, target_bits=7)  # q_star 7, 3, 6
-    session = open_session(
-        simulate_pool(10, 128, 1), mode, params, 8, rotation_factor, TOY_CIPHER
-    )
+    session = open_session(simulate_pool(10, 128, 1), mode, params, 8, rotation_factor)
     for _ in range(session.plan.q_star + 1):
         encrypt_file(session, b"x")
     assert session.events
@@ -723,6 +725,24 @@ def test_state_round_trip_every_mode(tmp_path, mode, rotation_factor):
     assert loaded == session
     persist_state(loaded, str(again))
     assert again.read_text() == path.read_text()
+
+
+@pytest.mark.parametrize("mode", list(Mode))
+@pytest.mark.parametrize("rotation_factor", [1, 2, 3])
+def test_event_log_is_the_events_encrypt_file_fired(tmp_path, mode, rotation_factor):
+    params = SecurityParams.from_bits(16, 14, 4, target_bits=7)  # q_star 7, 3, 6
+    session = open_session(simulate_pool(32, 128, 1), mode, params, 8, rotation_factor)
+    fired = []
+    for _ in range(4 * session.plan.q_star + 1):
+        _, event = encrypt_file(session, b"x")
+        if event is not None:
+            fired.append(event)
+    assert len(fired) >= 4
+    assert session.events == fired
+    assert session.key_ids == [fired[0].old_key_id] + [e.new_key_id for e in fired]
+    path = tmp_path / "state.json"
+    persist_state(session, str(path))
+    assert load_state(str(path)).events == fired
 
 
 def test_accounting_identity_random_runs():

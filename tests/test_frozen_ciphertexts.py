@@ -4,7 +4,8 @@ The digests were computed before the scalar Feistel moved to per-key round
 tables and must not change: a cipher rewrite that alters one output byte,
 one rotation event or one byte of a state file fails here.  The benchmark's
 ciphertext check reads only lengths and keystream distinctness, so it would
-not notice.
+not notice.  The sessions whose round tables fill whole, once a key's file
+budget covers them, were pinned while every table still filled lazily.
 """
 
 from __future__ import annotations
@@ -16,6 +17,7 @@ import pytest
 
 from qkdplan.advmodel import Mode, SecurityParams
 from qkdplan.empirics import ToyCipherParams, cbc_encrypt, ctr_encrypt, ecbc_mac, toy_prp
+from qkdplan.planner import compute_q_star
 from qkdplan.rotation import encrypt_file, export_events, open_session, persist_state, simulate_pool
 
 WIDTHS = range(8, 25)
@@ -83,24 +85,66 @@ STATE_DIGESTS = {
 }
 
 
-def _session_bytes(mode: Mode, width: int, tmp_path) -> tuple[bytes, bytes]:
+# Sessions whose per-key budget, per_key_cap * ceil(64 / (width // 8)) blocks,
+# reaches the 2**(width // 2) entries of a round table: at width 16 the
+# ECBC-MAC cap also reaches them, and every manifest spans three keys.  The
+# rotation factors give caps 12, 12 and 339 at width 16 and 240, 255 and 254
+# at width 24.
+FILL_PARAMS = SecurityParams.from_bits(36, 30, 32, target_bits=7)  # q_star 2880, 511, 1019
+FILL_FACTORS = {
+    (Mode.CTR, 16): 240,
+    (Mode.CTR, 24): 12,
+    (Mode.CBC, 16): 42,
+    (Mode.CBC, 24): 2,
+    (Mode.ECBC_MAC, 16): 3,
+    (Mode.ECBC_MAC, 24): 4,
+}
+
+# SHA-256 over the ciphertexts and the event log of those sessions
+FILL_PAYLOAD_DIGESTS = {
+    (Mode.CTR, 16): "292ffdb87e8d208f74bc7449345b33db9129a5d5fb29556f59ebfa65abb66fba",
+    (Mode.CTR, 24): "79dcb5ab917012d7cad9808b3dd49317dab6b608ddf41746711d24a35677d93d",
+    (Mode.CBC, 16): "b7fb0ecd13992b3726711aef765acabc99cf94c1d412bd4abf6bb3e7a4a66e3a",
+    (Mode.CBC, 24): "bd81286ac039ac1506d07d8646412f67730a4389f94e38b3a0a5f36184546883",
+    (Mode.ECBC_MAC, 16): "2e9dec56c8520685b1cdf951326f91e5b91996411a51c181b76d9e0d56d1076a",
+    (Mode.ECBC_MAC, 24): "db5aeed88da61953886e431151026e8a9674255c6d033e3e79c857aee35bdc35",
+}
+
+
+def _session_bytes(
+    mode: Mode, width: int, tmp_path, params=SESSION_PARAMS, file_size=8, rotation_factor=1, files=None
+) -> tuple[bytes, bytes]:
     rng = random.Random(f"{mode.name}/{width}")
     session = open_session(
-        simulate_pool(8, 128, width), mode, SESSION_PARAMS, 8, toy_block_bits=width
+        simulate_pool(8, 128, width), mode, params, file_size, rotation_factor, width, block_bits=16
     )
+    manifest = MANIFEST if files is None else [rng.randrange(file_size + 1) for _ in range(files)]
     out = []
-    for size in MANIFEST:
+    for size in manifest:
         ciphertext, _ = encrypt_file(session, rng.randbytes(size))
         out.append(len(ciphertext).to_bytes(2, "big") + ciphertext)
-    assert len(session.events) >= 3
+    assert len(session.events) >= (3 if files is None else 2)
     events, state = tmp_path / "events.jsonl", tmp_path / "state.json"
     export_events(session, str(events))
     persist_state(session, str(state))
     return b"".join(out) + events.read_bytes(), state.read_bytes()
 
 
-@pytest.mark.parametrize(("mode", "width"), sorted(PAYLOAD_DIGESTS, key=lambda mw: (mw[0].name, mw[1])))
+def _by_mode_and_width(digests: dict) -> list:
+    return sorted(digests, key=lambda mw: (mw[0].name, mw[1]))
+
+
+@pytest.mark.parametrize(("mode", "width"), _by_mode_and_width(PAYLOAD_DIGESTS))
 def test_session_outputs_are_frozen(mode, width, tmp_path):
     payload, state = (hashlib.sha256(part).hexdigest() for part in _session_bytes(mode, width, tmp_path))
     assert payload == PAYLOAD_DIGESTS[(mode, width)]
     assert state == STATE_DIGESTS[(mode, width)]
+
+
+@pytest.mark.parametrize(("mode", "width"), _by_mode_and_width(FILL_FACTORS))
+def test_filled_session_outputs_are_frozen(mode, width, tmp_path):
+    factor = FILL_FACTORS[(mode, width)]
+    cap = compute_q_star(mode, FILL_PARAMS, 64, block_bits=16).q_star // factor
+    assert cap * -(-64 // (width // 8)) >= 1 << width // 2
+    payload, _ = _session_bytes(mode, width, tmp_path, FILL_PARAMS, 64, factor, files=2 * cap + 1)
+    assert hashlib.sha256(payload).hexdigest() == FILL_PAYLOAD_DIGESTS[(mode, width)]

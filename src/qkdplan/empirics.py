@@ -28,12 +28,15 @@ only a few rows of per-trial or per-slot values.
 
 numpy is imported inside the vectorized kernels, not at module level, so
 planning, the scalar toy cipher and rotation sessions run without loading
-it; the first collision estimate pays its import.
+it; the first collision estimate pays its import.  The array module, which
+reads a bulk-filled round table out of one int, is imported the same way.
 """
 
 from __future__ import annotations
 
+import functools
 import math
+import sys
 from collections.abc import Callable
 from fractions import Fraction
 
@@ -176,9 +179,20 @@ def _round_keys(key: int) -> list[int]:
     return [mix64(key + (i + 1) * _GOLDEN) for i in range(_ROUNDS)]
 
 
+@functools.cache
+def _lanes(size: int) -> tuple[int, int, int]:
+    """For halves 0..size-1, each in its own 128-bit lane of one int: a 1 in
+    every lane, h in lane h, and 2**64 - 1 in every lane."""
+    ones = int.from_bytes((b"\1" + bytes(15)) * size, "little")
+    index = int.from_bytes(b"".join(h.to_bytes(16, "little") for h in range(size)), "little")
+    return ones, index, _M64 * ones
+
+
 class _RoundTable(dict):
-    """One Feistel round's function half -> mix64(half ^ rk) & mask, each
-    value computed on its first lookup and kept for the table's lifetime."""
+    """One Feistel round's function half -> mix64(half ^ rk) & mask, kept
+    for the table's lifetime.  A value is computed on its first lookup, or
+    for every half below size at once by fill(size), which a rotation
+    session calls when a key's budget covers the whole table."""
 
     __slots__ = ("rk", "mask")
 
@@ -189,12 +203,34 @@ class _RoundTable(dict):
         value = self[half] = mix64(half ^ self.rk) & self.mask
         return value
 
+    def fill(self, size: int) -> None:
+        """Compute the values of halves 0..size-1 (size <= 2**30) in one pass.
+
+        mix64 runs on one int that holds half h ^ rk in 128-bit lane h: a
+        64x64-bit product fits its lane, and each shift is masked back to
+        the low 64 bits of every lane, so no lane reaches the next.
+        """
+        from array import array
+
+        ones, index, low = _lanes(size)
+        # h < 2**30, so (h ^ rk) >> 30 is rk >> 30 and mix64's first step folds into the key
+        x = (self.rk ^ self.rk >> 30) * ones ^ index
+        x = x * _MIX1 & low
+        x ^= x >> 27 & low
+        x = x * _MIX2 & low
+        x = (x ^ x >> 31) & self.mask * ones
+        words = array("Q", x.to_bytes(16 * size, "little"))
+        if sys.byteorder == "big":
+            words.byteswap()
+        self.update(zip(range(size), words[::2].tolist()))
+
 
 def _round_tables(block_bits: int, key: int) -> list[_RoundTable]:
-    """The round functions of one key at one width, empty until looked up.
+    """The round functions of one key at one width, empty until looked up or filled.
 
-    A key that encrypts n blocks evaluates at most n*_ROUNDS round
-    functions, and a round at most once per value of its input half.
+    Looked up lazily, a key that encrypts n blocks evaluates at most
+    n*_ROUNDS round functions, and a round at most once per value of its
+    input half.
     """
     # unbalanced Feistel: round 0 masks to the left half's width, and the
     # half widths swap each round
@@ -395,8 +431,7 @@ def _ctr_counter(config: TrialConfig, chunk: int) -> Callable[[int, int], int]:
         draws, scratch = draw_rows[:, : hi - lo]
         ivs, gaps = iv_rows[:, : hi - lo]
         _draw_np(draws, scratch, iv_bases, _trial_lanes(lo, hi)[:, None])
-        draws &= n - 1
-        np.copyto(ivs, draws, casting="unsafe")
+        np.bitwise_and(draws, n - 1, out=ivs, casting="unsafe")
         ivs.sort(axis=1)
         flat = ivs.reshape(-1)
         np.subtract(flat[1:], flat[:-1], out=gaps.reshape(-1)[:-1])
@@ -414,7 +449,10 @@ def _cbc_counter(config: TrialConfig, chunk: int) -> Callable[[int, int], int]:
     q, l = config.q_files, config.blocks_per_file
     mask = (1 << config.block_bits) - 1
     # a trial per column, so per-trial keys and lanes broadcast along
-    # contiguous rows; the blocks keep a trial per row for the sort
+    # contiguous rows; the blocks keep a trial per row for the sort.  A
+    # trial's blocks are its permutation inputs: one key's E is a bijection,
+    # so two outputs are equal exactly when their inputs are, and each
+    # file's last block needs no permute.
     chain_rows = np.empty((6, q, chunk), np.uint64)
     key_rows = np.empty((2, _ROUNDS, chunk), np.uint64)
     block_rows = np.empty((chunk, q * l), np.uint32)
@@ -439,8 +477,9 @@ def _cbc_counter(config: TrialConfig, chunk: int) -> Callable[[int, int], int]:
             _draw_np(pt, scratch, _stream_bases(config.rng_seed, _P_PLAINTEXT, plaintext_slots + j), lanes)
             pt &= mask
             pt ^= prev
-            _permute_np(config.block_bits, round_keys, pt, prev, (left, right, f, scratch))
-            np.copyto(blocks[:, j::l], prev.T, casting="unsafe")
+            np.copyto(blocks[:, j::l], pt.T, casting="unsafe")
+            if j < l - 1:
+                _permute_np(config.block_bits, round_keys, pt, prev, (left, right, f, scratch))
         blocks.sort(axis=1)
         flat, flat_equal = blocks.reshape(-1), equal.reshape(-1)
         np.equal(flat[1:], flat[:-1], out=flat_equal[:-1])

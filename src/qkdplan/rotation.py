@@ -29,9 +29,12 @@ place, so a failed write leaves the previous file intact.
 Encryption itself uses the scaled-down block cipher so demo runs produce
 real ciphertext; plaintexts are zero-padded into whole blocks and CTR/CBC
 outputs carry their IV as a leading block.  A key's subkeys and Feistel
-round tables are derived once, when the key is dispensed, and the tables
-fill as files are encrypted; the session holds them for the current key
-only, and they are never persisted.
+round tables are derived once, when the key is dispensed.  A table is
+filled whole at that moment when the key's budget of lookups into it,
+per_key_cap files of whole blocks, reaches its entry count, and otherwise
+fills lazily as files are encrypted.  The session holds the tables for the
+current key only; they are never persisted, and a live session cannot be
+copied or pickled.
 """
 
 from __future__ import annotations
@@ -49,7 +52,7 @@ from .empirics import (
     _P_KEY_MATERIAL, _P_SESSION_IV, _cbc, _ctr, _mac, _round_tables, _RoundTable, _toy_block_bits, as_u64, draw64
 )
 from .exactmath import _Record, as_natural, parse_rational, render_rational
-from .planner import RotationPlan, compute_q_star
+from .planner import RotationPlan, blocks_per_file, compute_q_star
 
 STATE_VERSION = 3
 
@@ -254,6 +257,19 @@ class SessionState:
                 f"{cap} files plus {cap} >= files_under_current_key {under} >= 1"
             )
 
+    def __reduce__(self) -> tuple:
+        """copy, deepcopy and pickle rebuild a detached session through
+        __init__, with a key chain of its own.  A live session refuses: a
+        shallow copy would share the chain with it, a deep copy would be a
+        second writer encrypting under the same key and IVs, and a pickle
+        would hold the pool's key material."""
+        if self.pool is not None or self._key_schedule is not None:
+            raise TypeError(
+                "a live session holds key material and cannot be copied or pickled; "
+                "persist_state and load_state give a detached copy"
+            )
+        return type(self), tuple(getattr(self, name) for name in self._fields)
+
     @property
     def per_key_cap(self) -> int:
         return self.plan.q_star // self.rotation_factor
@@ -307,11 +323,28 @@ def open_session(
 
 
 def _use_key(session: SessionState, material: bytes) -> None:
-    """Derive the schedule of the session's current key, dropping the old one."""
+    """Derive the schedule of the session's current key, dropping the old one.
+
+    A round table is filled whole when the key's budget of lookups into it
+    reaches its 2**(block_bits/2) entries (session widths are whole bytes,
+    so both halves have that width): per_key_cap files of at most
+    ceil(file_size_bytes / block bytes) blocks for the first subkey, and
+    for ECBC-MAC one chain end per file for the second.  Below that budget
+    a table fills lazily, which costs less than a bulk fill when a key
+    looks up only a few of its entries.
+    """
     digest = hashlib.blake2b(material, digest_size=24, person=b"qkdplan-sess").digest()
     k1, k2, iv_seed = (int.from_bytes(digest[i : i + 8], "big") for i in (0, 8, 16))
     block_bits = session.toy_block_bits
-    session._key_schedule = _KeySchedule(_round_tables(block_bits, k1), _round_tables(block_bits, k2), iv_seed)
+    schedule = _KeySchedule(_round_tables(block_bits, k1), _round_tables(block_bits, k2), iv_seed)
+    size, cap = 1 << block_bits // 2, session.per_key_cap
+    if cap * blocks_per_file(session.plan.file_size_bytes, block_bits) >= size:
+        for table in schedule.tables1:
+            table.fill(size)
+    if session.plan.mode is Mode.ECBC_MAC and cap >= size:
+        for table in schedule.tables2:
+            table.fill(size)
+    session._key_schedule = schedule
 
 
 def _encrypt_blocks(session: SessionState, data: bytes) -> bytes:

@@ -30,7 +30,9 @@ from qkdplan.empirics import (
     mix64,
     toy_prp,
 )
-from qkdplan.empirics import _draw_np, _permute_np, _round_keys, _round_keys_np, _stream_bases, _trial_lanes
+from qkdplan.empirics import (
+    _draw_np, _permute_np, _round_keys, _round_keys_np, _round_tables, _RoundTable, _stream_bases, _trial_lanes
+)
 
 
 # Oracles for the round-trip and scalar-vs-vector tests; the package keeps
@@ -148,6 +150,18 @@ def test_toy_prp_scalar_matches_batch():
     # explicit key overrides key_seed
     keyed = toy_prp_batch(params, xs, key=555)
     assert not np.array_equal(batch, keyed)
+
+
+def test_round_table_fill_matches_lazy_lookups():
+    rng = random.Random(23)
+    for bits in range(8, 25):
+        for key in (0, (1 << 64) - 1, rng.getrandbits(64)):
+            for table in _round_tables(bits, key):
+                # a round reads one half and masks to the other's width
+                for half_bits in {bits // 2, bits - bits // 2}:
+                    filled, lazy = _RoundTable(table.rk, table.mask), _RoundTable(table.rk, table.mask)
+                    filled.fill(1 << half_bits)
+                    assert filled == {h: lazy[h] for h in range(1 << half_bits)}, (bits, key, half_bits)
 
 
 def test_toy_cipher_params_validation():

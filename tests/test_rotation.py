@@ -2,8 +2,10 @@
 
 from __future__ import annotations
 
+import copy
 import json
 import math
+import pickle
 import random
 import time
 from fractions import Fraction
@@ -13,6 +15,7 @@ import pytest
 from qkdplan import empirics, rotation
 from qkdplan.advmodel import Mode, SecurityParams
 from qkdplan.cli import main
+from qkdplan.planner import compute_q_star
 from qkdplan.rotation import (
     KeyPool,
     OversizedFileError,
@@ -264,6 +267,35 @@ def test_round_tables_fill_lazily_for_the_current_key_only(mode, tmp_path):
     assert load_state(str(path))._key_schedule is None
 
 
+# q_star 2880, 511 and 1019 files of 64 bytes for CTR, CBC and ECBC-MAC
+FILL_PARAMS = SecurityParams.from_bits(36, 30, 32, target_bits=7)
+
+
+@pytest.mark.parametrize("width", [16, 24])
+@pytest.mark.parametrize("mode", list(Mode))
+def test_round_tables_fill_whole_when_the_key_budget_covers_them(mode, width):
+    size = 1 << width // 2  # entries of a round table
+    per_file = -(-64 // (width // 8))  # blocks of a 64-byte file
+    q_star = compute_q_star(mode, FILL_PARAMS, 64, block_bits=16).q_star
+    # rotation factors whose caps lie either side of each threshold: the first
+    # subkey's tables see cap * per_file lookups, ECBC-MAC's second cap lookups
+    thresholds = [t for t in (-(-size // per_file), size) if t <= q_star]
+    for factor in sorted({q_star // t + d for t in thresholds for d in (0, 1)}):
+        session = open_session(simulate_pool(2, 128, factor), mode, FILL_PARAMS, 64, factor, width, block_bits=16)
+        cap = session.per_key_cap
+        whole1 = cap * per_file >= size
+        whole2 = mode is Mode.ECBC_MAC and cap >= size
+        # the first key before its first file, then the second after one empty
+        # file, which looks up at most one entry per table
+        for files in (cap + 1, 0):
+            schedule = session._key_schedule
+            assert all(len(table) == size if whole1 else len(table) <= 1 for table in schedule.tables1)
+            assert all(len(table) == size if whole2 else len(table) <= 1 for table in schedule.tables2)
+            for _ in range(files):
+                encrypt_file(session, b"")
+        assert session.keys_consumed == 2
+
+
 def test_pool_exhaustion_is_clean():
     session = toy_session(pool_size=2)
     for _ in range(6):
@@ -377,6 +409,44 @@ def test_state_round_trip(tmp_path):
         SessionState(**{**fields, "key_ids": []})
     encrypt_file(session, b"abcdefgh")
     assert session != loaded
+
+
+def _live_session_after_a_rotation() -> SessionState:
+    session = toy_session()  # cap 3
+    for _ in range(4):
+        encrypt_file(session, b"x")
+    return session
+
+
+def test_shallow_copy_of_a_live_session_is_refused(tmp_path):
+    # a shallow copy would share key_ids, so encrypting on it would leave the
+    # original with a chain its counters contradict
+    session = _live_session_after_a_rotation()
+    with pytest.raises(TypeError, match="persist_state and load_state"):
+        copy.copy(session)
+    path = tmp_path / "state.json"
+    persist_state(session, str(path))
+    loaded = load_state(str(path))
+    twin = copy.copy(loaded)
+    assert twin == loaded and twin.key_ids is not loaded.key_ids
+
+
+def test_deep_copy_of_a_live_session_is_refused():
+    # a deep copy would be a second writer under the same key and IVs
+    session = _live_session_after_a_rotation()
+    with pytest.raises(TypeError, match="persist_state and load_state"):
+        copy.deepcopy(session)
+    assert encrypt_file(session, b"x")[1] is None  # the session itself still encrypts
+
+
+def test_pickling_a_live_session_is_refused():
+    # a pickle would hold the pool's key material
+    session = _live_session_after_a_rotation()
+    with pytest.raises(TypeError, match="persist_state and load_state"):
+        pickle.dumps(session)
+    session.pool = None  # still live: the current key's schedule holds its subkeys
+    with pytest.raises(TypeError, match="persist_state and load_state"):
+        pickle.dumps(session)
 
 
 def test_detached_session_cannot_encrypt(tmp_path):

@@ -406,16 +406,14 @@ def cmd_rotate(args: argparse.Namespace) -> int:
         return 5
 
     status = 0
-    processed = 0
     try:
-        for name, file_bytes in manifest:
+        for _, file_bytes in manifest:
             encrypt_file(session, bytes(file_bytes))
-            processed += 1
-    except PoolExhaustedError:
-        print(f"key pool exhausted after {processed} of {len(manifest)} files", file=sys.stderr)
+    except PoolExhaustedError:  # it leaves the session's counters unchanged
+        print(f"key pool exhausted after {session.total_files} of {len(manifest)} files", file=sys.stderr)
         status = 5
 
-    print(f"files_processed   {processed}")
+    print(f"files_processed   {session.total_files}")
     print(f"q_star            {session.plan.q_star}")
     print(f"per_key_cap       {session.per_key_cap}")
     print(f"keys_consumed     {session.keys_consumed}")

@@ -20,16 +20,19 @@ All randomness is counter-based: a draw depends only on (seed, purpose,
 slot, trial), never on call order, so results are bit-identical regardless
 of chunking, and the scalar and vectorized paths agree value for value.
 
-Trials run in chunks of about _CHUNK_ELEMENTS elements.  Each estimate
-allocates its mode's buffers once, sized for a single chunk, with the
-per-slot draw bases that every trial shares, and every chunk draws, runs the
-Feistel rounds and sorts in place in views of them, so a chunk allocates
-only a few rows of per-trial or per-slot values.
+Trials run in chunks of as many whole trials as fit in _CHUNK_ELEMENTS
+elements, or of one larger trial.  Each estimate allocates its mode's buffers
+once, sized for a single chunk, with the per-slot draw bases that every
+trial shares, and every chunk draws, runs the Feistel rounds and sorts in
+place in views of them.  It peaks below 128 bytes per chunk element: 16 MB
+within the budget, 2 GB for a trial of 2**24 elements.
 
 numpy is imported inside the vectorized kernels, not at module level, so
 planning, the scalar toy cipher and rotation sessions run without loading
-it; the first collision estimate pays its import.  The array module, which
-reads a bulk-filled round table out of one int, is imported the same way.
+it; the first collision estimate pays its import.  _KeySchedule, the cipher
+of a rotation session's key, imports hashlib the same way, so it loads with
+the first session key, and _RoundTable.fill, which _KeySchedule calls,
+imports the array module.
 """
 
 from __future__ import annotations
@@ -52,8 +55,8 @@ _LANE = 0xD6E8FEB86659FD93
 # two-sided 99% normal quantile
 Z_99 = 2.5758293035489004
 
-# elements per trial chunk (q per CTR trial, q*l per CBC trial): each buffer
-# of an estimate holds one chunk, at most 1 MB of uint64
+# elements per trial chunk (q per CTR trial, q*l per CBC trial), unless one
+# trial is larger; the module docstring bounds the memory this gives
 _CHUNK_ELEMENTS = 1 << 17
 _ROUNDS = 6  # Feistel rounds of the toy cipher, in sessions and trials alike
 
@@ -191,8 +194,8 @@ def _lanes(size: int) -> tuple[int, int, int]:
 class _RoundTable(dict):
     """One Feistel round's function half -> mix64(half ^ rk) & mask, kept
     for the table's lifetime.  A value is computed on its first lookup, or
-    for every half below size at once by fill(size), which a rotation
-    session calls when a key's budget covers the whole table."""
+    for every half below size at once by fill(size), which _KeySchedule
+    calls when a session key's budget covers the whole table."""
 
     __slots__ = ("rk", "mask")
 
@@ -304,9 +307,9 @@ def toy_prp(params: ToyCipherParams, block: int) -> int:
 
 # ------------------------------------------------------------ mode operations
 #
-# _ctr, _cbc and _mac run a mode under round tables that the caller keeps for
-# as long as the key lives; the public functions build them for one call.  A
-# block is range-checked inline, and _check_block only words the error.
+# _ctr, _cbc and _mac run a mode under round tables that _KeySchedule keeps
+# for as long as a session key lives; the public functions build them for one
+# call.  A block is range-checked inline, and _check_block only words the error.
 
 
 def _ctr(block_bits: int, tables: list[_RoundTable], iv: int, blocks: list[int]) -> list[int]:
@@ -334,6 +337,51 @@ def _cbc(block_bits: int, tables: list[_RoundTable], iv: int, blocks: list[int])
 def _mac(block_bits: int, tables1: list[_RoundTable], tables2: list[_RoundTable], blocks: list[int]) -> int:
     """ECBC-MAC of at least one block."""
     return _permute(block_bits, tables2, _cbc(block_bits, tables1, 0, blocks)[-1])
+
+
+class _KeySchedule:
+    """What one rotation-session key fixes, all from one blake2b digest of
+    its material: an IV seed and the round tables of two subkeys (CTR and
+    CBC use the first, ECBC-MAC both).
+
+    The first subkey's tables fill whole when the key's budget, files_per_key
+    files of max_file_bytes in whole blocks, reaches their 2**(block_bits/2)
+    entries (session widths are whole bytes); below it they fill lazily, as
+    the second subkey's always do, which costs less for few lookups.
+    """
+
+    __slots__ = ("block_bits", "tables1", "tables2", "iv_seed")
+
+    def __init__(self, material: bytes, block_bits: int, files_per_key: int, max_file_bytes: int) -> None:
+        import hashlib
+
+        digest = hashlib.blake2b(material, digest_size=24, person=b"qkdplan-sess").digest()
+        k1, k2, self.iv_seed = (int.from_bytes(digest[i : i + 8], "big") for i in (0, 8, 16))
+        self.block_bits = block_bits
+        self.tables1, self.tables2 = _round_tables(block_bits, k1), _round_tables(block_bits, k2)
+        size = 1 << block_bits // 2
+        if files_per_key * -(-max_file_bytes // (block_bits // 8)) >= size:
+            for table in self.tables1:
+                table.fill(size)
+
+    def encrypt(self, mode: Mode, file_index: int, data: bytes) -> bytes:
+        """Encrypt the session's file number file_index, zero-padded into
+        whole blocks: CTR and CBC output carries the file's IV as a leading
+        block, and ECBC-MAC outputs the tag alone."""
+        block_bits = self.block_bits
+        block_bytes = block_bits // 8
+        padded = data + bytes(-len(data) % block_bytes)
+        blocks = [
+            int.from_bytes(padded[i : i + block_bytes], "big")
+            for i in range(0, len(padded), block_bytes)
+        ] or [0]
+        if mode is Mode.ECBC_MAC:
+            tag = _mac(block_bits, self.tables1, self.tables2, blocks)
+            return tag.to_bytes(block_bytes, "big")
+        iv = draw64(self.iv_seed, _P_SESSION_IV, 0, file_index) & ((1 << block_bits) - 1)
+        encrypt = _ctr if mode is Mode.CTR else _cbc
+        out = encrypt(block_bits, self.tables1, iv, blocks)
+        return b"".join(b.to_bytes(block_bytes, "big") for b in [iv] + out)
 
 
 def ctr_encrypt(params: ToyCipherParams, key: int, iv: int, blocks: list[int]) -> list[int]:

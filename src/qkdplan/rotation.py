@@ -26,21 +26,16 @@ accounting and re-persistence but not further encryption.  A state file or
 event log is written to a temporary file beside it and then renamed into
 place, so a failed write leaves the previous file intact.
 
-Encryption itself uses the scaled-down block cipher so demo runs produce
-real ciphertext; plaintexts are zero-padded into whole blocks and CTR/CBC
-outputs carry their IV as a leading block.  A key's subkeys and Feistel
-round tables are derived once, when the key is dispensed.  A table is
-filled whole at that moment when the key's budget of lookups into it,
-per_key_cap files of whole blocks, reaches its entry count, and otherwise
-fills lazily as files are encrypted.  The session holds the tables for the
-current key only; they are never persisted, and a live session cannot be
-copied or pickled.
+Encryption runs the scaled-down block cipher, so demo runs produce real
+ciphertext.  empirics._KeySchedule owns it: the subkeys, IV seed and round
+tables a key fixes, and the encryption of one file under them.  The session
+holds the schedule of its current key only, built when the key is dispensed;
+it is never persisted, and a live session cannot be copied or pickled.
 """
 
 from __future__ import annotations
 
 import contextlib
-import hashlib
 import json
 import os
 from collections.abc import Iterable, Iterator
@@ -48,11 +43,9 @@ from fractions import Fraction
 from operator import attrgetter
 
 from .advmodel import EcbcDenominator, Mode, SecurityParams, check_key_cost
-from .empirics import (
-    _P_KEY_MATERIAL, _P_SESSION_IV, _cbc, _ctr, _mac, _round_tables, _RoundTable, _toy_block_bits, as_u64, draw64
-)
+from .empirics import _P_KEY_MATERIAL, _KeySchedule, _toy_block_bits, as_u64, draw64
 from .exactmath import _Record, as_natural, parse_rational, render_rational
-from .planner import RotationPlan, blocks_per_file, compute_q_star
+from .planner import RotationPlan, compute_q_star
 
 STATE_VERSION = 3
 
@@ -179,16 +172,6 @@ class RotationEvent(_Record):
         object.__setattr__(self, "old_key_id", as_natural(old_key_id))
         object.__setattr__(self, "new_key_id", as_natural(new_key_id))
         object.__setattr__(self, "at_file_count", as_natural(at_file_count))
-
-
-class _KeySchedule:
-    """What one key fixes: the round tables of its two cipher subkeys
-    (CTR and CBC use the first, ECBC-MAC both) and its IV seed."""
-
-    __slots__ = ("tables1", "tables2", "iv_seed")
-
-    def __init__(self, tables1: list[_RoundTable], tables2: list[_RoundTable], iv_seed: int) -> None:
-        self.tables1, self.tables2, self.iv_seed = tables1, tables2, iv_seed
 
 
 class SessionState:
@@ -323,49 +306,10 @@ def open_session(
 
 
 def _use_key(session: SessionState, material: bytes) -> None:
-    """Derive the schedule of the session's current key, dropping the old one.
-
-    A round table is filled whole when the key's budget of lookups into it
-    reaches its 2**(block_bits/2) entries (session widths are whole bytes,
-    so both halves have that width): per_key_cap files of at most
-    ceil(file_size_bytes / block bytes) blocks for the first subkey, and
-    for ECBC-MAC one chain end per file for the second.  Below that budget
-    a table fills lazily, which costs less than a bulk fill when a key
-    looks up only a few of its entries.
-    """
-    digest = hashlib.blake2b(material, digest_size=24, person=b"qkdplan-sess").digest()
-    k1, k2, iv_seed = (int.from_bytes(digest[i : i + 8], "big") for i in (0, 8, 16))
-    block_bits = session.toy_block_bits
-    schedule = _KeySchedule(_round_tables(block_bits, k1), _round_tables(block_bits, k2), iv_seed)
-    size, cap = 1 << block_bits // 2, session.per_key_cap
-    if cap * blocks_per_file(session.plan.file_size_bytes, block_bits) >= size:
-        for table in schedule.tables1:
-            table.fill(size)
-    if session.plan.mode is Mode.ECBC_MAC and cap >= size:
-        for table in schedule.tables2:
-            table.fill(size)
-    session._key_schedule = schedule
-
-
-def _encrypt_blocks(session: SessionState, data: bytes) -> bytes:
-    schedule = session._key_schedule
-    if schedule is None:
-        raise StateError("detached session has no key material; open a fresh session")
-    block_bits = session.toy_block_bits
-    block_bytes = block_bits // 8
-    padded = data + bytes(-len(data) % block_bytes)
-    blocks = [
-        int.from_bytes(padded[i : i + block_bytes], "big")
-        for i in range(0, len(padded), block_bytes)
-    ] or [0]
-    mode = session.plan.mode
-    if mode is Mode.ECBC_MAC:
-        tag = _mac(block_bits, schedule.tables1, schedule.tables2, blocks)
-        return tag.to_bytes(block_bytes, "big")
-    iv = draw64(schedule.iv_seed, _P_SESSION_IV, 0, session.total_files) & ((1 << block_bits) - 1)
-    encrypt = _ctr if mode is Mode.CTR else _cbc
-    out = encrypt(block_bits, schedule.tables1, iv, blocks)
-    return b"".join(b.to_bytes(block_bytes, "big") for b in [iv] + out)
+    """Make material the session's current key, dropping the old key's schedule."""
+    session._key_schedule = _KeySchedule(
+        material, session.toy_block_bits, session.per_key_cap, session.plan.file_size_bytes
+    )
 
 
 def encrypt_file(session: SessionState, data: bytes) -> tuple[bytes, RotationEvent | None]:
@@ -374,6 +318,8 @@ def encrypt_file(session: SessionState, data: bytes) -> tuple[bytes, RotationEve
     Returns the ciphertext and the rotation event, if one fired.  On pool
     exhaustion nothing is encrypted and counters are unchanged.
     """
+    if session.pool is None or session._key_schedule is None:
+        raise StateError("detached session has no key material; open a fresh session")
     if len(data) > session.plan.file_size_bytes:
         raise OversizedFileError(
             f"file of {len(data)} bytes exceeds planned size "
@@ -381,14 +327,12 @@ def encrypt_file(session: SessionState, data: bytes) -> tuple[bytes, RotationEve
         )
     event = None
     if session.files_under_current_key >= session.per_key_cap:
-        if session.pool is None:
-            raise StateError("detached session cannot rotate; open a fresh session")
         key_id, material = session.pool.dispense()  # raises PoolExhaustedError when drained
         session.key_ids.append(key_id)
         _use_key(session, material)
         event = session._event(len(session.key_ids) - 2)
 
-    ciphertext = _encrypt_blocks(session, data)
+    ciphertext = session._key_schedule.encrypt(session.plan.mode, session.total_files, data)
     session.total_files += 1
     return ciphertext, event
 

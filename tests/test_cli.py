@@ -485,15 +485,15 @@ def test_rotate_state_keeps_exact_eps(capsys, tmp_path):
 MODULE_PROBE = """
 import json, sys
 argv = json.loads(sys.argv[1])
-if argv is None:
-    import qkdplan
+if isinstance(argv, str):
+    __import__(argv)
 else:
     import qkdplan.cli as cli
     if argv:
         assert cli.main(argv) == 0, argv
 print(json.dumps([
     sorted(m for m in sys.modules if m.split(".")[0] == "qkdplan"),
-    *(name in sys.modules for name in ("numpy", "dataclasses", "inspect")),
+    *(name in sys.modules for name in ("numpy", "dataclasses", "inspect", "hashlib")),
 ]))
 """
 
@@ -505,7 +505,8 @@ def test_numpy_loads_only_for_monte_carlo(tmp_path):
     # long ago.  Planning loads neither the Monte Carlo nor the rotation
     # module, rotate runs the scalar cipher without numpy, and only simulate
     # imports numpy.  No command loads dataclasses, and only numpy, in
-    # simulate, loads inspect.
+    # simulate, loads inspect.  hashlib (OpenSSL) loads with a session's
+    # first key, so only rotate loads it; importing rotation does not.
     manifest = tmp_path / "manifest.txt"
     manifest.write_text("8\n8\n8\n8\n")
     rotate = ["rotate", "--mode", "ctr", *TOY, "--simulate-keys", "5",
@@ -513,18 +514,20 @@ def test_numpy_loads_only_for_monte_carlo(tmp_path):
     simulate = ["simulate", "--mode", "ctr", "--block-bits", "12", "--q", "8", "--l", "4",
                 "--trials", "1000", "--seed", "3"]
     cases = [
-        (None, ["qkdplan"], False),
-        ([], PLANNING, False),
-        (["plan", "--mode", "ctr"], PLANNING, False),
-        (["improve", "--mode", "cbc", "--k", "4"], PLANNING, False),
-        (["benefit", "--mode", "cbc", "--k", "8", "--key-cost", "3/2"], PLANNING, False),
-        (["sweep", "--mode", "cbc", "--k-list", "2,8,32"], PLANNING, False),
-        (["validate"], PLANNING, False),
-        (simulate, sorted(PLANNING + ["qkdplan.empirics"]), True),
-        (rotate, sorted(PLANNING + ["qkdplan.empirics", "qkdplan.rotation"]), False),
+        ("qkdplan", ["qkdplan"], False, False),
+        ("qkdplan.rotation", ["qkdplan", "qkdplan.advmodel", "qkdplan.empirics", "qkdplan.exactmath",
+                              "qkdplan.planner", "qkdplan.rotation"], False, False),
+        ([], PLANNING, False, False),
+        (["plan", "--mode", "ctr"], PLANNING, False, False),
+        (["improve", "--mode", "cbc", "--k", "4"], PLANNING, False, False),
+        (["benefit", "--mode", "cbc", "--k", "8", "--key-cost", "3/2"], PLANNING, False, False),
+        (["sweep", "--mode", "cbc", "--k-list", "2,8,32"], PLANNING, False, False),
+        (["validate"], PLANNING, False, False),
+        (simulate, sorted(PLANNING + ["qkdplan.empirics"]), True, False),
+        (rotate, sorted(PLANNING + ["qkdplan.empirics", "qkdplan.rotation"]), False, True),
     ]  # fmt: skip
     src = Path(__file__).resolve().parents[1] / "src"
-    for argv, modules, numpy in cases:
+    for argv, modules, numpy, hashlib in cases:
         done = subprocess.run(
             [sys.executable, "-c", MODULE_PROBE, json.dumps(argv)],
             env=dict(os.environ, PYTHONPATH=str(src)),
@@ -532,4 +535,4 @@ def test_numpy_loads_only_for_monte_carlo(tmp_path):
             text=True,
         )
         assert done.returncode == 0, (argv, done.stderr)
-        assert json.loads(done.stdout.splitlines()[-1]) == [modules, numpy, False, numpy], argv
+        assert json.loads(done.stdout.splitlines()[-1]) == [modules, numpy, False, numpy, hashlib], argv

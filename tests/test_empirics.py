@@ -377,6 +377,24 @@ def test_estimate_memory_is_bounded_by_the_chunk():
         assert peak < 6 << 20, (config, peak)
 
 
+@pytest.mark.parametrize("mode", [Mode.CTR, Mode.CBC])
+def test_a_trial_over_the_chunk_budget_peaks_within_the_stated_bound(mode):
+    # a trial of 2**18 elements, twice the budget, is a chunk of its own, and
+    # the module states a peak below 128 bytes per element of the chunk; CBC
+    # at one block per file keeps the most per-slot rows per element
+    config = TrialConfig(mode, 20, 1 << 18, 1, 1000, 1)
+    per_trial = config.q_files * config.blocks_per_file
+    assert empirics._CHUNK_ELEMENTS < per_trial
+    counter = empirics._ctr_counter if mode is Mode.CTR else empirics._cbc_counter
+    tracemalloc.start()
+    try:
+        counter(config, 1)(0, 1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 128 * per_trial, peak
+
+
 def test_estimate_seed_sensitivity():
     base = TrialConfig(Mode.CTR, 16, 16, 4, 20000, 1)
     other = TrialConfig(Mode.CTR, 16, 16, 4, 20000, 2)

@@ -278,19 +278,19 @@ def test_round_tables_fill_whole_when_the_key_budget_covers_them(mode, width):
     per_file = -(-64 // (width // 8))  # blocks of a 64-byte file
     q_star = compute_q_star(mode, FILL_PARAMS, 64, block_bits=16).q_star
     # rotation factors whose caps lie either side of each threshold: the first
-    # subkey's tables see cap * per_file lookups, ECBC-MAC's second cap lookups
+    # subkey's tables see cap * per_file lookups and fill whole once that covers
+    # them; ECBC-MAC's second sees cap lookups and stays lazy even when cap does
     thresholds = [t for t in (-(-size // per_file), size) if t <= q_star]
     for factor in sorted({q_star // t + d for t in thresholds for d in (0, 1)}):
         session = open_session(simulate_pool(2, 128, factor), mode, FILL_PARAMS, 64, factor, width, block_bits=16)
         cap = session.per_key_cap
         whole1 = cap * per_file >= size
-        whole2 = mode is Mode.ECBC_MAC and cap >= size
         # the first key before its first file, then the second after one empty
         # file, which looks up at most one entry per table
         for files in (cap + 1, 0):
             schedule = session._key_schedule
             assert all(len(table) == size if whole1 else len(table) <= 1 for table in schedule.tables1)
-            assert all(len(table) == size if whole2 else len(table) <= 1 for table in schedule.tables2)
+            assert all(len(table) <= 1 for table in schedule.tables2)
             for _ in range(files):
                 encrypt_file(session, b"")
         assert session.keys_consumed == 2

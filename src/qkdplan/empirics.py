@@ -15,7 +15,10 @@ Collision events mirror what the bounds actually charge for:
        (equal blocks leak the XOR of the chained plaintexts).
 
 The cipher is a small unbalanced Feistel network, a permutation on the block
-domain for any width and any round function.
+domain for any width and any round function.  Its scalar form is one round
+loop, _run, that every mode runs through, over round tables that are filled
+on demand or, for a session key whose budget covers them, computed whole as
+plain lists.
 All randomness is counter-based: a draw depends only on (seed, purpose,
 slot, trial), never on call order, so results are bit-identical regardless
 of chunking, and the scalar and vectorized paths agree value for value.
@@ -31,8 +34,9 @@ numpy is imported inside the vectorized kernels, not at module level, so
 planning, the scalar toy cipher and rotation sessions run without loading
 it; the first collision estimate pays its import.  _KeySchedule, the cipher
 of a rotation session's key, imports hashlib the same way, so it loads with
-the first session key, and _RoundTable.fill, which _KeySchedule calls,
-imports the array module.
+the first session key.  _RoundTable.fill and the 16-bit block split and join
+import the array module, so it loads with a session's first filled key or
+first 16-bit file.
 """
 
 from __future__ import annotations
@@ -193,9 +197,13 @@ def _lanes(size: int) -> tuple[int, int, int]:
 
 class _RoundTable(dict):
     """One Feistel round's function half -> mix64(half ^ rk) & mask, kept
-    for the table's lifetime.  A value is computed on its first lookup, or
-    for every half below size at once by fill(size), which _KeySchedule
-    calls when a session key's budget covers the whole table."""
+    for the table's lifetime and computed on a value's first lookup.
+
+    fill(size) computes every value below size at once, as a list indexed
+    by half; _KeySchedule keeps that list in the table's place when a
+    session key's budget covers the whole table.  Both kinds index alike,
+    so _run takes either.
+    """
 
     __slots__ = ("rk", "mask")
 
@@ -206,8 +214,8 @@ class _RoundTable(dict):
         value = self[half] = mix64(half ^ self.rk) & self.mask
         return value
 
-    def fill(self, size: int) -> None:
-        """Compute the values of halves 0..size-1 (size <= 2**30) in one pass.
+    def fill(self, size: int) -> list[int]:
+        """The values of halves 0..size-1 (size <= 2**30), computed in one pass.
 
         mix64 runs on one int that holds half h ^ rk in 128-bit lane h: a
         64x64-bit product fits its lane, and each shift is masked back to
@@ -225,11 +233,11 @@ class _RoundTable(dict):
         words = array("Q", x.to_bytes(16 * size, "little"))
         if sys.byteorder == "big":
             words.byteswap()
-        self.update(zip(range(size), words[::2].tolist()))
+        return words[::2].tolist()
 
 
 def _round_tables(block_bits: int, key: int) -> list[_RoundTable]:
-    """The round functions of one key at one width, empty until looked up or filled.
+    """The round functions of one key at one width, empty until looked up.
 
     Looked up lazily, a key that encrypts n blocks evaluates at most
     n*_ROUNDS round functions, and a round at most once per value of its
@@ -241,13 +249,36 @@ def _round_tables(block_bits: int, key: int) -> list[_RoundTable]:
     return [_RoundTable(rk, (1 << widths[i % 2]) - 1) for i, rk in enumerate(_round_keys(key))]
 
 
-def _permute(block_bits: int, tables: list[_RoundTable], x: int) -> int:
+def _run(block_bits: int, tables: list[_RoundTable | list[int]], xs: list[int], prev: int | None = None) -> list[int]:
+    """E(x) for each x in xs, in order, under one key's round tables: the
+    scalar toy cipher, which every mode runs through.
+
+    Given prev, the xs chain as in CBC: each is XORed with the output
+    before it, the first with prev, before it is permuted.  Every x (and
+    prev) must lie in [0, 2**block_bits); callers check what they did not
+    make themselves.
+    """
+    t0, t1, t2, t3, t4, t5 = tables
     w_right = block_bits - block_bits // 2
-    left, right = x >> w_right, x & ((1 << w_right) - 1)
-    for table in tables:
-        left, right = right, left ^ table[right]
-    # _ROUNDS is even, so the halves end at their starting widths
-    return (left << w_right) | right
+    mask = (1 << w_right) - 1
+    chain = prev is not None
+    out = []
+    for x in xs:
+        if chain:
+            x ^= prev
+        left, right = x >> w_right, x & mask
+        # each round XORs one half with its table at the other, the halves
+        # taking turns, as (left, right) = (right, left ^ table[right]) would
+        left ^= t0[right]
+        right ^= t1[left]
+        left ^= t2[right]
+        right ^= t3[left]
+        left ^= t4[right]
+        right ^= t5[left]
+        # _ROUNDS is even, so the halves end at their starting widths
+        prev = left << w_right | right
+        out.append(prev)
+    return out
 
 
 def _round_keys_np(keys: np.ndarray, out: np.ndarray, scratch: np.ndarray) -> None:
@@ -299,44 +330,55 @@ def _check_block(block_bits: int, value: int, what: str = "block") -> int:
     return value
 
 
+def _check_blocks(block_bits: int, blocks: list[int]) -> None:
+    for block in blocks:
+        _check_block(block_bits, block)
+
+
 def toy_prp(params: ToyCipherParams, block: int) -> int:
     """Permutation the params induce (keyed by key_seed)."""
     block = _check_block(params.block_bits, block)
-    return _permute(params.block_bits, _round_tables(params.block_bits, params.key_seed), block)
+    return _run(params.block_bits, _round_tables(params.block_bits, params.key_seed), [block])[0]
 
 
 # ------------------------------------------------------------ mode operations
 #
-# _ctr, _cbc and _mac run a mode under round tables that _KeySchedule keeps
-# for as long as a session key lives; the public functions build them for one
-# call.  A block is range-checked inline, and _check_block only words the error.
+# Each mode is one or two passes of _run: CTR permutes the counters
+# iv + j mod N and XORs them onto the blocks, CBC chains the blocks from the
+# IV, and ECBC-MAC re-permutes the last CBC output, chained from 0, under
+# the second key.  A session's blocks come from bytes and are in range; the
+# public functions check theirs first.
 
 
-def _ctr(block_bits: int, tables: list[_RoundTable], iv: int, blocks: list[int]) -> list[int]:
-    n = 1 << block_bits
-    out = []
-    for j, block in enumerate(blocks):
-        if not 0 <= block < n:
-            _check_block(block_bits, block)
-        out.append(block ^ _permute(block_bits, tables, (iv + j) % n))
-    return out
+def _split_blocks(data: bytes, block_bytes: int) -> list[int]:
+    """data zero-padded into whole big-endian blocks of 1, 2 or 3 bytes, at
+    least one, as ints."""
+    data = data + bytes(-len(data) % block_bytes) or bytes(block_bytes)
+    if block_bytes == 1:
+        return list(data)
+    if block_bytes == 2:
+        from array import array
+
+        words = array("H", data)
+        if sys.byteorder == "little":
+            words.byteswap()
+        return words.tolist()
+    # there is no 3-byte array type
+    return [a << 16 | b << 8 | c for a, b, c in zip(data[0::3], data[1::3], data[2::3])]
 
 
-def _cbc(block_bits: int, tables: list[_RoundTable], iv: int, blocks: list[int]) -> list[int]:
-    n = 1 << block_bits
-    prev = iv
-    out = []
-    for block in blocks:
-        if not 0 <= block < n:
-            _check_block(block_bits, block)
-        prev = _permute(block_bits, tables, block ^ prev)
-        out.append(prev)
-    return out
+def _join_blocks(blocks: list[int], block_bytes: int) -> bytes:
+    """blocks of 1, 2 or 3 bytes each, as big-endian bytes."""
+    if block_bytes == 1:
+        return bytes(blocks)
+    if block_bytes == 2:
+        from array import array
 
-
-def _mac(block_bits: int, tables1: list[_RoundTable], tables2: list[_RoundTable], blocks: list[int]) -> int:
-    """ECBC-MAC of at least one block."""
-    return _permute(block_bits, tables2, _cbc(block_bits, tables1, 0, blocks)[-1])
+        words = array("H", blocks)
+        if sys.byteorder == "little":
+            words.byteswap()
+        return words.tobytes()
+    return b"".join(b.to_bytes(3, "big") for b in blocks)
 
 
 class _KeySchedule:
@@ -344,10 +386,11 @@ class _KeySchedule:
     its material: an IV seed and the round tables of two subkeys (CTR and
     CBC use the first, ECBC-MAC both).
 
-    The first subkey's tables fill whole when the key's budget, files_per_key
-    files of max_file_bytes in whole blocks, reaches their 2**(block_bits/2)
-    entries (session widths are whole bytes); below it they fill lazily, as
-    the second subkey's always do, which costs less for few lookups.
+    The first subkey's tables fill whole, each into a list, when the key's
+    budget, files_per_key files of max_file_bytes in whole blocks, reaches
+    their 2**(block_bits/2) entries (session widths are whole bytes); below
+    it they fill lazily, as the second subkey's always do, which costs less
+    for few lookups.  Every mode runs through _run, which takes either kind.
     """
 
     __slots__ = ("block_bits", "tables1", "tables2", "iv_seed")
@@ -361,38 +404,44 @@ class _KeySchedule:
         self.tables1, self.tables2 = _round_tables(block_bits, k1), _round_tables(block_bits, k2)
         size = 1 << block_bits // 2
         if files_per_key * -(-max_file_bytes // (block_bits // 8)) >= size:
-            for table in self.tables1:
-                table.fill(size)
+            self.tables1 = [table.fill(size) for table in self.tables1]
 
     def encrypt(self, mode: Mode, file_index: int, data: bytes) -> bytes:
         """Encrypt the session's file number file_index, zero-padded into
-        whole blocks: CTR and CBC output carries the file's IV as a leading
-        block, and ECBC-MAC outputs the tag alone."""
+        whole blocks, at least one: CTR and CBC output carries the file's IV
+        as a leading block, and ECBC-MAC outputs the tag alone."""
         block_bits = self.block_bits
         block_bytes = block_bits // 8
-        padded = data + bytes(-len(data) % block_bytes)
-        blocks = [
-            int.from_bytes(padded[i : i + block_bytes], "big")
-            for i in range(0, len(padded), block_bytes)
-        ] or [0]
+        blocks = _split_blocks(data, block_bytes)
         if mode is Mode.ECBC_MAC:
-            tag = _mac(block_bits, self.tables1, self.tables2, blocks)
-            return tag.to_bytes(block_bytes, "big")
-        iv = draw64(self.iv_seed, _P_SESSION_IV, 0, file_index) & ((1 << block_bits) - 1)
-        encrypt = _ctr if mode is Mode.CTR else _cbc
-        out = encrypt(block_bits, self.tables1, iv, blocks)
-        return b"".join(b.to_bytes(block_bytes, "big") for b in [iv] + out)
+            tag = _run(block_bits, self.tables2, _run(block_bits, self.tables1, blocks, 0)[-1:])
+            return _join_blocks(tag, block_bytes)
+        mask = (1 << block_bits) - 1
+        iv = draw64(self.iv_seed, _P_SESSION_IV, 0, file_index) & mask
+        if mode is Mode.CTR:
+            keystream = _run(block_bits, self.tables1, [c & mask for c in range(iv, iv + len(blocks))])
+            out = [block ^ k for block, k in zip(blocks, keystream)]
+        else:
+            out = _run(block_bits, self.tables1, blocks, iv)
+        return _join_blocks([iv, *out], block_bytes)
 
 
 def ctr_encrypt(params: ToyCipherParams, key: int, iv: int, blocks: list[int]) -> list[int]:
     """Counter mode: block j is XOR-masked with E(iv + j mod N)."""
-    tables = _round_tables(params.block_bits, as_u64(key, "key"))
-    return _ctr(params.block_bits, tables, _check_block(params.block_bits, iv, "iv"), blocks)
+    block_bits = params.block_bits
+    tables = _round_tables(block_bits, as_u64(key, "key"))
+    iv = _check_block(block_bits, iv, "iv")
+    _check_blocks(block_bits, blocks)
+    mask = (1 << block_bits) - 1
+    keystream = _run(block_bits, tables, [c & mask for c in range(iv, iv + len(blocks))])
+    return [block ^ k for block, k in zip(blocks, keystream)]
 
 
 def cbc_encrypt(params: ToyCipherParams, key: int, iv: int, blocks: list[int]) -> list[int]:
     tables = _round_tables(params.block_bits, as_u64(key, "key"))
-    return _cbc(params.block_bits, tables, _check_block(params.block_bits, iv, "iv"), blocks)
+    iv = _check_block(params.block_bits, iv, "iv")
+    _check_blocks(params.block_bits, blocks)
+    return _run(params.block_bits, tables, blocks, iv)
 
 
 def ecbc_mac(params: ToyCipherParams, key1: int, key2: int, blocks: list[int]) -> int:
@@ -401,7 +450,9 @@ def ecbc_mac(params: ToyCipherParams, key1: int, key2: int, blocks: list[int]) -
         raise ValueError("ecbc_mac requires at least one block")
     tables2 = _round_tables(params.block_bits, as_u64(key2, "key"))
     tables1 = _round_tables(params.block_bits, as_u64(key1, "key"))
-    return _mac(params.block_bits, tables1, tables2, blocks)
+    _check_blocks(params.block_bits, blocks)
+    chain = _run(params.block_bits, tables1, blocks, 0)
+    return _run(params.block_bits, tables2, chain[-1:])[0]
 
 
 # ------------------------------------------------------------------ trials

@@ -8,8 +8,10 @@ an ideal permutation by well under these bands.
 
 from __future__ import annotations
 
+import hashlib
 import random
 import tracemalloc
+from array import array
 from fractions import Fraction
 
 import numpy as np
@@ -159,9 +161,9 @@ def test_round_table_fill_matches_lazy_lookups():
             for table in _round_tables(bits, key):
                 # a round reads one half and masks to the other's width
                 for half_bits in {bits // 2, bits - bits // 2}:
-                    filled, lazy = _RoundTable(table.rk, table.mask), _RoundTable(table.rk, table.mask)
-                    filled.fill(1 << half_bits)
-                    assert filled == {h: lazy[h] for h in range(1 << half_bits)}, (bits, key, half_bits)
+                    lazy = _RoundTable(table.rk, table.mask)
+                    want = [lazy[h] for h in range(1 << half_bits)]
+                    assert table.fill(1 << half_bits) == want, (bits, key, half_bits)
 
 
 def test_toy_cipher_params_validation():
@@ -260,6 +262,78 @@ def test_ecbc_tag_collisions_near_inverse_domain():
     for i in range(100):
         want = ecbc_mac(params, int(k1[i]), int(k2[i]), [int(msgs[i, 0]), int(msgs[i, 1])])
         assert want == int(ta[i])
+
+
+# ----------------------------------------------------------- session cipher
+
+
+def session_reference(mode: Mode, block_bits: int, material: bytes, file_index: int, data: bytes) -> bytes:
+    """A session key's encryption of one file, from blake2b, the batch
+    Feistel and the mode definitions, none of it the scalar round loop."""
+    digest = hashlib.blake2b(material, digest_size=24, person=b"qkdplan-sess").digest()
+    k1, k2, iv_seed = (int.from_bytes(digest[i : i + 8], "big") for i in (0, 8, 16))
+    n, size = 1 << block_bits, block_bits // 8
+    padded = data + bytes(-len(data) % size) or bytes(size)  # zero-padded, at least one block
+    blocks = [int.from_bytes(padded[i : i + size], "big") for i in range(0, len(padded), size)]
+
+    def permute(key: int, x: int) -> int:
+        return int(permute_batch(block_bits, key, np.array([x], dtype=np.uint64))[0])
+
+    iv = draw64(iv_seed, empirics._P_SESSION_IV, 0, file_index) % n
+    if mode is Mode.CTR:
+        counters = np.arange(iv, iv + len(blocks), dtype=np.uint64) % np.uint64(n)
+        out = [iv, *(b ^ int(k) for b, k in zip(blocks, permute_batch(block_bits, k1, counters)))]
+    else:
+        chain = iv if mode is Mode.CBC else 0
+        out = [iv]
+        for b in blocks:
+            chain = permute(k1, b ^ chain)
+            out.append(chain)
+        if mode is Mode.ECBC_MAC:
+            out = [permute(k2, chain)]
+    return b"".join(b.to_bytes(size, "big") for b in out)
+
+
+@pytest.mark.parametrize("filled", [False, True], ids=["lazy", "filled"])
+@pytest.mark.parametrize("width", [8, 16, 24])
+@pytest.mark.parametrize("mode", list(Mode))
+def test_session_cipher_matches_an_independent_reference(mode, width, filled):
+    size, n = width // 8, 1 << width
+    material = f"{mode.name}/{width}/{filled}".encode()
+    # one file of one block stays below a round table's 2**(width/2)
+    # entries; that many files of 64 bytes reach them
+    files_per_key, max_file_bytes = (1 << width // 2, 64) if filled else (1, size)
+    schedule = empirics._KeySchedule(material, width, files_per_key, max_file_bytes)
+    assert all(isinstance(table, list) == filled for table in schedule.tables1)
+    # the first file whose IV lies within 2048 counters of N: a CTR file of
+    # 2048 blocks there wraps mod N
+    digest = hashlib.blake2b(material, digest_size=24, person=b"qkdplan-sess").digest()
+    zero = np.zeros(1, dtype=np.uint64)
+    ivs = draw_grid(int.from_bytes(digest[16:], "big"), empirics._P_SESSION_IV, zero, 0, 1 << 16)[:, 0] % np.uint64(n)
+    wrap = int(np.flatnonzero(ivs > n - 2048)[0])
+    rng = random.Random(material)
+    files = [(0, b""), (1, b"\xff"), (2, rng.randbytes(size + 1)), (3, rng.randbytes(64))]
+    if mode is Mode.CTR:
+        files.append((wrap, rng.randbytes(2048 * size)))
+    for file_index, data in files:
+        got = schedule.encrypt(mode, file_index, data)
+        assert got == session_reference(mode, width, material, file_index, data), (file_index, len(data))
+
+
+@pytest.mark.parametrize("width", [8, 16, 24])
+def test_block_split_and_join_match_per_block_conversion(width):
+    # the 16-bit split and join read an array("H") item as two bytes
+    assert array("H").itemsize == 2
+    size = width // 8
+    rng = random.Random(width)
+    for length in [*range(3 * size + 2), 64]:
+        data = rng.randbytes(length)
+        padded = data + bytes(-length % size) or bytes(size)
+        blocks = [int.from_bytes(padded[i : i + size], "big") for i in range(0, len(padded), size)]
+        assert empirics._split_blocks(data, size) == blocks, length
+        assert empirics._join_blocks(blocks, size) == padded, length
+    extremes = [0, 1, (1 << width) - 1, 1 << width - 1]
+    assert empirics._join_blocks(extremes, size) == b"".join(b.to_bytes(size, "big") for b in extremes)
 
 
 # ------------------------------------------------------------------- trials

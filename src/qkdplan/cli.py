@@ -17,12 +17,13 @@ run, so the planning subcommands start without loading either.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import re
 import sys
 from fractions import Fraction
 
-from .advmodel import EcbcDenominator, Mode, SecurityParams, bound_at, check_key_cost
+from .advmodel import EcbcDenominator, Mode, SecurityParams, _exponent, bound_at, check_key_cost
 from .exactmath import FixedDecimal, as_natural, parse_rational
 from .planner import (
     InfeasibleTargetError,
@@ -75,7 +76,12 @@ def _key_cost(text: str) -> Fraction:
 def _plan(args: argparse.Namespace) -> RotationPlan:
     """The plan the common model flags describe."""
     size = parse_file_size(args.file_size)
-    block_bits = args.block_bits if args.block_bits is not None else args.lambda_bits
+    # lambda's range first: without --block-bits it is the block width too
+    block_bits = lambda_bits = _exponent("lambda_bits", args.lambda_bits)
+    if args.block_bits is not None:
+        block_bits = args.block_bits
+    elif lambda_bits % 8:
+        raise ValueError(f"--lambda {lambda_bits}, the block width without --block-bits, must be a multiple of 8")
     if args.eps is not None:
         ceiling = {"eps_max": parse_rational(args.eps)}
     else:
@@ -141,8 +147,8 @@ def _add_format_flag(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--format", choices=("table", "csv", "json"), default="table")
 
 
-def _decimal1(value: Fraction) -> str:
-    return str(FixedDecimal.from_fraction(value, 1))
+def _decimal(value: Fraction, digits: int) -> str:
+    return str(FixedDecimal.from_fraction(value, digits))
 
 
 def _emit(fmt: str, fields: list[tuple[str, str]]) -> None:
@@ -172,8 +178,8 @@ def cmd_plan(args: argparse.Namespace) -> int:
         ("q_star", str(plan.q_star)),
         ("worst_case_bits", str(plan.worst_case_bits)),
         ("max_volume_bytes", str(volume)),
-        ("max_volume_kb", _decimal1(volume_kb(volume))),
-        ("max_volume_mb", _decimal1(volume_mb(volume))),
+        ("max_volume_kb", _decimal(volume_kb(volume), 1)),
+        ("max_volume_mb", _decimal(volume_mb(volume), 1)),
     ]
     _emit(args.format, fields)
     return 0
@@ -238,6 +244,25 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     return 0
 
 
+# The paper's figures at the 128-bit reference scenario (s_min = 2**121, 1.5
+# KB files, eps_max = 2**-80): check, model (mode, ECBC-MAC denominator),
+# quantity, published value, and the rule that reduces the exact value to
+# it at 10**-places, "truncate" or "round" (half up).  Each rule is inferred
+# from the numbers alone.  No rule turns the D = N ECBC-MAC gain into the
+# published 1.99996; the D = 2N gain truncates to it.
+PUBLISHED_FIGURES = (
+    ("ctr-q-star", "ctr", "two-n", "q_star", "1210759", 0, "truncate"),
+    ("cbc-q-star", "cbc", "two-n", "q_star", "123575", 0, "truncate"),
+    ("ecbc-q-star-published-rounding", "ecbc-mac", "paper-compat-n", "q_star", "174700", -2, "truncate"),
+    ("ctr-gain-k2", "ctr", "two-n", "delta_bits", "1.999923", 6, "truncate"),
+    ("cbc-gain-k2", "cbc", "two-n", "delta_bits", "1.999992", 6, "truncate"),
+    ("ecbc-gain-k2", "ecbc-mac", "two-n", "delta_bits", "1.99996", 5, "truncate"),
+    ("ctr-volume", "ctr", "two-n", "volume_mb", "1773.5", 1, "truncate"),
+    ("cbc-volume", "cbc", "two-n", "volume_mb", "181", 0, "truncate"),
+    ("ecbc-volume", "ecbc-mac", "paper-compat-n", "volume_mb", "256", 0, "round"),
+)
+
+
 def cmd_validate(args: argparse.Namespace) -> int:
     del args
     checks = _reference_checks()
@@ -250,63 +275,37 @@ def cmd_validate(args: argparse.Namespace) -> int:
     return 0 if not failed else 1
 
 
-def _reference_checks() -> list[tuple[str, bool, str]]:
-    """Built-in regression suite over the 128-bit reference scenario.
+def _reference_checks(figures: tuple = PUBLISHED_FIGURES) -> list[tuple[str, bool, str]]:
+    """(name, passed, detail) for each row of figures, whose exact value
+    reduced by its rule must equal the published one, and as fourth check
+    the ECBC-MAC Q* certified maximal by bound_at itself (bound(Q*) <=
+    eps_max < bound(Q*+1), not the solver's cleared quadratic)."""
+    checks = []
+    for name, mode, denominator, quantity, published, places, rule in figures:
+        plan = _reference_plan(mode, denominator)
+        if quantity == "q_star":
+            exact = shown = plan.q_star
+        elif quantity == "delta_bits":
+            shown = improvement_bits(plan.mode, plan.params, plan.q_star, 2).delta_bits
+            exact = shown.as_fraction()
+        else:
+            exact = volume_mb(plan.max_data_volume_bytes)
+            shown = _decimal(exact, 3)
+        unit = Fraction(10) ** -places
+        reduced = (exact / unit + (Fraction(1, 2) if rule == "round" else 0)) // 1 * unit
+        detail = f"{quantity}={shown}, {rule} at 10^{-places}: {_decimal(reduced, max(places, 0))}"
+        checks.append((name, reduced == Fraction(published), f"{detail}, published {published}"))
+    plan = _reference_plan("ecbc-mac", "two-n")
+    q, params = plan.q_star, plan.params
+    maximal = bound_at(plan.mode, params, q) <= params.eps_max < bound_at(plan.mode, params, q + 1)
+    checks.insert(3, ("ecbc-q-star-maximal", maximal, f"q_star={q} bound(q_star) <= eps_max < bound(q_star+1)"))
+    return checks
 
-    Q* for each mode, the ECBC-MAC Q* certified maximal by bound_at itself
-    (bound(Q*) <= eps_max < bound(Q*+1), not the solver's cleared quadratic),
-    the k=2 gains and the data volumes.
-    """
-    results: list[tuple[str, bool, str]] = []
-    base = dict(lambda_bits=128, s_min_bits=121, blocks_per_file=96, target_bits=80)
 
-    def params(denom: EcbcDenominator = EcbcDenominator.TWO_N) -> SecurityParams:
-        return SecurityParams.from_bits(**base, ecbc_denominator=denom)
-
-    ctr = compute_q_star(Mode.CTR, params(), 1536)
-    results.append(
-        ("ctr-q-star", ctr.q_star == 1210759, f"q_star={ctr.q_star} expected 1210759")
-    )
-    cbc = compute_q_star(Mode.CBC, params(), 1536)
-    results.append(
-        ("cbc-q-star", cbc.q_star == 123575, f"q_star={cbc.q_star} expected 123575")
-    )
-    ecbc = compute_q_star(Mode.ECBC_MAC, params(EcbcDenominator.PAPER_COMPAT_N), 1536)
-    rel = abs(Fraction(ecbc.q_star) - 174700) / Fraction(174700)
-    results.append(
-        (
-            "ecbc-q-star-published-rounding",
-            rel <= Fraction(5, 10000),
-            f"q_star={ecbc.q_star} within 0.05% of 174700 (rel {float(rel):.6f})",
-        )
-    )
-    ecbc2 = compute_q_star(Mode.ECBC_MAC, params(), 1536)
-    q, eps = ecbc2.q_star, ecbc2.params.eps_max
-    maximal = bound_at(Mode.ECBC_MAC, ecbc2.params, q) <= eps < bound_at(Mode.ECBC_MAC, ecbc2.params, q + 1)
-    results.append(
-        ("ecbc-q-star-maximal", maximal, f"q_star={q} bound(q_star) <= eps_max < bound(q_star+1)")
-    )
-
-    for name, mode, denom, plan, expect in (
-        ("ctr-gain-k2", Mode.CTR, EcbcDenominator.TWO_N, ctr, Fraction(1999923, 10**6)),
-        ("cbc-gain-k2", Mode.CBC, EcbcDenominator.TWO_N, cbc, Fraction(1999992, 10**6)),
-        ("ecbc-gain-k2", Mode.ECBC_MAC, EcbcDenominator.PAPER_COMPAT_N, ecbc, Fraction(199996, 10**5)),
-    ):
-        report = improvement_bits(mode, params(denom), plan.q_star, 2)
-        err = abs(report.delta_bits.as_fraction() - expect)
-        results.append(
-            (
-                name,
-                err <= Fraction(1, 10**4),
-                f"delta={report.delta_bits} expected ~{float(expect):.6f}",
-            )
-        )
-
-    for name, plan, mb in (("ctr-volume", ctr, 17735), ("cbc-volume", cbc, 1810), ("ecbc-volume", ecbc, 2560)):
-        got = volume_mb(plan.max_data_volume_bytes)
-        ok = abs(got - Fraction(mb, 10)) < Fraction(1, 2)
-        results.append((name, ok, f"{float(got):.1f} MB expected ~{mb / 10:.1f} MB"))
-    return results
+@functools.cache
+def _reference_plan(mode: str, denominator: str) -> RotationPlan:
+    params = SecurityParams.from_bits(128, 121, 96, target_bits=80, ecbc_denominator=EcbcDenominator(denominator))
+    return compute_q_star(Mode(mode), params, 1536)
 
 
 def cmd_simulate(args: argparse.Namespace) -> int:

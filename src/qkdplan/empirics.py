@@ -342,12 +342,21 @@ def toy_prp(params: ToyCipherParams, block: int) -> int:
 
 
 # ------------------------------------------------------------ mode operations
-#
-# Each mode is one or two passes of _run: CTR permutes the counters
-# iv + j mod N and XORs them onto the blocks, CBC chains the blocks from the
-# IV, and ECBC-MAC re-permutes the last CBC output, chained from 0, under
-# the second key.  A session's blocks come from bytes and are in range; the
-# public functions check theirs first.
+
+
+def _mode_pass(mode: Mode, block_bits: int, tables1: list, tables2: list, iv: int, blocks: list[int]) -> list[int]:
+    """blocks under one mode, as one or two passes of _run: CTR XORs E(iv + j
+    mod N) onto block j, CBC chains the blocks from iv, and ECBC-MAC gives a
+    one-block tag, the last CBC output chained from 0 re-permuted under
+    tables2.  A session's blocks come from bytes; the public functions check
+    theirs first."""
+    if mode is Mode.ECBC_MAC:
+        return _run(block_bits, tables2, _run(block_bits, tables1, blocks, 0)[-1:])
+    if mode is Mode.CTR:
+        mask = (1 << block_bits) - 1
+        keystream = _run(block_bits, tables1, [c & mask for c in range(iv, iv + len(blocks))])
+        return [block ^ k for block, k in zip(blocks, keystream)]
+    return _run(block_bits, tables1, blocks, iv)
 
 
 def _split_blocks(data: bytes, block_bytes: int) -> list[int]:
@@ -414,34 +423,24 @@ class _KeySchedule:
         block_bytes = block_bits // 8
         blocks = _split_blocks(data, block_bytes)
         if mode is Mode.ECBC_MAC:
-            tag = _run(block_bits, self.tables2, _run(block_bits, self.tables1, blocks, 0)[-1:])
-            return _join_blocks(tag, block_bytes)
-        mask = (1 << block_bits) - 1
-        iv = draw64(self.iv_seed, _P_SESSION_IV, 0, file_index) & mask
-        if mode is Mode.CTR:
-            keystream = _run(block_bits, self.tables1, [c & mask for c in range(iv, iv + len(blocks))])
-            out = [block ^ k for block, k in zip(blocks, keystream)]
-        else:
-            out = _run(block_bits, self.tables1, blocks, iv)
-        return _join_blocks([iv, *out], block_bytes)
+            return _join_blocks(_mode_pass(mode, block_bits, self.tables1, self.tables2, 0, blocks), block_bytes)
+        iv = draw64(self.iv_seed, _P_SESSION_IV, 0, file_index) & (1 << block_bits) - 1
+        return _join_blocks([iv, *_mode_pass(mode, block_bits, self.tables1, self.tables2, iv, blocks)], block_bytes)
 
 
 def ctr_encrypt(params: ToyCipherParams, key: int, iv: int, blocks: list[int]) -> list[int]:
     """Counter mode: block j is XOR-masked with E(iv + j mod N)."""
-    block_bits = params.block_bits
-    tables = _round_tables(block_bits, as_u64(key, "key"))
-    iv = _check_block(block_bits, iv, "iv")
-    _check_blocks(block_bits, blocks)
-    mask = (1 << block_bits) - 1
-    keystream = _run(block_bits, tables, [c & mask for c in range(iv, iv + len(blocks))])
-    return [block ^ k for block, k in zip(blocks, keystream)]
+    tables = _round_tables(params.block_bits, as_u64(key, "key"))
+    iv = _check_block(params.block_bits, iv, "iv")
+    _check_blocks(params.block_bits, blocks)
+    return _mode_pass(Mode.CTR, params.block_bits, tables, [], iv, blocks)
 
 
 def cbc_encrypt(params: ToyCipherParams, key: int, iv: int, blocks: list[int]) -> list[int]:
     tables = _round_tables(params.block_bits, as_u64(key, "key"))
     iv = _check_block(params.block_bits, iv, "iv")
     _check_blocks(params.block_bits, blocks)
-    return _run(params.block_bits, tables, blocks, iv)
+    return _mode_pass(Mode.CBC, params.block_bits, tables, [], iv, blocks)
 
 
 def ecbc_mac(params: ToyCipherParams, key1: int, key2: int, blocks: list[int]) -> int:
@@ -451,8 +450,7 @@ def ecbc_mac(params: ToyCipherParams, key1: int, key2: int, blocks: list[int]) -
     tables2 = _round_tables(params.block_bits, as_u64(key2, "key"))
     tables1 = _round_tables(params.block_bits, as_u64(key1, "key"))
     _check_blocks(params.block_bits, blocks)
-    chain = _run(params.block_bits, tables1, blocks, 0)
-    return _run(params.block_bits, tables2, chain[-1:])[0]
+    return _mode_pass(Mode.ECBC_MAC, params.block_bits, tables1, tables2, 0, blocks)[0]
 
 
 # ------------------------------------------------------------------ trials

@@ -9,6 +9,7 @@ a verbose run reads as a checklist; a failure is reported by pytest itself.
 
 from __future__ import annotations
 
+import functools
 import random
 import time
 from fractions import Fraction
@@ -18,6 +19,7 @@ import pytest
 from paper_formulas import paper_bound, paper_one_plus_x, unit_scan_limit
 
 from qkdplan.advmodel import EcbcDenominator, Mode, SecurityParams, bound_at
+from qkdplan.cli import PUBLISHED_FIGURES, _reference_checks
 from qkdplan.empirics import TrialConfig, estimate_collision_probability
 from qkdplan.exactmath import log2_rational, max_q_quadratic
 from qkdplan.planner import (
@@ -56,8 +58,6 @@ def test_reference_file_limits() -> None:
     assert cbc.q_star == 123575
     assert ecbc.q_star == 247135
     assert compat.q_star == 174751
-    # Rounded reference figure for the compat variant; 0.05% relative slack.
-    assert abs(compat.q_star - 174700) <= Fraction(5, 10_000) * 174700
     # The exact value must also survive a full one-step-at-a-time walk.
     assert unit_scan_limit(Mode.ECBC_MAC, params, 300_000) == 247135
     assert solve_seconds < 1.0
@@ -67,40 +67,62 @@ def test_reference_file_limits() -> None:
     )
 
 
-def test_reference_rotation_gain() -> None:
-    expectations = [
-        (Mode.CTR, EcbcDenominator.TWO_N, Fraction("1.999923")),
-        (Mode.CBC, EcbcDenominator.TWO_N, Fraction("1.999992")),
-        (Mode.ECBC_MAC, EcbcDenominator.TWO_N, Fraction("1.99996")),
-        (Mode.ECBC_MAC, EcbcDenominator.PAPER_COMPAT_N, Fraction("1.99996")),
-    ]
-    seen = []
-    for mode, denominator, target in expectations:
-        params = reference_params(denominator)
-        plan = compute_q_star(mode, params, file_size_bytes=FILE_BYTES)
-        report = improvement_bits(mode, params, plan.q_star, 2)
-        delta = report.delta_bits.as_fraction()
-        assert abs(delta - target) < Fraction(1, 10_000), (mode, denominator)
-        seen.append(f"{float(delta):.7f}")
-    print(f"ACCEPTANCE PASS split-gain@k=2: {' '.join(seen)} (each within 1e-4)")
+@functools.cache
+def exact_figure(mode: str, denominator: str, quantity: str) -> Fraction:
+    """A published figure's exact value in its model, computed here rather
+    than by validate."""
+    params = reference_params(EcbcDenominator(denominator))
+    plan = compute_q_star(Mode(mode), params, file_size_bytes=FILE_BYTES)
+    if quantity == "q_star":
+        return Fraction(plan.q_star)
+    if quantity == "delta_bits":
+        return improvement_bits(plan.mode, params, plan.q_star, 2).delta_bits.as_fraction()
+    assert quantity == "volume_mb", quantity
+    return volume_mb(plan.max_data_volume_bytes)
 
 
-def test_reference_data_volume() -> None:
-    half_mb = Fraction(1, 2)
-    targets = [
-        (Mode.CTR, EcbcDenominator.TWO_N, Fraction("1773.5")),
-        (Mode.CBC, EcbcDenominator.TWO_N, Fraction(181)),
-        (Mode.ECBC_MAC, EcbcDenominator.PAPER_COMPAT_N, Fraction(256)),
-    ]
-    seen = []
-    for mode, denominator, target in targets:
-        plan = compute_q_star(
-            mode, reference_params(denominator), file_size_bytes=FILE_BYTES
-        )
-        megabytes = volume_mb(plan.max_data_volume_bytes)
-        assert abs(megabytes - target) <= half_mb, (mode, float(megabytes))
-        seen.append(f"{float(megabytes):.1f}MB")
-    print(f"ACCEPTANCE PASS data-volume: {' '.join(seen)} (each within 0.5 MB)")
+def reduce_figure(value: Fraction, places: int, rule: str) -> Fraction:
+    """value brought down to a multiple of 10**-places, after adding half a
+    step when the rule rounds."""
+    step = Fraction(10) ** -places
+    if rule == "round":
+        value += step / 2
+    return value - value % step
+
+
+def figure_matches(row: tuple) -> bool:
+    """Whether the row's rule turns its exact value into its published
+    figure, by the reduction above and by validate's own."""
+    name, mode, denominator, quantity, published, places, rule = row
+    ours = reduce_figure(exact_figure(mode, denominator, quantity), places, rule) == Fraction(published)
+    (theirs,) = [ok for check, ok, _ in _reference_checks((row,)) if check == name]
+    assert ours == theirs, row
+    return ours
+
+
+def test_published_figures_match_their_rules() -> None:
+    assert len(PUBLISHED_FIGURES) == 9
+    for row in PUBLISHED_FIGURES:
+        assert figure_matches(row), row
+    print(f"ACCEPTANCE PASS published-figures: {len(PUBLISHED_FIGURES)} figures, each equal to its exact value reduced")
+
+
+def test_published_figure_rules_are_sharp() -> None:
+    # One decimal place fewer breaks every row, the other ECBC-MAC
+    # denominator breaks each ECBC-MAC row, and a flipped rule breaks the
+    # rows whose reduced value it moves.
+    other = {"two-n": "paper-compat-n", "paper-compat-n": "two-n"}
+    flipped = set()
+    for row in PUBLISHED_FIGURES:
+        name, mode, denominator, quantity, published, places, rule = row
+        assert not figure_matches((name, mode, denominator, quantity, published, places - 1, rule)), name
+        if mode == "ecbc-mac":
+            assert not figure_matches((name, mode, other[denominator], quantity, published, places, rule)), name
+        flip = "round" if rule == "truncate" else "truncate"
+        if not figure_matches((name, mode, denominator, quantity, published, places, flip)):
+            flipped.add(name)
+    assert flipped == {"ecbc-q-star-published-rounding", "ctr-gain-k2", "ecbc-gain-k2", "ctr-volume", "ecbc-volume"}
+    print(f"ACCEPTANCE PASS figure-rules-sharp: 9 places, 3 denominators, {len(flipped)} of 9 rules decisive")
 
 
 @pytest.fixture(scope="module")

@@ -118,6 +118,17 @@ def test_huge_exponents_exit_2(capsys):
         assert err.startswith("error:") and "must lie in" in err
 
 
+def test_lambda_errors_name_lambda(capsys):
+    # --lambda is range-checked before it is used as the block width, and a
+    # width taken from it names it
+    code, _, err = run(capsys, "plan", "--mode", "ctr", "--lambda", "0")
+    assert (code, err) == (2, "error: lambda_bits must lie in [1, 4096]\n")
+    code, _, err = run(capsys, "plan", "--mode", "ctr", "--lambda", "12")
+    assert (code, err) == (2, "error: --lambda 12, the block width without --block-bits, must be a multiple of 8\n")
+    code, _, err = run(capsys, "plan", "--mode", "ctr", "--lambda", "128", "--block-bits", "12")
+    assert (code, err) == (2, "error: block_bits must be a positive multiple of 8\n")
+
+
 @pytest.mark.parametrize(
     "argv",
     [

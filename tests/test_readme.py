@@ -24,7 +24,7 @@ def transcript(command: str) -> str:
     raise AssertionError(f"README has no transcript of `qkdplan {command}`")
 
 
-@pytest.mark.parametrize("command", ["plan --mode ctr", "sweep --mode cbc --k-list 2,8,32"])
+@pytest.mark.parametrize("command", ["plan --mode ctr", "sweep --mode cbc --k-list 2,8,32", "validate"])
 def test_cli_transcript_matches(capsys, command):
     assert main(shlex.split(command)) == 0
     assert capsys.readouterr().out == transcript(command)

@@ -58,6 +58,8 @@ def test_reference_file_limits() -> None:
     assert cbc.q_star == 123575
     assert ecbc.q_star == 247135
     assert compat.q_star == 174751
+    # Rounded reference figure for the compat variant; 0.05% relative slack.
+    assert abs(compat.q_star - 174700) <= Fraction(5, 10_000) * 174700
     # The exact value must also survive a full one-step-at-a-time walk.
     assert unit_scan_limit(Mode.ECBC_MAC, params, 300_000) == 247135
     assert solve_seconds < 1.0
@@ -65,6 +67,42 @@ def test_reference_file_limits() -> None:
         f"ACCEPTANCE PASS file-limits: ctr=1210759 cbc=123575 "
         f"ecbc-mac=247135/174751, solved in {solve_seconds * 1e3:.1f} ms"
     )
+
+
+def test_reference_rotation_gain() -> None:
+    expectations = [
+        (Mode.CTR, EcbcDenominator.TWO_N, Fraction("1.999923")),
+        (Mode.CBC, EcbcDenominator.TWO_N, Fraction("1.999992")),
+        (Mode.ECBC_MAC, EcbcDenominator.TWO_N, Fraction("1.99996")),
+        (Mode.ECBC_MAC, EcbcDenominator.PAPER_COMPAT_N, Fraction("1.99996")),
+    ]
+    seen = []
+    for mode, denominator, target in expectations:
+        params = reference_params(denominator)
+        plan = compute_q_star(mode, params, file_size_bytes=FILE_BYTES)
+        report = improvement_bits(mode, params, plan.q_star, 2)
+        delta = report.delta_bits.as_fraction()
+        assert abs(delta - target) < Fraction(1, 10_000), (mode, denominator)
+        seen.append(f"{float(delta):.7f}")
+    print(f"ACCEPTANCE PASS split-gain@k=2: {' '.join(seen)} (each within 1e-4)")
+
+
+def test_reference_data_volume() -> None:
+    half_mb = Fraction(1, 2)
+    targets = [
+        (Mode.CTR, EcbcDenominator.TWO_N, Fraction("1773.5")),
+        (Mode.CBC, EcbcDenominator.TWO_N, Fraction(181)),
+        (Mode.ECBC_MAC, EcbcDenominator.PAPER_COMPAT_N, Fraction(256)),
+    ]
+    seen = []
+    for mode, denominator, target in targets:
+        plan = compute_q_star(
+            mode, reference_params(denominator), file_size_bytes=FILE_BYTES
+        )
+        megabytes = volume_mb(plan.max_data_volume_bytes)
+        assert abs(megabytes - target) <= half_mb, (mode, float(megabytes))
+        seen.append(f"{float(megabytes):.1f}MB")
+    print(f"ACCEPTANCE PASS data-volume: {' '.join(seen)} (each within 0.5 MB)")
 
 
 @functools.cache

@@ -76,7 +76,14 @@ def test_q_star_ecbc_frozen_both_denominators():
 def test_q_star_volumes_frozen():
     ctr = compute_q_star(Mode.CTR, reference_params(), FILE_BYTES)
     assert volume_kb(ctr.max_data_volume_bytes) == Fraction(18161385, 10)  # 1816138.5 KB
-    # the published MB figures are rows of qkdplan.cli.PUBLISHED_FIGURES,
+    assert abs(volume_mb(ctr.max_data_volume_bytes) - Fraction(17735, 10)) < Fraction(1, 2)
+    cbc = compute_q_star(Mode.CBC, reference_params(), FILE_BYTES)
+    assert abs(volume_mb(cbc.max_data_volume_bytes) - 181) < Fraction(1, 2)
+    ecbc = compute_q_star(
+        Mode.ECBC_MAC, reference_params(EcbcDenominator.PAPER_COMPAT_N), FILE_BYTES
+    )
+    assert abs(volume_mb(ecbc.max_data_volume_bytes) - 256) < Fraction(1, 2)
+    # the published MB figures are also rows of qkdplan.cli.PUBLISHED_FIGURES,
     # checked exactly in tests/test_acceptance.py
 
 
@@ -129,6 +136,8 @@ def test_improvement_frozen_k2():
         params = reference_params(denom)
         report = improvement_bits(mode, params, q_star, 2)
         assert str(report.delta_bits).startswith(prefix), (mode, denom)
+        # and every one of them is within the coarser published rounding
+        assert abs(report.delta_bits.as_fraction() - Fraction(199996, 100000)) < Fraction(1, 10000) or mode is not Mode.ECBC_MAC
 
 
 def test_improvement_closed_and_direct_agree():

@@ -17,18 +17,19 @@ while D = N reproduces a common more conservative printed form; both are kept
 selectable so planned figures can be matched either way.
 
 ``bound_terms`` is the only place these formulas are written down: it returns
-each mode's integer coefficients of lin*Q/s_min + (quad*Q^2 + const)/D.  The
-Monte Carlo birthday bound reads that record directly; everything else goes
-through ``bound_parts``, its one integer form over the common denominator
-s_min*D:
+each mode's integer coefficients (lin, quad, const, den) of
+lin*Q/s_min + (quad*Q^2 + const)/den.  The Monte Carlo birthday bound reads
+that row directly; everything else goes through ``bound_parts``, the one
+evaluation of the bound, as four integers over the common denominator
+M = s_min*D:
 
-    bound(Q) = (L + B + C) / (s_min*D),
+    bound(Q) = (L + B + C) / M,
     L = lin*Q*D,  B = s_min*quad*Q^2,  C = s_min*const.
 
-The bound at any rational Q, the planner's quadratic budget (cleared to
+The bound at a whole file count, the planner's quadratic budget (cleared to
 integers here and nowhere else) and the rotation gain's ratio
-bound(Q)/bound(Q/k) = k * k(L+B+C) / (kL + B + k^2*C) all derive from those
-three integers.  Everything is an exact integer or Fraction.
+bound(Q)/bound(Q/k) = k * k(L+B+C) / (kL + B + k^2*C) all derive from
+(L, B, C, M).  Everything is an exact integer or Fraction.
 """
 
 from __future__ import annotations
@@ -52,37 +53,22 @@ class EcbcDenominator(enum.Enum):
     PAPER_COMPAT_N = "paper-compat-n"
 
 
-class BoundTerms(_Record):
-    """One mode's advantage bound as integer coefficients:
-
-        bound(Q) = lin*Q/s_min + (quad*Q^2 + const)/den
-    """
-
-    __slots__ = _fields = ("lin", "quad", "const", "den")
-
-    def __init__(self, lin: int, quad: int, const: int, den: int) -> None:
-        object.__setattr__(self, "lin", lin)
-        object.__setattr__(self, "quad", quad)
-        object.__setattr__(self, "const", const)
-        object.__setattr__(self, "den", den)
-
-
 def bound_terms(
     mode: Mode,
     blocks_per_file: int,
     domain_size: int,
     ecbc_denominator: EcbcDenominator = EcbcDenominator.TWO_N,
-) -> BoundTerms:
+) -> tuple[int, int, int, int]:
     """The per-mode bound table for files of blocks_per_file blocks over a
-    block domain of domain_size values."""
+    block domain of domain_size values, as (lin, quad, const, den)."""
     l = blocks_per_file
     if mode is Mode.CTR:
-        return BoundTerms(lin=l, quad=2 * l, const=0, den=domain_size)
+        return l, 2 * l, 0, domain_size
     if mode is Mode.CBC:
-        return BoundTerms(lin=l, quad=2 * l * l, const=0, den=domain_size)
+        return l, 2 * l * l, 0, domain_size
     if mode is Mode.ECBC_MAC:
         den = 2 * domain_size if ecbc_denominator is EcbcDenominator.TWO_N else domain_size
-        return BoundTerms(lin=2 * l, quad=l * l + 1, const=2, den=den)
+        return 2 * l, l * l + 1, 2, den
     raise TypeError(f"unknown mode: {mode!r}")
 
 
@@ -168,52 +154,34 @@ class SecurityParams(_Record):
         s_min = 1 << _exponent("s_min_bits", s_min_bits)
         return cls(lambda_bits, s_min, blocks_per_file, eps_max, ecbc_denominator)
 
-    @property
-    def domain_size(self) -> int:
-        return 1 << self.lambda_bits
 
-    def terms(self, mode: Mode) -> BoundTerms:
-        """This problem's row of the bound table for mode."""
-        return bound_terms(mode, self.blocks_per_file, self.domain_size, self.ecbc_denominator)
-
-
-def bound_parts(mode: Mode, params: SecurityParams, q_files: int) -> tuple[int, int, int]:
-    """The bound at q_files files as three integers (L, B, C) over the common
-    denominator s_min*D: bound(Q) = (L + B + C) / (s_min*D), with
-    L = lin*Q*D, B = s_min*quad*Q^2 and C = s_min*const.
+def bound_parts(mode: Mode, params: SecurityParams, q_files: int) -> tuple[int, int, int, int]:
+    """The bound at q_files files as four integers (L, B, C, M):
+    bound(Q) = (L + B + C) / M, with M = s_min*D, L = lin*Q*D,
+    B = s_min*quad*Q^2 and C = s_min*const.
 
     Scaling Q by 1/k divides L by k and B by k^2 and leaves C, so the rotation
     gain's ratio needs no second evaluation and no Fraction.
     """
-    t = params.terms(mode)
+    lin, quad, const, den = bound_terms(mode, params.blocks_per_file, 1 << params.lambda_bits, params.ecbc_denominator)
     s = params.s_min
-    return t.lin * q_files * t.den, s * t.quad * q_files * q_files, s * t.const
+    return lin * q_files * den, s * quad * q_files * q_files, s * const, s * den
 
 
-def bound_at(mode: Mode, params: SecurityParams, q_files: Fraction) -> Fraction:
-    """Advantage bound at a possibly fractional file count.
-
-    The package evaluates it at whole file counts only; the rational q_files
-    form is what the tests evaluate at Q/k, as the reference the rotation
-    gain's integer ratio is checked against.  At Q = n/d it is
-    (d*L + B + d^2*C) / (d^2*s_min*D), with (L, B, C) the bound_parts at n.
-    """
-    q = Fraction(q_files)
-    if q < 0:
-        raise ValueError("q_files must be >= 0")
-    n, d = q.as_integer_ratio()
-    lin, quad, const = bound_parts(mode, params, n)
-    return Fraction(d * lin + quad + d * d * const, d * d * params.s_min * params.terms(mode).den)
+def bound_at(mode: Mode, params: SecurityParams, q_files: int) -> Fraction:
+    """Advantage bound after q_files whole files."""
+    lin, quad, const, denom = bound_parts(mode, params, as_natural(q_files))
+    return Fraction(lin + quad + const, denom)
 
 
 def budget_quadratic(mode: Mode, params: SecurityParams) -> tuple[int, int, int]:
     """Integers (a, b, c) with bound_at(Q) <= eps_max exactly when
     a*Q^2 + b*Q <= c.
 
-    With eps_max = p/r, r*(L + B + C) <= p*s_min*D is read off bound_parts
-    at Q = 1: a = r*B(1), b = r*L(1) and c = p*s_min*D - r*C.  c is negative
-    when the bound's constant term alone exceeds eps_max.
+    With eps_max = p/r, r*(L + B + C) <= p*M is read off bound_parts at
+    Q = 1: a = r*B(1), b = r*L(1) and c = p*M - r*C.  c is negative when
+    the bound's constant term alone exceeds eps_max.
     """
-    lin, quad, const = bound_parts(mode, params, 1)
+    lin, quad, const, denom = bound_parts(mode, params, 1)
     p, r = params.eps_max.as_integer_ratio()
-    return quad * r, lin * r, p * params.s_min * params.terms(mode).den - const * r
+    return quad * r, lin * r, p * denom - const * r

@@ -431,6 +431,13 @@ def cmd_rotate(args: argparse.Namespace) -> int:
 # -------------------------------------------------------------------- parser
 
 
+_GAIN_DESCRIPTION = (
+    "delta_bits is the security gained against one key by splitting Q* files "
+    "across k keys; it lies in (log2 k, 2*log2 k).  Under the hybrid bound "
+    "over all k keys the whole schedule gains delta_bits - log2 k."
+)
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="qkdplan",
@@ -443,7 +450,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_format_flag(p)
     p.set_defaults(func=cmd_plan)
 
-    p = sub.add_parser("improve", help="security gained by k-way rotation")
+    p = sub.add_parser("improve", help="security gained by k-way rotation", description=_GAIN_DESCRIPTION)
     _add_model_flags(p)
     _add_format_flag(p)
     p.add_argument("--k", type=_natural, default=2)
@@ -456,7 +463,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--key-cost", default="1")
     p.set_defaults(func=cmd_benefit)
 
-    p = sub.add_parser("sweep", help="csv sweep of rotation gain over k")
+    p = sub.add_parser("sweep", help="csv sweep of rotation gain over k", description=_GAIN_DESCRIPTION)
     _add_model_flags(p)
     p.add_argument(
         "--k-list",

@@ -606,6 +606,6 @@ def estimate_collision_probability(config: TrialConfig) -> EmpiricalResult:
     collisions = sum(count(lo, min(lo + chunk, config.trials)) for lo in range(0, config.trials, chunk))
 
     # the bound's birthday term at the scaled-down domain
-    terms = bound_terms(config.mode, config.blocks_per_file, 1 << config.block_bits)
-    bound = Fraction(terms.quad * config.q_files**2, terms.den)
+    _, quad, _, den = bound_terms(config.mode, config.blocks_per_file, 1 << config.block_bits)
+    bound = Fraction(quad * config.q_files**2, den)
     return EmpiricalResult(bound, config.trials, collisions)

@@ -6,8 +6,8 @@ into the integer constraint a*Q^2 + b*Q <= c and maximizes exactly.
 ``improvement_bits`` quantifies the security gained by encrypting Q*/k files
 under each of k keys instead of Q* under one: ``delta_bits`` is
 log2(bound(Q*) / bound(Q*/k)), the gain against one key.  With advmodel's
-bound_parts (L, B, C) at Q*, that ratio is k*num/den for the integers
-num = k(L+B+C) and den = kL + B + k^2*C, so it is formed with no Fraction.
+bound_parts (L, B, C, M) at Q*, M cancels and that ratio is k*num/den for
+the integers num = k(L+B+C) and den = kL + B + k^2*C, with no Fraction.
 It always lies strictly between k and k^2 for k >= 2, i.e. den < num < k*den,
 so the gain lies between log2(k) and 2*log2(k): rotation at least halves the
 effective exposure per key but cannot beat the square-law limit of the
@@ -192,7 +192,7 @@ def improvement_bits(
     if k == 1:
         return ImprovementReport(1, FixedDecimal(0, _IMPROVEMENT_PRECISION))
 
-    lin, quad, const = bound_parts(mode, params, q_star)
+    lin, quad, const, _ = bound_parts(mode, params, q_star)
     # bound(Q*)/bound(Q*/k) = k*num/den; log2 k < gain < 2 log2 k iff
     # den < num < k*den, checked before rounding.
     num = k * (lin + quad + const)

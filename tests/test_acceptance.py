@@ -18,7 +18,7 @@ from math import lcm
 import pytest
 from paper_formulas import paper_bound, paper_one_plus_x, unit_scan_limit
 
-from qkdplan.advmodel import EcbcDenominator, Mode, SecurityParams, bound_at
+from qkdplan.advmodel import EcbcDenominator, Mode, SecurityParams
 from qkdplan.cli import PUBLISHED_FIGURES, _reference_checks
 from qkdplan.empirics import TrialConfig, estimate_collision_probability
 from qkdplan.exactmath import log2_rational, max_q_quadratic
@@ -210,10 +210,10 @@ def gain_cases() -> list:
 
 def test_gain_bracket_randomized(gain_cases: list) -> None:
     for mode, params, q_star, k, report in gain_cases:
-        # Exact form of log2(k) < delta < 2*log2(k): compare advantage ratios
-        # as fractions, with no rounding in the loop at all.
-        full = bound_at(mode, params, Fraction(q_star))
-        split = bound_at(mode, params, Fraction(q_star, k))
+        # Exact form of log2(k) < delta < 2*log2(k): compare the paper's
+        # advantage ratio as fractions, with no rounding in the loop at all.
+        full = paper_bound(mode, params, Fraction(q_star))
+        split = paper_bound(mode, params, Fraction(q_star, k))
         ratio = full / split
         assert k < ratio < k * k, (mode, params, q_star, k)
         # The reported decimals may tie at display precision; the exact

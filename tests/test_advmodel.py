@@ -24,7 +24,7 @@ def reference_params(eps_bits: int = 80, denom: EcbcDenominator = EcbcDenominato
 
 def test_params_validation():
     p = reference_params()
-    assert p.domain_size == 1 << 128
+    assert p.lambda_bits == 128
     assert p.s_min == 1 << 121
     assert p.eps_max == Fraction(1, 1 << 80)
     with pytest.raises(ValueError):
@@ -79,9 +79,9 @@ def test_bound_formulas_exact_small_case():
     p = SecurityParams.from_bits(16, 14, 4, target_bits=9)
     n, s, l = 1 << 16, 1 << 14, 4
     for q in (0, 1, 3, 7):
-        assert bound_at(Mode.CTR, p, Fraction(q)) == Fraction(q * l, s) + Fraction(2 * q * q * l, n)
-        assert bound_at(Mode.CBC, p, Fraction(q)) == Fraction(q * l, s) + Fraction(2 * q * q * l * l, n)
-        assert bound_at(Mode.ECBC_MAC, p, Fraction(q)) == Fraction(2 * q * l, s) + Fraction(
+        assert bound_at(Mode.CTR, p, q) == Fraction(q * l, s) + Fraction(2 * q * q * l, n)
+        assert bound_at(Mode.CBC, p, q) == Fraction(q * l, s) + Fraction(2 * q * q * l * l, n)
+        assert bound_at(Mode.ECBC_MAC, p, q) == Fraction(2 * q * l, s) + Fraction(
             q * q * (l * l + 1) + 2, 2 * n
         )
 
@@ -89,15 +89,8 @@ def test_bound_formulas_exact_small_case():
 def test_ecbc_bound_nonzero_at_q_zero():
     # the +2 term keeps the MAC bound strictly positive even before any use
     p = reference_params()
-    assert bound_at(Mode.ECBC_MAC, p, Fraction(0)) == Fraction(2, 2 << 128)
-    assert bound_at(Mode.CTR, p, Fraction(0)) == 0
-
-
-def test_bound_at_accepts_fractional_files():
-    p = reference_params()
-    q = Fraction(1210759, 2)
-    direct = q * 96 / (1 << 121) + 2 * q * q * 96 / (1 << 128)
-    assert bound_at(Mode.CTR, p, q) == direct
+    assert bound_at(Mode.ECBC_MAC, p, 0) == Fraction(2, 2 << 128)
+    assert bound_at(Mode.CTR, p, 0) == 0
 
 
 def test_bounds_monotone_in_q():
@@ -111,12 +104,15 @@ def test_bounds_monotone_in_q():
         )
         for mode in Mode:
             qs = sorted(rng.randrange(0, 1 << 20) for _ in range(4))
-            vals = [bound_at(mode, p, Fraction(q)) for q in qs]
+            vals = [bound_at(mode, p, q) for q in qs]
             for lo, hi, qlo, qhi in zip(vals, vals[1:], qs, qs[1:]):
                 if qlo != qhi:
                     assert lo < hi
 
 
 def test_bound_at_rejects_negative_q():
+    # the bound is evaluated at whole file counts only
     with pytest.raises(ValueError):
-        bound_at(Mode.CTR, reference_params(), Fraction(-1))
+        bound_at(Mode.CTR, reference_params(), -1)
+    with pytest.raises(TypeError):
+        bound_at(Mode.CTR, reference_params(), Fraction(1210759, 2))

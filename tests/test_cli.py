@@ -163,6 +163,15 @@ def test_improve_reports_both_paths(capsys):
     assert data["upper_2log2k"] == "2.000000000000"
 
 
+@pytest.mark.parametrize("command", ["improve", "sweep"])
+def test_gain_help_names_both_gains(capsys, command):
+    code, out, _ = run(capsys, command, "--help")
+    assert code == 0
+    text = " ".join(out.split())
+    assert "gained against one key" in text and "(log2 k, 2*log2 k)" in text
+    assert "whole schedule gains delta_bits - log2 k" in text
+
+
 def test_benefit_unit_cost(capsys):
     code, out, _ = run(capsys, "benefit", "--mode", "ctr", "--k", "2", "--format", "json")
     assert code == 0

@@ -1,10 +1,10 @@
 """Frozen digests of the planner's outputs, and the integer gain ratio
-against its Fraction definition.
+against the paper's bound ratio.
 
-The digests were computed before the rotation gain moved from a ratio of two
-bound_at Fractions to one integer ratio, and must not change: a planner
-rewrite that alters one digit of Q*, of the bound at Q*, of a gain, of its
-bracket or of a benefit fails here.
+The digests were computed while the rotation gain was still a ratio of two
+bound Fractions, before it became one integer ratio, and must not change: a
+planner rewrite that alters one digit of Q*, of the bound at Q*, of a gain,
+of its bracket or of a benefit fails here.
 """
 
 from __future__ import annotations
@@ -14,8 +14,9 @@ import random
 from fractions import Fraction
 
 import pytest
+from paper_formulas import paper_bound
 
-from qkdplan.advmodel import EcbcDenominator, Mode, SecurityParams, bound_at, bound_parts
+from qkdplan.advmodel import EcbcDenominator, Mode, SecurityParams, bound_parts
 from qkdplan.exactmath import _log2, log2_rational
 from qkdplan.planner import InfeasibleTargetError, compute_q_star, improvement_bits, sweep_k
 
@@ -75,7 +76,7 @@ def test_plan_outputs_are_frozen(problem, mode, denom):
 
 
 def test_integer_ratio_is_the_bound_ratio():
-    # bound(Q*)/bound(Q*/k) as two bound_at Fractions, against k*num/den
+    # the paper's bound(Q*)/bound(Q*/k) as two Fractions, against k*num/den
     # from bound_parts, and the reported gain against the Fraction ratio
     rng = random.Random(1717)
     checked = 0
@@ -96,9 +97,9 @@ def test_integer_ratio_is_the_bound_ratio():
         if q_star < 2:
             continue
         k = rng.choice([2, 3, q_star, rng.randrange(2, q_star + 1)])
-        lin, quad, const = bound_parts(mode, params, q_star)
+        lin, quad, const, _ = bound_parts(mode, params, q_star)
         num, den = k * (lin + quad + const), k * lin + quad + k * k * const
-        ratio = bound_at(mode, params, Fraction(q_star)) / bound_at(mode, params, Fraction(q_star, k))
+        ratio = paper_bound(mode, params, Fraction(q_star)) / paper_bound(mode, params, Fraction(q_star, k))
         assert Fraction(k * num, den) == ratio, (mode, params, q_star, k)
         digits = 12
         want = log2_rational(Fraction(k), digits) + log2_rational(ratio / k, digits)

@@ -53,7 +53,7 @@ def test_q_star_ctr_frozen():
     plan = compute_q_star(Mode.CTR, reference_params(), FILE_BYTES)
     assert plan.q_star == 1210759
     assert plan.eps_at_q_star <= Fraction(1, 1 << 80)
-    assert bound_at(Mode.CTR, reference_params(), Fraction(plan.q_star + 1)) > Fraction(1, 1 << 80)
+    assert bound_at(Mode.CTR, reference_params(), plan.q_star + 1) > Fraction(1, 1 << 80)
     # worst case sits essentially on the ceiling
     assert str(plan.worst_case_bits).startswith("80.000")
     assert plan.max_data_volume_bytes == 1210759 * 1536

@@ -76,6 +76,24 @@ def test_every_exported_name_resolves():
         assert not missing, f"qkdplan._EXPORTS names {missing}, which {module.__name__} does not define"
 
 
+def test_every_benchmark_span_names_a_package_function():
+    # the benchmark's traced runs wrap these by name; read without importing bench
+    tree = ast.parse((Path(__file__).resolve().parents[1] / "bench" / "spans.py").read_text(encoding="utf-8"))
+    wrapped = next(
+        ast.literal_eval(node.value)
+        for node in tree.body
+        if isinstance(node, ast.Assign) and getattr(node.targets[0], "id", None) == "WRAPPED"
+    )
+    missing = [
+        f"qkdplan.{module}.{name}"
+        for module, names in wrapped.items()
+        for name in names
+        if not callable(getattr(importlib.import_module(f"qkdplan.{module}"), name, None))
+    ]
+    assert wrapped
+    assert missing == []
+
+
 # each exported record's stored fields, in constructor order
 RECORD_FIELDS = {
     "EmpiricalResult": ("theoretical_bound", "trials", "collisions"),
@@ -100,7 +118,7 @@ def test_record_fields_are_the_constructor_parameters_in_order():
         found += subclasses
         pending += subclasses
     records = [record for record in found if record.__module__.startswith("qkdplan.")]
-    assert len(records) > len(RECORD_FIELDS)
+    assert {record.__name__ for record in records} == set(RECORD_FIELDS)
     for record in records:
         parameters = tuple(inspect.signature(record.__init__).parameters)[1:]
         assert parameters == record._fields, record.__qualname__

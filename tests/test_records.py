@@ -14,7 +14,7 @@ from fractions import Fraction
 
 import pytest
 
-from qkdplan.advmodel import BoundTerms, Mode, SecurityParams
+from qkdplan.advmodel import Mode, SecurityParams
 from qkdplan.empirics import Z_99, EmpiricalResult, ToyCipherParams, TrialConfig
 from qkdplan.exactmath import FixedDecimal
 from qkdplan.planner import ImprovementReport, SweepRow, compute_q_star
@@ -41,11 +41,6 @@ def session(key_cost=Fraction(1)):
 
 # name: (a fresh record, one that must differ from it, its repr)
 CASES = {
-    "BoundTerms": (
-        lambda: BoundTerms(1, 2, 0, 65536),
-        BoundTerms(1, 2, 1, 65536),
-        "BoundTerms(lin=1, quad=2, const=0, den=65536)",
-    ),
     "SecurityParams": (
         lambda: SecurityParams(16, 1 << 14, 4, 2**-7),  # stored narrowed, as Fraction(1, 128)
         SecurityParams(16, 1 << 14, 4, Fraction(1, 64)),

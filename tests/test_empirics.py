@@ -435,6 +435,22 @@ def test_collision_count_matches_scalar_oracle(config, monkeypatch):
     assert estimate_collision_probability(config).collisions == want
 
 
+@pytest.mark.parametrize(
+    ("config", "collisions"),
+    [
+        (TrialConfig(Mode.CBC, 16, 8, 4, 49152, 7), 376),
+        (TrialConfig(Mode.CBC, 16, 8, 4, 49152, 1), 359),
+        (TrialConfig(Mode.CTR, 20, 64, 8, 65536, 7), 1826),
+        (TrialConfig(Mode.CTR, 20, 64, 8, 65536, 1), 1894),
+    ],
+    ids=lambda c: f"{c.mode.value}-seed{c.rng_seed}" if isinstance(c, TrialConfig) else str(c),
+)
+def test_benchmark_configs_give_their_pinned_counts(config, collisions):
+    # the mc-collide benchmark's two configs, whole multi-chunk runs, at two
+    # seeds; counts recorded before the two modes shared one collision test
+    assert estimate_collision_probability(config).collisions == collisions
+
+
 def test_estimate_memory_is_bounded_by_the_chunk():
     # the workspace is sized by the chunk, never by the trial count
     for config in (

@@ -223,9 +223,12 @@ def _parse_k_list(text: str) -> list[int]:
         return []
     values = []
     for part in text.split(","):
-        k = int(part)
+        try:
+            k = int(part)
+        except ValueError:
+            raise ValueError(f"--k-list entry {part!r} is not an integer") from None
         if k < 1:
-            raise ValueError(f"k values must be >= 1, got {k}")
+            raise ValueError(f"--k-list values must be >= 1, got {k}")
         values.append(k)
     return values
 

@@ -7,12 +7,14 @@ runs Monte Carlo trials, and checks the measured collision fraction sits below
 the same term evaluated at the small domain, without being so far below that
 the experiment proves nothing.
 
-Collision events mirror what the bounds actually charge for:
+Collision events mirror what the bounds charge for; one test, _close_rows,
+counts the trials holding two values less than t apart on the circle of N:
 
-  CTR  some two of Q files, each consuming l counter values from a uniform
-       starting IV, overlap somewhere in counter space (keystream reuse);
-  CBC  some two of the Q*l ciphertext blocks produced under one key collide
-       (equal blocks leak the XOR of the chained plaintexts).
+  CTR  t = l on the Q starting IVs, since two files of l counters overlap
+       (keystream reuse) exactly when their IVs lie less than l apart;
+  CBC  t = 1 on the Q*l permutation inputs under one key, equal exactly
+       when two ciphertext blocks are (which leaks the XOR of the chained
+       plaintexts); the gap round the circle is never below 1.
 
 The cipher is a small unbalanced Feistel network, a permutation on the block
 domain for any width and any round function.  Its scalar form is one round
@@ -25,10 +27,10 @@ of chunking, and the scalar and vectorized paths agree value for value.
 
 Trials run in chunks of as many whole trials as fit in _CHUNK_ELEMENTS
 elements, or of one larger trial.  Each estimate allocates its mode's buffers
-once, sized for a single chunk, with the per-slot draw bases that every
-trial shares, and every chunk draws, runs the Feistel rounds and sorts in
-place in views of them.  It peaks below 128 bytes per chunk element: 16 MB
-within the budget, 2 GB for a trial of 2**24 elements.
+once, sized for one chunk, with the per-slot draw bases all trials share, and
+each chunk draws, runs the Feistel rounds and sorts in place in views of them.
+It peaks below 128 bytes per chunk element (tracemalloc: 96 for CBC at l = 1,
+48 for CTR): 16 MB within the budget, 2 GB for a trial of 2**24 elements.
 
 numpy is imported inside the vectorized kernels, not at module level, so
 planning, the scalar toy cipher and rotation sessions run without loading
@@ -49,6 +51,7 @@ from fractions import Fraction
 
 from .advmodel import Mode, bound_terms
 from .exactmath import _Record, as_natural
+from .planner import blocks_per_file
 
 _M64 = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
@@ -396,7 +399,7 @@ class _KeySchedule:
     CBC use the first, ECBC-MAC both).
 
     The first subkey's tables fill whole, each into a list, when the key's
-    budget, files_per_key files of max_file_bytes in whole blocks, reaches
+    budget, files_per_key files of planner.blocks_per_file blocks, reaches
     their 2**(block_bits/2) entries (session widths are whole bytes); below
     it they fill lazily, as the second subkey's always do, which costs less
     for few lookups.  Every mode runs through _run, which takes either kind.
@@ -412,7 +415,7 @@ class _KeySchedule:
         self.block_bits = block_bits
         self.tables1, self.tables2 = _round_tables(block_bits, k1), _round_tables(block_bits, k2)
         size = 1 << block_bits // 2
-        if files_per_key * -(-max_file_bytes // (block_bits // 8)) >= size:
+        if files_per_key * blocks_per_file(max_file_bytes, block_bits) >= size:
             self.tables1 = [table.fill(size) for table in self.tables1]
 
     def encrypt(self, mode: Mode, file_index: int, data: bytes) -> bytes:
@@ -513,13 +516,24 @@ class EmpiricalResult(_Record):
         return Z_99 * math.sqrt(fraction * (1.0 - fraction) / self.trials)
 
 
+def _close_rows(rows: np.ndarray, gaps: np.ndarray, n: int, t: int) -> int:
+    """Count the rows, each one trial's uint32 values below n <= 2**24, holding two values less
+    than t apart on the circle of n; sorts each row in place, and gaps is a uint32 buffer like rows."""
+    import numpy as np
+
+    rows.sort(axis=1)
+    flat = rows.reshape(-1)
+    np.subtract(flat[1:], flat[:-1], out=gaps.reshape(-1)[:-1])
+    # the last column spans two trials; it holds the gap round the circle instead
+    np.subtract(rows[:, 0] + n, rows[:, -1], out=gaps[:, -1])
+    return int(np.count_nonzero(gaps.min(axis=1) < t))
+
+
 def _ctr_counter(config: TrialConfig, chunk: int) -> Callable[[int, int], int]:
     """Collision count of CTR trials lo..hi-1, for up to chunk trials at a time."""
     import numpy as np
 
     q, n = config.q_files, 1 << config.block_bits
-    # a trial per row, so each trial's IVs sort in place; uint32 holds every
-    # IV and gap exactly, since n <= 2**24
     draw_rows = np.empty((2, chunk, q), np.uint64)
     iv_rows = np.empty((2, chunk, q), np.uint32)
     iv_bases = _stream_bases(config.rng_seed, _P_IV, np.arange(q, dtype=np.uint64))
@@ -529,12 +543,7 @@ def _ctr_counter(config: TrialConfig, chunk: int) -> Callable[[int, int], int]:
         ivs, gaps = iv_rows[:, : hi - lo]
         _draw_np(draws, scratch, iv_bases, _trial_lanes(lo, hi)[:, None])
         np.bitwise_and(draws, n - 1, out=ivs, casting="unsafe")
-        ivs.sort(axis=1)
-        flat = ivs.reshape(-1)
-        np.subtract(flat[1:], flat[:-1], out=gaps.reshape(-1)[:-1])
-        # the last column spans two trials; it holds the gap round the circle instead
-        np.subtract(ivs[:, 0] + n, ivs[:, -1], out=gaps[:, -1])
-        return int(np.count_nonzero(gaps.min(axis=1) < config.blocks_per_file))
+        return _close_rows(ivs, gaps, n, config.blocks_per_file)
 
     return count
 
@@ -543,17 +552,13 @@ def _cbc_counter(config: TrialConfig, chunk: int) -> Callable[[int, int], int]:
     """Collision count of CBC trials lo..hi-1, for up to chunk trials at a time."""
     import numpy as np
 
-    q, l = config.q_files, config.blocks_per_file
-    mask = (1 << config.block_bits) - 1
+    q, l, n = config.q_files, config.blocks_per_file, 1 << config.block_bits
     # a trial per column, so per-trial keys and lanes broadcast along
-    # contiguous rows; the blocks keep a trial per row for the sort.  A
-    # trial's blocks are its permutation inputs: one key's E is a bijection,
-    # so two outputs are equal exactly when their inputs are, and each
-    # file's last block needs no permute.
+    # contiguous rows; the blocks, the permutation inputs, keep a trial per
+    # row for _close_rows, and each file's last block needs no permute
     chain_rows = np.empty((6, q, chunk), np.uint64)
     key_rows = np.empty((2, _ROUNDS, chunk), np.uint64)
-    block_rows = np.empty((chunk, q * l), np.uint32)
-    equal_rows = np.empty((chunk, q * l), np.bool_)
+    block_rows = np.empty((2, chunk, q * l), np.uint32)
     key_bases = _stream_bases(config.rng_seed, _P_KEY, np.zeros((1, 1), np.uint64))
     iv_bases = _stream_bases(config.rng_seed, _P_IV, np.arange(q, dtype=np.uint64)[:, None])
     # q*l plaintext bases would outgrow the chunk budget, so they are derived per chunk
@@ -562,30 +567,22 @@ def _cbc_counter(config: TrialConfig, chunk: int) -> Callable[[int, int], int]:
     def count(lo: int, hi: int) -> int:
         prev, pt, left, right, f, scratch = chain_rows[:, :, : hi - lo]
         round_keys, key_scratch = key_rows[:, :, : hi - lo]
-        blocks, equal = block_rows[: hi - lo], equal_rows[: hi - lo]
+        blocks, gaps = block_rows[:, : hi - lo]
         lanes = _trial_lanes(lo, hi)
         # the keys borrow key_scratch's first row until the round keys are derived
         keys = key_scratch[:1]
         _draw_np(keys, round_keys[:1], key_bases, lanes)
         _round_keys_np(keys, round_keys, key_scratch)
         _draw_np(prev, scratch, iv_bases, lanes)
-        prev &= mask
+        prev &= n - 1
         for j in range(l):
             _draw_np(pt, scratch, _stream_bases(config.rng_seed, _P_PLAINTEXT, plaintext_slots + j), lanes)
-            pt &= mask
+            pt &= n - 1
             pt ^= prev
             np.copyto(blocks[:, j::l], pt.T, casting="unsafe")
             if j < l - 1:
                 _permute_np(config.block_bits, round_keys, pt, prev, (left, right, f, scratch))
-        blocks.sort(axis=1)
-        flat, flat_equal = blocks.reshape(-1), equal.reshape(-1)
-        np.equal(flat[1:], flat[:-1], out=flat_equal[:-1])
-        equal[:, -1] = False  # that column compared two trials
-        # the hits come in trial order; count the distinct trials among them
-        hit_trials = np.flatnonzero(flat_equal) // (q * l)
-        if hit_trials.size == 0:
-            return 0
-        return 1 + int(np.count_nonzero(hit_trials[1:] != hit_trials[:-1]))
+        return _close_rows(blocks, gaps, n, 1)
 
     return count
 

@@ -225,6 +225,13 @@ def test_sweep_rejects_bad_k(capsys):
     assert "k=1000 exceeds q_star=3" in err
 
 
+@pytest.mark.parametrize(("k_list", "entry"), [("2,x", "'x'"), ("1,,2", "''")])
+def test_sweep_names_a_bad_k_list_entry(capsys, k_list, entry):
+    code, out, err = run(capsys, "sweep", "--mode", "ctr", "--k-list", k_list)
+    assert (code, out) == (2, "")
+    assert err == f"error: --k-list entry {entry} is not an integer\n"
+
+
 # ----------------------------------------------------------------- validate
 
 

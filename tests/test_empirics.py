@@ -435,6 +435,22 @@ def test_collision_count_matches_scalar_oracle(config, monkeypatch):
     assert estimate_collision_probability(config).collisions == want
 
 
+def test_close_rows_reads_each_row_round_its_own_circle():
+    def close(rows: list[list[int]], n: int, t: int) -> int:
+        rows = np.array(rows, np.uint32)
+        return empirics._close_rows(rows, np.empty_like(rows), n, t)
+
+    # equal values count within a row; a row's largest value equal to the
+    # next row's smallest does not
+    assert close([[9, 7, 7], [20, 3, 10], [60, 40, 20]], 64, 1) == 1
+    assert close([[20, 3, 10], [60, 40, 20]], 64, 1) == 0
+    # 0 and n-1 lie one apart through the wrap, which is never below 1
+    assert close([[63, 0, 30], [1, 33, 17]], 64, 2) == 1
+    assert close([[63, 0, 30], [0, 32, 63]], 64, 1) == 0
+    # a lone value is n from itself round the circle, whatever the next row holds
+    assert close([[5], [5], [0]], 64, 64) == 0
+
+
 @pytest.mark.parametrize(
     ("config", "collisions"),
     [
@@ -443,11 +459,10 @@ def test_collision_count_matches_scalar_oracle(config, monkeypatch):
         (TrialConfig(Mode.CTR, 20, 64, 8, 65536, 7), 1826),
         (TrialConfig(Mode.CTR, 20, 64, 8, 65536, 1), 1894),
     ],
-    ids=lambda c: f"{c.mode.value}-seed{c.rng_seed}" if isinstance(c, TrialConfig) else str(c),
+    ids=["cbc-seed7", "cbc-seed1", "ctr-seed7", "ctr-seed1"],
 )
 def test_benchmark_configs_give_their_pinned_counts(config, collisions):
-    # the mc-collide benchmark's two configs, whole multi-chunk runs, at two
-    # seeds; counts recorded before the two modes shared one collision test
+    # the mc-collide benchmark's two configs, whole multi-chunk runs, at two seeds
     assert estimate_collision_probability(config).collisions == collisions
 
 

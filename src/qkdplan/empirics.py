@@ -27,10 +27,16 @@ of chunking, and the scalar and vectorized paths agree value for value.
 
 Trials run in chunks of as many whole trials as fit in _CHUNK_ELEMENTS
 elements, or of one larger trial.  Each estimate allocates its mode's buffers
-once, sized for one chunk, with the per-slot draw bases all trials share, and
-each chunk draws, runs the Feistel rounds and sorts in place in views of them.
-It peaks below 128 bytes per chunk element (tracemalloc: 96 for CBC at l = 1,
-48 for CTR): 16 MB within the budget, 2 GB for a trial of 2**24 elements.
+once: uint32 rows of one chunk's values and their gaps for the sort, and
+uint64 tiles of at most _CHUNK_ELEMENTS elements for the draws, round keys
+and Feistel rounds, which write their masked values straight into the sort
+rows.  A chunk of whole trials is one tile, whose per-slot draw bases are
+computed once per estimate; a larger trial runs in tiles of _CHUNK_ELEMENTS
+CTR slots or _CHUNK_ELEMENTS // l CBC files, at least one, each deriving its
+own bases.  So an estimate within the budget peaks near 1 MB (tracemalloc:
+0.9 MB for CTR at (20, 64, 8) and for CBC at (16, 8, 4)), and a larger trial
+at 8 bytes per element, its values and gaps, plus under 4 MB for the tiles
+(1.5 MB for CTR, 3.3 MB for CBC at l = 1): 131 MB for 2**24 elements.
 
 numpy is imported inside the vectorized kernels, not at module level, so
 planning, the scalar toy cipher and rotation sessions run without loading
@@ -46,7 +52,7 @@ from __future__ import annotations
 import functools
 import math
 import sys
-from collections.abc import Callable
+from collections.abc import Callable, Iterable
 from fractions import Fraction
 
 from .advmodel import Mode, bound_terms
@@ -62,9 +68,10 @@ _LANE = 0xD6E8FEB86659FD93
 # two-sided 99% normal quantile
 Z_99 = 2.5758293035489004
 
-# elements per trial chunk (q per CTR trial, q*l per CBC trial), unless one
-# trial is larger; the module docstring bounds the memory this gives
-_CHUNK_ELEMENTS = 1 << 17
+# elements per trial chunk (q per CTR trial, q*l per CBC trial) and per
+# uint64 tile, unless one trial is larger; small enough that a tile's uint64
+# buffers stay in L2, and the module docstring bounds the memory this gives
+_CHUNK_ELEMENTS = 1 << 15
 _ROUNDS = 6  # Feistel rounds of the toy cipher, in sessions and trials alike
 
 # counter-based draw purposes, every one the package uses; distinct purposes
@@ -146,7 +153,8 @@ def _stream_bases(seed: int, purpose: int, slots: np.ndarray) -> np.ndarray:
     """The per-slot half of draw64, a new array of slots' shape."""
     import numpy as np
 
-    bases = (slots | np.uint64((purpose << 32) & _M64)) * np.uint64(_GOLDEN)
+    bases = slots | np.uint64((purpose << 32) & _M64)
+    bases *= np.uint64(_GOLDEN)
     bases ^= np.uint64(seed & _M64)
     _mix64_np(bases, np.empty_like(bases))
     return bases
@@ -284,6 +292,16 @@ def _run(block_bits: int, tables: list[_RoundTable | list[int]], xs: list[int], 
     return out
 
 
+@functools.cache
+def _round_key_offsets() -> np.ndarray:
+    """The per-round constants _round_keys adds to a key, as a read-only (_ROUNDS, 1) column."""
+    import numpy as np
+
+    offsets = np.array([[((i + 1) * _GOLDEN) & _M64] for i in range(_ROUNDS)], dtype=np.uint64)
+    offsets.flags.writeable = False
+    return offsets
+
+
 def _round_keys_np(keys: np.ndarray, out: np.ndarray, scratch: np.ndarray) -> None:
     """_round_keys for _permute_np: a row of T keys gives out (_ROUNDS, T); scratch is out's shape.
 
@@ -293,8 +311,7 @@ def _round_keys_np(keys: np.ndarray, out: np.ndarray, scratch: np.ndarray) -> No
     """
     import numpy as np
 
-    offsets = np.array([((i + 1) * _GOLDEN) & _M64 for i in range(_ROUNDS)], dtype=np.uint64)
-    np.add(keys, offsets[:, None], out=out)
+    np.add(keys, _round_key_offsets(), out=out)
     _mix64_np(out, scratch)
     np.right_shift(out, 30, out=scratch)
     out ^= scratch
@@ -529,20 +546,36 @@ def _close_rows(rows: np.ndarray, gaps: np.ndarray, n: int, t: int) -> int:
     return int(np.count_nonzero(gaps.min(axis=1) < t))
 
 
+def _tiles(items: int, tile: int, bases: Callable[[int, int], object]) -> Callable[[], Iterable[tuple]]:
+    """The tiles (i0, i1, bases(i0, i1)) of items 0..items-1, tile items at a time, in order.
+
+    One tile covering every item is made once and reused, so its bases are
+    precomputed per estimate; smaller tiles derive theirs as they come.
+    """
+    if tile == items:
+        whole = [(0, items, bases(0, items))]
+        return lambda: whole
+    return lambda: ((i0, min(i0 + tile, items), bases(i0, min(i0 + tile, items))) for i0 in range(0, items, tile))
+
+
 def _ctr_counter(config: TrialConfig, chunk: int) -> Callable[[int, int], int]:
     """Collision count of CTR trials lo..hi-1, for up to chunk trials at a time."""
     import numpy as np
 
     q, n = config.q_files, 1 << config.block_bits
-    draw_rows = np.empty((2, chunk, q), np.uint64)
+    # chunk trials of q slots fit the budget, or chunk is 1 and a tile is the budget
+    tile = min(q, _CHUNK_ELEMENTS)
+    draw_rows = np.empty((2, chunk * tile), np.uint64)
     iv_rows = np.empty((2, chunk, q), np.uint32)
-    iv_bases = _stream_bases(config.rng_seed, _P_IV, np.arange(q, dtype=np.uint64))
+    tiles = _tiles(q, tile, lambda s0, s1: _stream_bases(config.rng_seed, _P_IV, np.arange(s0, s1, dtype=np.uint64)))
 
     def count(lo: int, hi: int) -> int:
-        draws, scratch = draw_rows[:, : hi - lo]
         ivs, gaps = iv_rows[:, : hi - lo]
-        _draw_np(draws, scratch, iv_bases, _trial_lanes(lo, hi)[:, None])
-        np.bitwise_and(draws, n - 1, out=ivs, casting="unsafe")
+        lanes = _trial_lanes(lo, hi)[:, None]
+        for s0, s1, iv_bases in tiles():
+            draws, scratch = draw_rows[:, : (hi - lo) * (s1 - s0)].reshape(2, hi - lo, s1 - s0)
+            _draw_np(draws, scratch, iv_bases, lanes)
+            np.bitwise_and(draws, n - 1, out=ivs[:, s0:s1], casting="unsafe")
         return _close_rows(ivs, gaps, n, config.blocks_per_file)
 
     return count
@@ -553,19 +586,30 @@ def _cbc_counter(config: TrialConfig, chunk: int) -> Callable[[int, int], int]:
     import numpy as np
 
     q, l, n = config.q_files, config.blocks_per_file, 1 << config.block_bits
-    # a trial per column, so per-trial keys and lanes broadcast along
-    # contiguous rows; the blocks, the permutation inputs, keep a trial per
-    # row for _close_rows, and each file's last block needs no permute
-    chain_rows = np.empty((6, q, chunk), np.uint64)
+    # chunk trials of q files of l blocks fit the budget, or chunk is 1 and a
+    # tile is as many files as the budget holds, at least one
+    tile = min(q, max(1, _CHUNK_ELEMENTS // l))
+    # a file per row and a trial per column, so per-trial keys and lanes
+    # broadcast along contiguous rows; the blocks, the permutation inputs,
+    # keep a trial per row for _close_rows, and each file's last block needs
+    # no permute
+    chain_rows = np.empty((6, tile * chunk), np.uint64)
     key_rows = np.empty((2, _ROUNDS, chunk), np.uint64)
     block_rows = np.empty((2, chunk, q * l), np.uint32)
     key_bases = _stream_bases(config.rng_seed, _P_KEY, np.zeros((1, 1), np.uint64))
-    iv_bases = _stream_bases(config.rng_seed, _P_IV, np.arange(q, dtype=np.uint64)[:, None])
-    # q*l plaintext bases would outgrow the chunk budget, so they are derived per chunk
-    plaintext_slots = np.arange(q, dtype=np.uint64)[:, None] * _PLAINTEXT_SLOTS
+
+    def bases(f0: int, f1: int) -> tuple[np.ndarray, np.ndarray]:
+        # the IV bases of files f0..f1-1, and their plaintext bases, block j in row j
+        files = np.arange(f0, f1, dtype=np.uint64)[:, None]
+        blocks = np.arange(l, dtype=np.uint64)[:, None, None]
+        return (
+            _stream_bases(config.rng_seed, _P_IV, files),
+            _stream_bases(config.rng_seed, _P_PLAINTEXT, files * _PLAINTEXT_SLOTS | blocks),
+        )
+
+    tiles = _tiles(q, tile, bases)
 
     def count(lo: int, hi: int) -> int:
-        prev, pt, left, right, f, scratch = chain_rows[:, :, : hi - lo]
         round_keys, key_scratch = key_rows[:, :, : hi - lo]
         blocks, gaps = block_rows[:, : hi - lo]
         lanes = _trial_lanes(lo, hi)
@@ -573,15 +617,17 @@ def _cbc_counter(config: TrialConfig, chunk: int) -> Callable[[int, int], int]:
         keys = key_scratch[:1]
         _draw_np(keys, round_keys[:1], key_bases, lanes)
         _round_keys_np(keys, round_keys, key_scratch)
-        _draw_np(prev, scratch, iv_bases, lanes)
-        prev &= n - 1
-        for j in range(l):
-            _draw_np(pt, scratch, _stream_bases(config.rng_seed, _P_PLAINTEXT, plaintext_slots + j), lanes)
-            pt &= n - 1
-            pt ^= prev
-            np.copyto(blocks[:, j::l], pt.T, casting="unsafe")
-            if j < l - 1:
-                _permute_np(config.block_bits, round_keys, pt, prev, (left, right, f, scratch))
+        for f0, f1, (iv_bases, pt_bases) in tiles():
+            prev, pt, left, right, f, scratch = chain_rows[:, : (f1 - f0) * (hi - lo)].reshape(6, f1 - f0, hi - lo)
+            _draw_np(prev, scratch, iv_bases, lanes)
+            prev &= n - 1
+            for j in range(l):
+                _draw_np(pt, scratch, pt_bases[j], lanes)
+                pt &= n - 1
+                pt ^= prev
+                np.copyto(blocks[:, f0 * l + j : f1 * l : l], pt.T, casting="unsafe")
+                if j < l - 1:
+                    _permute_np(config.block_bits, round_keys, pt, prev, (left, right, f, scratch))
         return _close_rows(blocks, gaps, n, 1)
 
     return count

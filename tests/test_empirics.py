@@ -376,10 +376,12 @@ def test_estimate_rejects_tiny_trial_counts():
 
 def test_estimate_is_deterministic_and_chunk_independent(monkeypatch):
     # 64 elements per trial (q_files for CTR, q_files * blocks_per_file for
-    # CBC); 3001 trials is a multiple of neither 7 nor the default 2048
+    # CBC); 3001 trials is a multiple of neither 7 nor the default chunk,
+    # which takes several chunks, the last one short
     per_trial = 64
     default = empirics._CHUNK_ELEMENTS
-    assert default // per_trial == 2048
+    default_chunk = default // per_trial
+    assert 1 < default_chunk < 3001 and 3001 % default_chunk
     for config in (
         TrialConfig(Mode.CTR, 16, 64, 4, 3001, 11),
         TrialConfig(Mode.CBC, 12, 32, 2, 3001, 11),
@@ -390,7 +392,8 @@ def test_estimate_is_deterministic_and_chunk_independent(monkeypatch):
         assert reference.trials == config.trials
         assert estimate_collision_probability(config) == reference
         assert 0 < reference.collisions < config.trials
-        # one trial per chunk, 7 trials, the default, one chunk for the run
+        # one trial per chunk in tiles of one slot or file, 7 trials, the
+        # default, one chunk for the run
         for budget in (1, 7 * per_trial, default, config.trials * per_trial):
             monkeypatch.setattr(empirics, "_CHUNK_ELEMENTS", budget)
             assert estimate_collision_probability(config) == reference
@@ -430,9 +433,12 @@ def scalar_collides(config: TrialConfig, trial: int) -> bool:
 def test_collision_count_matches_scalar_oracle(config, monkeypatch):
     want = sum(scalar_collides(config, trial) for trial in range(config.trials))
     assert estimate_collision_probability(config).collisions == want
-    # 1009 trials is prime, so chunks of 1000 // per_trial >= 2 trials end short
-    monkeypatch.setattr(empirics, "_CHUNK_ELEMENTS", 1000)
-    assert estimate_collision_probability(config).collisions == want
+    # 1009 trials is prime, so chunks of 1000 // per_trial >= 2 trials end
+    # short; a budget of 5 elements tiles a trial above it in runs of 5 slots
+    # or 5 // l files, at least one, the last of them short
+    for budget in (1000, 5):
+        monkeypatch.setattr(empirics, "_CHUNK_ELEMENTS", budget)
+        assert estimate_collision_probability(config).collisions == want
 
 
 def test_close_rows_reads_each_row_round_its_own_circle():
@@ -479,15 +485,17 @@ def test_estimate_memory_is_bounded_by_the_chunk():
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 6 << 20, (config, peak)
+        assert peak < 3 << 19, (config, peak)
 
 
 @pytest.mark.parametrize("mode", [Mode.CTR, Mode.CBC])
-def test_a_trial_over_the_chunk_budget_peaks_within_the_stated_bound(mode):
-    # a trial of 2**18 elements, twice the budget, is a chunk of its own, and
-    # the module states a peak below 128 bytes per element of the chunk; CBC
-    # at one block per file keeps the most per-slot rows per element
-    config = TrialConfig(mode, 20, 1 << 18, 1, 1000, 1)
+@pytest.mark.parametrize("q_files", [1 << 18, 1 << 20])
+def test_a_trial_over_the_chunk_budget_peaks_within_the_stated_bound(mode, q_files):
+    # a trial above the budget is a chunk of its own, and the module states a
+    # peak of 8 bytes per element, its uint32 values and gaps, plus under 4 MB
+    # for the uint64 tiles: below 12 bytes per element at 2**20.  CBC at one
+    # block per file keeps the most per-file rows per element
+    config = TrialConfig(mode, 20, q_files, 1, 1000, 1)
     per_trial = config.q_files * config.blocks_per_file
     assert empirics._CHUNK_ELEMENTS < per_trial
     counter = empirics._ctr_counter if mode is Mode.CTR else empirics._cbc_counter
@@ -497,7 +505,7 @@ def test_a_trial_over_the_chunk_budget_peaks_within_the_stated_bound(mode):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 128 * per_trial, peak
+    assert peak < 8 * per_trial + (4 << 20), peak
 
 
 def test_estimate_seed_sensitivity():

@@ -25,11 +25,41 @@ The two primitives:
     need not be in lowest terms: the integer part and the floor of the
     mantissa depend only on the value num/den, so the rotation gain's ratio
     is passed as the two integers it is built from, with no gcd.
+
+    The loop's value.  With F fraction bits (d digits take F =
+    floor((10d + 2)/3) + 8) and W = F + 64, the loop reads V = bits / 2^F
+    for L = log2 of the mantissa m in [1, 2), and L - 2^-F - 2^-(F+61) <
+    V <= L: the unread tail is below 2^-F, and the mantissa's first floor
+    and two floors per squaring, each a relative loss under 2^-W, cost
+    under 5 * 2^-W in all.  The result is round-half-up of V to d decimals.
+
+    The filter in front of it (Ziv's estimate-then-retry, ACM TOMS 1991, on
+    a Tang-style table, ACM TOMS 1990), in integers with G = 100 fraction
+    bits: j = floor(256 (m - 1)) picks c = 1 + j/256 and log2(c) from a
+    256-entry table filled on first use, and L - log2(c) = (2/ln 2)
+    atanh(s) with s = (m - c)/(m + c) < 2^-9.  Error budget, in units of
+    2^-G:
+      - table entry: under 1.01.  It and 2/ln 2 are ratios of atanh series
+        at 16 extra bits, atanh(1/3) being (ln 2)/2.
+      - fixed-point rounding of s: the floored mantissa moves s by under
+        0.5, and s's own floor costs under 1.
+      - series: six or fewer terms after the first, each rounded down by
+        under 1.6, and under 0.5 for the terms dropped once one rounds to
+        zero (the truncation).
+      - times 2/ln 2 < 2.886, plus 1 for the product's floor; 2/ln 2 is
+        within one unit, which moves the product by under 0.01.
+    So the estimate E is within 36 < 2^6 units of L, and |V - E| <
+    2^-F + 2^-(F+61) + 2^-(G-6) < 2^-(F-1) whenever F <= G - 8, which holds
+    up to d = 25.  When round-half-up takes one value over all of
+    [E - 2^-(F-1), E + 2^-(F-1)], V lies in that interval and the loop
+    would print that value, so it is returned; otherwise, or for d above
+    25, the loop runs.  Outputs are the loop's, bit for bit.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import cache
 from math import isqrt
 from operator import attrgetter
 
@@ -45,6 +75,11 @@ _LONGEST_RATIONAL = 2 * len(str((1 << 2 * MAX_EXPONENT_BITS) - 1)) + 1
 # Guard bits for the fixed-point log2 mantissa; truncation over all the
 # squarings stays below 2**-GUARD, far under any supported decimal step.
 _LOG2_GUARD_BITS = 64
+# Fraction bits of the table-and-series estimate of log2; it serves every
+# precision up to 25 digits (frac_bits <= _EST_BITS - 8).
+_EST_BITS = 100
+# Extra fraction bits of the series behind the table and 2/ln 2.
+_EST_GUARD = 16
 
 
 def as_natural(value: int) -> int:
@@ -227,28 +262,55 @@ def log2_rational(value: Fraction, precision_digits: int = DEFAULT_PRECISION) ->
 
 def _log2(num: int, den: int, precision_digits: int) -> FixedDecimal:
     """log2(num/den) for positive integers num and den, in lowest terms or
-    not, rounded as log2_rational rounds it.
-
-    Fractional bits come from repeatedly squaring the mantissa m in [1, 2):
-    each squaring emits one bit of log2(m).  The mantissa lives in fixed
-    point with 64 guard bits, so truncation over the ~4*digits squarings is
-    negligible against the decimal rounding step.
+    not, rounded as log2_rational rounds it: always the squaring loop's
+    output, which the table-and-series estimate gives whenever it can
+    certify it (see the module docstring).
     """
-    # 10**-d in bits, plus slack so decimal rounding dominates all error.
-    frac_bits = (precision_digits * 10 + 2) // 3 + 8
-    width = frac_bits + _LOG2_GUARD_BITS
+    frac_bits = _log2_frac_bits(precision_digits)
+    if frac_bits <= _EST_BITS - 8:
+        e, mant = _mantissa(num, den, _EST_BITS)
+        estimate = _log2_estimate(mant)
+        # round-half-up of every value within 2**-(frac_bits-1) of the
+        # estimate; when the ends agree, so does the loop's value
+        scale = 10**precision_digits
+        centre = 2 * estimate * scale + (1 << _EST_BITS)
+        spread = scale << (_EST_BITS - frac_bits + 2)
+        frac_scaled = (centre - spread) >> (_EST_BITS + 1)
+        if frac_scaled == (centre + spread) >> (_EST_BITS + 1):
+            return FixedDecimal(e * scale + frac_scaled, precision_digits)
+    return _log2_squaring(num, den, precision_digits)
 
+
+def _log2_frac_bits(precision_digits: int) -> int:
+    """Fraction bits of log2 that a precision_digits result is rounded from:
+    10**-d in bits, plus slack so decimal rounding dominates all error."""
+    return (precision_digits * 10 + 2) // 3 + 8
+
+
+def _mantissa(num: int, den: int, width: int) -> tuple[int, int]:
+    """(e, floor(m * 2**width)) with num/den = m * 2**e and m in [1, 2)."""
     # floor(log2(num/den)) is e or e-1; one exact comparison decides
     e = num.bit_length() - den.bit_length()
     if e >= 0:
         e -= (den << e) > num
     else:
         e -= den > (num << -e)
-    # mantissa m = (num/den) / 2**e in [1, 2), as floor(m * 2**width)
     if e >= 0:
-        mant = (num << width) // (den << e)
-    else:
-        mant = (num << (width - e)) // den
+        return e, (num << width) // (den << e)
+    return e, (num << (width - e)) // den
+
+
+def _log2_squaring(num: int, den: int, precision_digits: int) -> FixedDecimal:
+    """_log2 by the squaring loop alone.
+
+    Fractional bits come from repeatedly squaring the mantissa m in [1, 2):
+    each squaring emits one bit of log2(m).  The mantissa lives in fixed
+    point with 64 guard bits, so truncation over the ~4*digits squarings is
+    negligible against the decimal rounding step.
+    """
+    frac_bits = _log2_frac_bits(precision_digits)
+    width = frac_bits + _LOG2_GUARD_BITS
+    e, mant = _mantissa(num, den, width)
     one = 1 << width
     bits = 0
     for _ in range(frac_bits):
@@ -263,3 +325,48 @@ def _log2(num: int, den: int, precision_digits: int) -> FixedDecimal:
     scale = 10**precision_digits
     frac_scaled = (2 * bits * scale + (1 << frac_bits)) >> (frac_bits + 1)
     return FixedDecimal(e * scale + frac_scaled, precision_digits)
+
+
+def _log2_estimate(mant: int) -> int:
+    """log2(m) * 2**_EST_BITS within 2**6 units, from mant = floor(m *
+    2**_EST_BITS) with m in [1, 2): log2(1 + j/256) from the table plus
+    (2/ln 2) * atanh(s), where s = (m - c)/(m + c) < 2**-9 for c = 1 + j/256."""
+    j = (mant >> (_EST_BITS - 8)) - 256
+    c = (256 + j) << (_EST_BITS - 8)
+    series = _atanh(((mant - c) << _EST_BITS) // (mant + c), _EST_BITS)
+    return _log2_entry(j) + ((_two_over_ln2() * series) >> _EST_BITS)
+
+
+def _atanh(s: int, bits: int) -> int:
+    """atanh(x) * 2**bits from s = floor(x * 2**bits), 0 <= x <= 1/3: the
+    series sum of x**n / n over odd n in fixed point, each term rounded
+    down, so below atanh(s / 2**bits) by under 2 units per term."""
+    s2 = (s * s) >> bits
+    term = total = s
+    n = 1
+    while term:
+        term = (term * s2) >> bits
+        n += 2
+        total += term // n
+    return total
+
+
+@cache
+def _atanh_one_third() -> int:
+    """atanh(1/3) = (ln 2)/2, at _EST_BITS + _EST_GUARD fraction bits."""
+    bits = _EST_BITS + _EST_GUARD
+    return _atanh((1 << bits) // 3, bits)
+
+
+@cache
+def _two_over_ln2() -> int:
+    """2/ln 2 * 2**_EST_BITS, within one unit."""
+    return (1 << (2 * _EST_BITS + _EST_GUARD)) // _atanh_one_third()
+
+
+@cache
+def _log2_entry(j: int) -> int:
+    """log2(1 + j/256) * 2**_EST_BITS, within 1.01 units: the ratio of
+    atanh(j/(512 + j)) to atanh(1/3), both at _EST_GUARD extra bits."""
+    bits = _EST_BITS + _EST_GUARD
+    return (_atanh((j << bits) // (512 + j), bits) << _EST_BITS) // _atanh_one_third()

@@ -220,12 +220,18 @@ def benefit(
     """The gain at k with its bracket, plus its benefit: the security gained
     per unit of key material spent, Q* * delta / (k * cost), rounded to
     DEFAULT_PRECISION."""
-    key_cost = check_key_cost(key_cost)
+    return _benefit(mode, params, q_star, k, check_key_cost(key_cost).as_integer_ratio())
+
+
+def _benefit(mode: Mode, params: SecurityParams, q_star: int, k: int, cost: tuple[int, int]) -> SweepRow:
+    """benefit with the validated key cost as its (numerator, denominator)."""
     report = improvement_bits(mode, params, q_star, k)
     delta = report.delta_bits
-    cost_num, cost_den = key_cost.as_integer_ratio()
-    value = Fraction(delta.scaled * q_star * cost_den, 10**delta.digits * k * cost_num)
-    return SweepRow(report.k, delta, FixedDecimal.from_fraction(value, DEFAULT_PRECISION))
+    cost_num, cost_den = cost
+    # the gain is nonnegative, so from_fraction's round-half-up is this floor
+    num = delta.scaled * q_star * cost_den * 10**DEFAULT_PRECISION
+    den = 10**delta.digits * k * cost_num
+    return SweepRow(report.k, delta, FixedDecimal((2 * num + den) // (2 * den), DEFAULT_PRECISION))
 
 
 def sweep_k(
@@ -236,4 +242,5 @@ def sweep_k(
     key_cost: Fraction = Fraction(1),
 ) -> list[SweepRow]:
     """A sweep row is benefit at each k, in the given order."""
-    return [benefit(mode, params, q_star, k, key_cost) for k in k_values]
+    cost = check_key_cost(key_cost).as_integer_ratio()
+    return [_benefit(mode, params, q_star, k, cost) for k in k_values]

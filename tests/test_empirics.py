@@ -392,11 +392,20 @@ def test_estimate_is_deterministic_and_chunk_independent(monkeypatch):
         assert reference.trials == config.trials
         assert estimate_collision_probability(config) == reference
         assert 0 < reference.collisions < config.trials
-        # one trial per chunk in tiles of one slot or file, 7 trials, the
-        # default, one chunk for the run
-        for budget in (1, 7 * per_trial, default, config.trials * per_trial):
+        # 7 trials, the default, one chunk for the run
+        for budget in (7 * per_trial, default, config.trials * per_trial):
             monkeypatch.setattr(empirics, "_CHUNK_ELEMENTS", budget)
             assert estimate_collision_probability(config) == reference
+        # one trial per chunk in tiles of one slot or file, on the first 101
+        # trials only, since a trial takes ~6 ms at this budget; through the
+        # chunk counters, because an estimate needs >= 1000 trials
+        counter = empirics._ctr_counter if config.mode is Mode.CTR else empirics._cbc_counter
+        monkeypatch.setattr(empirics, "_CHUNK_ELEMENTS", default)
+        few = counter(config, default_chunk)(0, 101)
+        assert 0 < few < 101
+        monkeypatch.setattr(empirics, "_CHUNK_ELEMENTS", 1)
+        one_trial = counter(config, 1)
+        assert sum(one_trial(trial, trial + 1) for trial in range(101)) == few
 
 
 def scalar_collides(config: TrialConfig, trial: int) -> bool:

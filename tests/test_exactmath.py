@@ -20,6 +20,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import qkdplan
+from qkdplan import exactmath
 from qkdplan.exactmath import (
     MAX_EXPONENT_BITS,
     FixedDecimal,
@@ -221,3 +222,95 @@ def test_log2_rejects_nonpositive_and_bad_precision():
         log2_rational(Fraction(-3, 2))
     with pytest.raises(ValueError):
         log2_rational(Fraction(3), 0)
+
+
+# ------------------------------------------------- the filtered log2 fast path
+
+
+# Operands of 1 to 1500 bits, so the ratio reaches beyond 2**+-1000.
+_wide_operands = st.integers(1, 1500).flatmap(lambda bits: st.integers(1, 1 << bits))
+
+
+@settings(max_examples=400)
+@given(_wide_operands, _wide_operands, st.integers(1, 60))
+@example(1, 1, 25)
+@example((1 << 1400) + 1, 3, 26)
+def test_filtered_log2_is_the_squaring_loop(p: int, q: int, digits: int):
+    assert exactmath._log2(p, q, digits) == exactmath._log2_squaring(p, q, digits)
+
+
+def _count_loop_calls(monkeypatch) -> list[tuple]:
+    calls = []
+    loop = exactmath._log2_squaring
+
+    def counted(num, den, digits):
+        calls.append((num, den, digits))
+        return loop(num, den, digits)
+
+    monkeypatch.setattr(exactmath, "_log2_squaring", counted)
+    return calls
+
+
+def test_log2_next_to_a_rounding_midpoint_takes_the_loop(monkeypatch):
+    # log2(num / 2**1400) is within 2**-390 of a rounding midpoint in
+    # (-1000, 1000), far inside any d <= 25 digit step's 2**-frac_bits of it
+    calls = _count_loop_calls(monkeypatch)
+    rng = random.Random(32)
+    den = 1 << 1400
+    cases = 0
+    with mpmath.workprec(1600):
+        for digits in (1, 2, 5, 9, 12, 18, 25):
+            for _ in range(6):
+                scale = 10**digits
+                midpoint = Fraction(2 * rng.randrange(-1000 * scale, 1000 * scale) + 1, 2 * scale)
+                power = mpmath.power(2, mpmath.mpf(midpoint.numerator) / midpoint.denominator)
+                num = int(mpmath.floor(power * den))
+                before = len(calls)
+                got = exactmath._log2(num, den, digits)
+                assert calls[before:] == [(num, den, digits)]
+                assert abs(got.as_fraction() - midpoint) <= Fraction(1, 2 * scale)
+                cases += 1
+    assert len(calls) == cases == 42
+
+
+def test_log2_fast_path_serves_up_to_25_digits(monkeypatch):
+    calls = _count_loop_calls(monkeypatch)
+    assert str(exactmath._log2(3, 1, 12)) == "1.584962500721"
+    assert str(exactmath._log2(3, 1, 25)) == "1.5849625007211561814537389"
+    assert calls == []
+    assert str(exactmath._log2(3, 1, 26)) == "1.58496250072115618145373894"
+    assert calls == [(3, 1, 26)]
+
+
+def test_log2_table_and_two_over_ln2_match_mpmath():
+    bits = exactmath._EST_BITS
+    with mpmath.workprec(4 * bits):
+        unit = mpmath.mpf(2) ** bits
+        for j in range(256):
+            want = mpmath.log(1 + mpmath.mpf(j) / 256, 2) * unit
+            assert abs(exactmath._log2_entry(j) - want) < 1.01, j
+        assert abs(exactmath._two_over_ln2() - 2 / mpmath.log(2) * unit) < 1
+
+
+@settings(max_examples=300)
+@given(st.integers(1 << exactmath._EST_BITS, (2 << exactmath._EST_BITS) - 1))
+@example((2 << exactmath._EST_BITS) - 1)
+@example((257 << exactmath._EST_BITS - 8) - 1)  # the top of table cell 0
+def test_log2_estimate_is_within_its_error_budget(mant: int):
+    # the module docstring's budget: within 2**6 units of 2**-_EST_BITS
+    bits = exactmath._EST_BITS
+    with mpmath.workprec(4 * bits):
+        want = mpmath.log(mpmath.mpf(mant) / mpmath.mpf(2) ** bits, 2) * mpmath.mpf(2) ** bits
+        assert abs(exactmath._log2_estimate(mant) - want) < 2**6
+
+
+def test_importing_the_package_fills_no_log2_table():
+    src = Path(qkdplan.__file__).resolve().parents[1]
+    probe = (
+        "import qkdplan.cli\n"
+        "from qkdplan import exactmath as x\n"
+        "print([f.cache_info().currsize for f in (x._log2_entry, x._atanh_one_third, x._two_over_ln2)])"
+    )
+    env = dict(os.environ, PYTHONPATH=str(src))
+    proc = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True, timeout=120)
+    assert proc.stdout.strip() == "[0, 0, 0]", proc.stderr

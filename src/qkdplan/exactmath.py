@@ -266,6 +266,11 @@ def _log2(num: int, den: int, precision_digits: int) -> FixedDecimal:
     output, which the table-and-series estimate gives whenever it can
     certify it (see the module docstring).
     """
+    return FixedDecimal(_log2_scaled(num, den, precision_digits), precision_digits)
+
+
+def _log2_scaled(num: int, den: int, precision_digits: int) -> int:
+    """_log2(num, den, precision_digits).scaled, with no record built."""
     frac_bits = _log2_frac_bits(precision_digits)
     if frac_bits <= _EST_BITS - 8:
         e, mant = _mantissa(num, den, _EST_BITS)
@@ -277,8 +282,8 @@ def _log2(num: int, den: int, precision_digits: int) -> FixedDecimal:
         spread = scale << (_EST_BITS - frac_bits + 2)
         frac_scaled = (centre - spread) >> (_EST_BITS + 1)
         if frac_scaled == (centre + spread) >> (_EST_BITS + 1):
-            return FixedDecimal(e * scale + frac_scaled, precision_digits)
-    return _log2_squaring(num, den, precision_digits)
+            return e * scale + frac_scaled
+    return _log2_squaring(num, den, precision_digits).scaled
 
 
 def _log2_frac_bits(precision_digits: int) -> int:

@@ -13,6 +13,8 @@ so the gain lies between log2(k) and 2*log2(k): rotation at least halves the
 effective exposure per key but cannot beat the square-law limit of the
 bound.  The bracket is checked on the integers before any rounding;
 a report stores only k and delta_bits and derives the bracket from k.
+A sweep over many k checks Q* and evaluates the bound once, then forms
+each k's integers from the same (L, B, C).
 
 An adversary who sees all k keys' traffic gets up to k*bound(Q*/k) by the
 hybrid bound over k independent keys, so the whole schedule's gain is
@@ -21,6 +23,7 @@ delta_bits - log2(k) = log2(num/den), which lies in (0, log2(k)).
 
 from __future__ import annotations
 
+from collections.abc import Callable
 from fractions import Fraction
 from functools import lru_cache
 
@@ -28,7 +31,7 @@ from .advmodel import Mode, SecurityParams, bound_at, bound_parts, budget_quadra
 from .exactmath import (
     DEFAULT_PRECISION,
     FixedDecimal,
-    _log2,
+    _log2_scaled,
     _Record,
     as_natural,
     log2_rational,
@@ -109,7 +112,8 @@ class SweepRow(ImprovementReport):
     _fields = ImprovementReport._fields + __slots__
 
     def __init__(self, k: int, delta_bits: FixedDecimal, benefit: FixedDecimal) -> None:
-        super().__init__(k, delta_bits)
+        object.__setattr__(self, "k", k)
+        object.__setattr__(self, "delta_bits", delta_bits)
         object.__setattr__(self, "benefit", benefit)
 
 
@@ -184,24 +188,31 @@ def improvement_bits(
     Requires 1 <= k <= q_star so each key still encrypts at least one file.
     k=1 is the degenerate no-rotation case and reports all zeros.
     """
-    if as_natural(k) < 1:
-        raise ValueError("k must be >= 1")
-    if k > as_natural(q_star):
-        raise ValueError(f"k={k} exceeds q_star={q_star}; keys would sit idle")
+    return ImprovementReport(k, FixedDecimal(_gain(mode, params, q_star)(k), _IMPROVEMENT_PRECISION))
 
-    if k == 1:
-        return ImprovementReport(1, FixedDecimal(0, _IMPROVEMENT_PRECISION))
 
-    lin, quad, const, _ = bound_parts(mode, params, q_star)
-    # bound(Q*)/bound(Q*/k) = k*num/den; log2 k < gain < 2 log2 k iff
-    # den < num < k*den, checked before rounding.
-    num = k * (lin + quad + const)
-    den = k * lin + quad + k * k * const
-    if not den < num < k * den:
-        raise AssertionError(f"bound ratio {k}*{num}/{den} at k={k} lies outside ({k}, {k * k})")
-    # Rounded as log2 k + log2(num/den): both terms round into [0, log2 k],
-    # so the reported gain cannot step outside the reported bracket.
-    return ImprovementReport(k, _log2_k(k) + _log2(num, den, _IMPROVEMENT_PRECISION))
+def _gain(mode: Mode, params: SecurityParams, q_star: int) -> Callable[[int], int]:
+    """delta_bits.scaled as a function of k, with Q* checked and the bound evaluated once, here."""
+    lin, quad, const, _ = bound_parts(mode, params, as_natural(q_star))
+
+    def delta_scaled(k: int) -> int:
+        if as_natural(k) < 1:
+            raise ValueError("k must be >= 1")
+        if k > q_star:
+            raise ValueError(f"k={k} exceeds q_star={q_star}; keys would sit idle")
+        if k == 1:
+            return 0
+        # bound(Q*)/bound(Q*/k) = k*num/den; log2 k < gain < 2 log2 k iff
+        # den < num < k*den, checked before rounding.
+        num = k * (lin + quad + const)
+        den = k * lin + quad + k * k * const
+        if not den < num < k * den:
+            raise AssertionError(f"bound ratio {k}*{num}/{den} at k={k} lies outside ({k}, {k * k})")
+        # Rounded as log2 k + log2(num/den): both terms round into [0, log2 k],
+        # so the reported gain cannot step outside the reported bracket.
+        return _log2_k(k).scaled + _log2_scaled(num, den, _IMPROVEMENT_PRECISION)
+
+    return delta_scaled
 
 
 @lru_cache(maxsize=256)
@@ -220,18 +231,7 @@ def benefit(
     """The gain at k with its bracket, plus its benefit: the security gained
     per unit of key material spent, Q* * delta / (k * cost), rounded to
     DEFAULT_PRECISION."""
-    return _benefit(mode, params, q_star, k, check_key_cost(key_cost).as_integer_ratio())
-
-
-def _benefit(mode: Mode, params: SecurityParams, q_star: int, k: int, cost: tuple[int, int]) -> SweepRow:
-    """benefit with the validated key cost as its (numerator, denominator)."""
-    report = improvement_bits(mode, params, q_star, k)
-    delta = report.delta_bits
-    cost_num, cost_den = cost
-    # the gain is nonnegative, so from_fraction's round-half-up is this floor
-    num = delta.scaled * q_star * cost_den * 10**DEFAULT_PRECISION
-    den = 10**delta.digits * k * cost_num
-    return SweepRow(report.k, delta, FixedDecimal((2 * num + den) // (2 * den), DEFAULT_PRECISION))
+    return _rows(mode, params, q_star, [k], key_cost)[0]
 
 
 def sweep_k(
@@ -242,5 +242,18 @@ def sweep_k(
     key_cost: Fraction = Fraction(1),
 ) -> list[SweepRow]:
     """A sweep row is benefit at each k, in the given order."""
-    cost = check_key_cost(key_cost).as_integer_ratio()
-    return [_benefit(mode, params, q_star, k, cost) for k in k_values]
+    return _rows(mode, params, q_star, k_values, key_cost)
+
+
+def _rows(mode: Mode, params: SecurityParams, q_star: int, k_values: list[int], key_cost: Fraction) -> list[SweepRow]:
+    """benefit at each k, with the key cost, Q* and the bound checked or evaluated once."""
+    cost_num, cost_den = check_key_cost(key_cost).as_integer_ratio()
+    gain = _gain(mode, params, q_star)
+    # Q* * delta / (k * cost) rounded half up, as a floor since delta >= 0
+    num, unit = 2 * q_star * cost_den * 10**DEFAULT_PRECISION, 10**_IMPROVEMENT_PRECISION * cost_num
+    rows = []
+    for k in k_values:
+        delta, den = gain(k), unit * k
+        per_cost = FixedDecimal((delta * num + den) // (2 * den), DEFAULT_PRECISION)
+        rows.append(SweepRow(k, FixedDecimal(delta, _IMPROVEMENT_PRECISION), per_cost))
+    return rows

@@ -159,6 +159,8 @@ exactmath.isqrt = real_isqrt
 planner.bound_parts = lambda mode, params, q: (q, 0, 0, 1)  # a linear bound: ratio exactly k
 params = SecurityParams.from_bits(16, 14, 4, target_bits=9)
 raises(planner.improvement_bits, Mode.CTR, params, 3, 2)
+raises(planner.benefit, Mode.CTR, params, 3, 2, 1)
+raises(planner.sweep_k, Mode.CTR, params, 3, [1, 2])
 """
 
 
@@ -169,7 +171,7 @@ def test_certificates_raise_under_optimize():
         [sys.executable, "-O", "-c", _BROKEN_UNDER_O], env=env, capture_output=True, text=True, timeout=120
     )
     assert proc.returncode == 0, proc.stdout + proc.stderr
-    assert proc.stdout.count("raised ") == 2, proc.stdout
+    assert proc.stdout.count("raised ") == 4, proc.stdout
 
 
 def test_no_assert_statements_in_the_package():

@@ -14,6 +14,7 @@ from fractions import Fraction
 import pytest
 from paper_formulas import paper_bound, paper_one_plus_x
 
+from qkdplan import planner
 from qkdplan.advmodel import EcbcDenominator, Mode, SecurityParams, bound_at
 from qkdplan.exactmath import log2_rational
 from qkdplan.planner import (
@@ -230,3 +231,59 @@ def test_sweep_rows_and_monotonicity():
     benefits = [r.benefit.as_fraction() for r in rows[1:]]  # k >= 2
     assert all(a > b for a, b in zip(benefits, benefits[1:]))
     assert sweep_k(Mode.CTR, p, 1210759, []) == []
+
+
+def test_a_sweep_evaluates_the_bound_once(monkeypatch):
+    calls = []
+    real = planner.bound_parts
+
+    def counted(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(planner, "bound_parts", counted)
+    p = reference_params()
+    rows = sweep_k(Mode.CBC, p, 123575, [1 << i for i in range(11)], Fraction(3, 2))
+    assert len(rows) == 11
+    assert calls == [(Mode.CBC, p, 123575)]
+
+
+@pytest.mark.parametrize("mode", list(Mode))
+def test_sweep_rows_are_benefit_at_each_k(mode):
+    rng = random.Random(3333)
+    for _ in range(6):
+        params = SecurityParams.from_bits(
+            rng.choice((64, 96, 128)), rng.randrange(40, 64), rng.randrange(1, 64), target_bits=rng.randrange(20, 40)
+        )
+        q_star = compute_q_star(mode, params).q_star
+        ks = sorted({1, q_star, *(rng.randrange(1, q_star + 1) for _ in range(8))})
+        for cost in (Fraction(1), Fraction(3, 7), Fraction(1000, 3)):
+            rows = sweep_k(mode, params, q_star, ks, cost)
+            assert rows == [benefit(mode, params, q_star, k, cost) for k in ks]
+            assert [row.delta_bits for row in rows] == [improvement_bits(mode, params, q_star, k).delta_bits for k in ks]
+
+
+def test_q_star_is_checked_before_any_k():
+    p = reference_params()
+    for bad, error in ((-1, ValueError), (2.0, TypeError), (True, TypeError)):
+        # an empty sweep, or an invalid k, still meets the invalid Q* first
+        with pytest.raises(error, match="natural number required"):
+            sweep_k(Mode.CTR, p, bad, [])
+        with pytest.raises(error, match="natural number required"):
+            benefit(Mode.CTR, p, bad, 0, Fraction(1))
+        with pytest.raises(error, match="natural number required"):
+            improvement_bits(Mode.CTR, p, bad, 0)
+    # with a valid Q*, each k meets the same checks, with the same messages, in every entry point
+    for call in (
+        lambda k: sweep_k(Mode.CTR, p, 10, [1, k]),
+        lambda k: benefit(Mode.CTR, p, 10, k, Fraction(1)),
+        lambda k: improvement_bits(Mode.CTR, p, 10, k),
+    ):
+        with pytest.raises(ValueError, match=r"^k must be >= 1$"):
+            call(0)
+        with pytest.raises(ValueError, match=r"^natural number required, -2 is negative$"):
+            call(-2)
+        with pytest.raises(TypeError, match=r"^natural number required, got float$"):
+            call(2.0)
+        with pytest.raises(ValueError, match=r"^k=11 exceeds q_star=10; keys would sit idle$"):
+            call(11)

@@ -417,9 +417,12 @@ class _KeySchedule:
 
     The first subkey's tables fill whole, each into a list, when the key's
     budget, files_per_key files of planner.blocks_per_file blocks, reaches
-    their 2**(block_bits/2) entries (session widths are whole bytes); below
-    it they fill lazily, as the second subkey's always do, which costs less
-    for few lookups.  Every mode runs through _run, which takes either kind.
+    an eighth of their 2**(block_bits/2) entries (session widths are whole
+    bytes); below it they fill lazily, as the second subkey's always do.
+    An eighth is where a key's lazy misses come to cost one fill: at widths
+    16 and 24, CTR and CBC keys over files of 1 to 512 bytes ran faster
+    lazily at 3/32 of the entries and faster filled at 1/8.  Every mode runs
+    through _run, which takes either kind.
     """
 
     __slots__ = ("block_bits", "tables1", "tables2", "iv_seed")
@@ -432,7 +435,7 @@ class _KeySchedule:
         self.block_bits = block_bits
         self.tables1, self.tables2 = _round_tables(block_bits, k1), _round_tables(block_bits, k2)
         size = 1 << block_bits // 2
-        if files_per_key * blocks_per_file(max_file_bytes, block_bits) >= size:
+        if 8 * files_per_key * blocks_per_file(max_file_bytes, block_bits) >= size:
             self.tables1 = [table.fill(size) for table in self.tables1]
 
     def encrypt(self, mode: Mode, file_index: int, data: bytes) -> bytes:

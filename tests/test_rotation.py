@@ -246,6 +246,8 @@ def _table_entries(tables) -> int:
 @pytest.mark.parametrize("mode", list(Mode))
 def test_round_tables_fill_lazily_for_the_current_key_only(mode, tmp_path):
     session = toy_session(mode=mode)  # 4 blocks per file
+    # a budget under the eighth of a 16-bit key's 256-entry tables that fills them
+    assert 8 * 4 * session.per_key_cap < 1 << 16 // 2
     schedule = session._key_schedule
     for files in range(1, session.per_key_cap + 1):
         encrypt_file(session, b"abcdefgh")
@@ -269,31 +271,42 @@ def test_round_tables_fill_lazily_for_the_current_key_only(mode, tmp_path):
 
 # q_star 2880, 511 and 1019 files of 64 bytes for CTR, CBC and ECBC-MAC
 FILL_PARAMS = SecurityParams.from_bits(36, 30, 32, target_bits=7)
+# files of one 16-bit block, so that a width-16 key's budget can fall short
+# of the 32 blocks that fill its tables
+ONE_BLOCK_PARAMS = SecurityParams.from_bits(36, 30, 1, target_bits=7)
 
 
 @pytest.mark.parametrize("width", [16, 24])
 @pytest.mark.parametrize("mode", list(Mode))
 def test_round_tables_fill_whole_when_the_key_budget_covers_them(mode, width):
     size = 1 << width // 2  # entries of a round table
-    per_file = -(-64 // (width // 8))  # blocks of a 64-byte file
-    q_star = compute_q_star(mode, FILL_PARAMS, 64, block_bits=16).q_star
-    # rotation factors whose caps lie either side of each threshold: the first
-    # subkey's tables see cap * per_file lookups and fill whole once that covers
-    # them; ECBC-MAC's second sees cap lookups and stays lazy even when cap does
-    thresholds = [t for t in (-(-size // per_file), size) if t <= q_star]
-    for factor in sorted({q_star // t + d for t in thresholds for d in (0, 1)}):
-        session = open_session(simulate_pool(2, 128, factor), mode, FILL_PARAMS, 64, factor, width, block_bits=16)
-        cap = session.per_key_cap
-        whole1 = cap * per_file >= size
-        # the first key before its first file, then the second after one empty
-        # file, which looks up at most one entry per table
-        for files in (cap + 1, 0):
-            schedule = session._key_schedule
-            assert all(len(table) == size if whole1 else len(table) <= 1 for table in schedule.tables1)
-            assert all(len(table) <= 1 for table in schedule.tables2)
-            for _ in range(files):
-                encrypt_file(session, b"")
-        assert session.keys_consumed == 2
+    for params, file_bytes in ((FILL_PARAMS, 64), (ONE_BLOCK_PARAMS, 2)):
+        per_file = -(-file_bytes // (width // 8))  # blocks of a file
+        q_star = compute_q_star(mode, params, file_bytes, block_bits=16).q_star
+        # rotation factors whose caps lie either side of each threshold: the
+        # first subkey's tables see cap * per_file lookups and fill whole once
+        # that reaches an eighth of them; ECBC-MAC's second sees cap lookups
+        # and stays lazy even when cap covers them
+        thresholds = [t for t in (-(-size // 8 // per_file), size) if t <= q_star]
+        factors = {q_star // t + d for t in thresholds for d in (0, 1)}
+        seen = set()
+        for factor in sorted(f for f in factors if f <= q_star):
+            pool = simulate_pool(2, 128, factor)
+            session = open_session(pool, mode, params, file_bytes, factor, width, block_bits=16)
+            cap = session.per_key_cap
+            whole1 = 8 * cap * per_file >= size
+            seen.add(whole1)
+            # the first key before its first file, then the second after one
+            # empty file, which looks up at most one entry per table
+            for files in (cap + 1, 0):
+                schedule = session._key_schedule
+                assert all(len(table) == size if whole1 else len(table) <= 1 for table in schedule.tables1)
+                assert all(len(table) <= 1 for table in schedule.tables2)
+                for _ in range(files):
+                    encrypt_file(session, b"")
+            assert session.keys_consumed == 2
+        # both sides of the first threshold, unless one file already reaches it
+        assert True in seen and (False in seen or 8 * per_file >= size)
 
 
 def test_pool_exhaustion_is_clean():

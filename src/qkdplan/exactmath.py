@@ -270,7 +270,7 @@ def _log2(num: int, den: int, precision_digits: int) -> FixedDecimal:
 
 
 def _log2_scaled(num: int, den: int, precision_digits: int) -> int:
-    """_log2(num, den, precision_digits).scaled, with no record built."""
+    """_log2(num, den, precision_digits).scaled; the estimate's path builds no record."""
     frac_bits = _log2_frac_bits(precision_digits)
     if frac_bits <= _EST_BITS - 8:
         e, mant = _mantissa(num, den, _EST_BITS)

@@ -21,10 +21,11 @@ The two primitives:
     down.  Integer part from bit lengths; fractional bits by the classic
     square-and-compare recurrence, run on a fixed-point mantissa with 64
     guard bits so the accumulated truncation stays far below the rounding
-    step.  The work is done by ``_log2`` on an integer pair (num, den) that
-    need not be in lowest terms: the integer part and the floor of the
-    mantissa depend only on the value num/den, so the rotation gain's ratio
-    is passed as the two integers it is built from, with no gcd.
+    step.  The work is done by ``_log2_scaled``, which returns the scaled
+    integer, on an integer pair (num, den) that need not be in lowest terms:
+    the integer part and the floor of the mantissa depend only on the value
+    num/den, so the rotation gain's ratio is passed as the two integers it
+    is built from, with no gcd.
 
     The loop's value.  With F fraction bits (d digits take F =
     floor((10d + 2)/3) + 8) and W = F + 64, the loop reads V = bits / 2^F
@@ -168,14 +169,15 @@ class _Record:
 class FixedDecimal(_Record):
     """Signed fixed-point decimal: the value is scaled / 10**digits.
 
-    Used for every human-facing bit count.  Producers guarantee the rendered
-    value is within 10**-digits of the true real number; arithmetic between
-    FixedDecimals is exact (scales are aligned, never reduced).
+    The display record that every reported bit count is built into once;
+    producers guarantee it renders within 10**-digits of the true value.
     """
 
     __slots__ = _fields = ("scaled", "digits")
 
     def __init__(self, scaled: int, digits: int) -> None:
+        if type(scaled) is not int or type(digits) is not int:
+            raise TypeError(f"scaled and digits must be ints, got {type(scaled).__name__} and {type(digits).__name__}")
         if digits < 0:
             raise ValueError("digits must be >= 0")
         object.__setattr__(self, "scaled", scaled)
@@ -206,26 +208,6 @@ class FixedDecimal(_Record):
             return f"{sign}{whole}"
         return f"{sign}{whole}.{frac:0{self.digits}d}"
 
-    def _aligned(self, other: "FixedDecimal") -> tuple[int, int, int]:
-        digits = max(self.digits, other.digits)
-        a = self.scaled * 10 ** (digits - self.digits)
-        b = other.scaled * 10 ** (digits - other.digits)
-        return a, b, digits
-
-    def __add__(self, other: "FixedDecimal") -> "FixedDecimal":
-        a, b, digits = self._aligned(other)
-        return FixedDecimal(a + b, digits)
-
-    def __neg__(self) -> "FixedDecimal":
-        return FixedDecimal(-self.scaled, self.digits)
-
-    def __mul__(self, factor: int) -> "FixedDecimal":
-        if not isinstance(factor, int):
-            return NotImplemented
-        return FixedDecimal(self.scaled * factor, self.digits)
-
-    __rmul__ = __mul__
-
 
 def max_q_quadratic(a: int, b: int, c: int) -> int:
     """Largest natural Q with a*Q^2 + b*Q <= c; 0 when even Q=1 fails.
@@ -255,22 +237,17 @@ def log2_rational(value: Fraction, precision_digits: int = DEFAULT_PRECISION) ->
     value = Fraction(value)
     if value <= 0:
         raise ValueError("log2 requires a positive value")
-    if precision_digits < 1:
+    if as_natural(precision_digits) < 1:
         raise ValueError("precision_digits must be >= 1")
-    return _log2(value.numerator, value.denominator, precision_digits)
-
-
-def _log2(num: int, den: int, precision_digits: int) -> FixedDecimal:
-    """log2(num/den) for positive integers num and den, in lowest terms or
-    not, rounded as log2_rational rounds it: always the squaring loop's
-    output, which the table-and-series estimate gives whenever it can
-    certify it (see the module docstring).
-    """
-    return FixedDecimal(_log2_scaled(num, den, precision_digits), precision_digits)
+    return FixedDecimal(_log2_scaled(value.numerator, value.denominator, precision_digits), precision_digits)
 
 
 def _log2_scaled(num: int, den: int, precision_digits: int) -> int:
-    """_log2(num, den, precision_digits).scaled; the estimate's path builds no record."""
+    """log2(num/den) * 10**precision_digits for positive integers num and
+    den, in lowest terms or not, rounded as log2_rational rounds it: always
+    the squaring loop's output, which the table-and-series estimate gives
+    whenever it can certify it (see the module docstring).
+    """
     frac_bits = _log2_frac_bits(precision_digits)
     if frac_bits <= _EST_BITS - 8:
         e, mant = _mantissa(num, den, _EST_BITS)
@@ -283,7 +260,7 @@ def _log2_scaled(num: int, den: int, precision_digits: int) -> int:
         frac_scaled = (centre - spread) >> (_EST_BITS + 1)
         if frac_scaled == (centre + spread) >> (_EST_BITS + 1):
             return e * scale + frac_scaled
-    return _log2_squaring(num, den, precision_digits).scaled
+    return _log2_squaring(num, den, precision_digits)
 
 
 def _log2_frac_bits(precision_digits: int) -> int:
@@ -305,8 +282,8 @@ def _mantissa(num: int, den: int, width: int) -> tuple[int, int]:
     return e, (num << (width - e)) // den
 
 
-def _log2_squaring(num: int, den: int, precision_digits: int) -> FixedDecimal:
-    """_log2 by the squaring loop alone.
+def _log2_squaring(num: int, den: int, precision_digits: int) -> int:
+    """_log2_scaled by the squaring loop alone.
 
     Fractional bits come from repeatedly squaring the mantissa m in [1, 2):
     each squaring emits one bit of log2(m).  The mantissa lives in fixed
@@ -329,7 +306,7 @@ def _log2_squaring(num: int, den: int, precision_digits: int) -> FixedDecimal:
     # decimal with round-half-up, folding any carry into the integer part.
     scale = 10**precision_digits
     frac_scaled = (2 * bits * scale + (1 << frac_bits)) >> (frac_bits + 1)
-    return FixedDecimal(e * scale + frac_scaled, precision_digits)
+    return e * scale + frac_scaled
 
 
 def _log2_estimate(mant: int) -> int:

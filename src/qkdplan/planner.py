@@ -74,7 +74,7 @@ class RotationPlan(_Record):
 
     @property
     def worst_case_bits(self) -> FixedDecimal:
-        return -log2_rational(self.eps_at_q_star, DEFAULT_PRECISION)
+        return FixedDecimal(-log2_rational(self.eps_at_q_star, DEFAULT_PRECISION).scaled, DEFAULT_PRECISION)
 
     @property
     def max_data_volume_bytes(self) -> int:
@@ -98,11 +98,11 @@ class ImprovementReport(_Record):
 
     @property
     def lower_bound_bits(self) -> FixedDecimal:
-        return _log2_k(self.k)
+        return FixedDecimal(_log2_k(self.k), _IMPROVEMENT_PRECISION)
 
     @property
     def upper_bound_bits(self) -> FixedDecimal:
-        return 2 * _log2_k(self.k)
+        return FixedDecimal(2 * _log2_k(self.k), _IMPROVEMENT_PRECISION)
 
 
 class SweepRow(ImprovementReport):
@@ -210,15 +210,17 @@ def _gain(mode: Mode, params: SecurityParams, q_star: int) -> Callable[[int], in
             raise AssertionError(f"bound ratio {k}*{num}/{den} at k={k} lies outside ({k}, {k * k})")
         # Rounded as log2 k + log2(num/den): both terms round into [0, log2 k],
         # so the reported gain cannot step outside the reported bracket.
-        return _log2_k(k).scaled + _log2_scaled(num, den, _IMPROVEMENT_PRECISION)
+        return _log2_k(k) + _log2_scaled(num, den, _IMPROVEMENT_PRECISION)
 
     return delta_scaled
 
 
 @lru_cache(maxsize=256)
-def _log2_k(k: int) -> FixedDecimal:
-    """log2 k at the gain's precision; a sweep asks for the same few k."""
-    return log2_rational(Fraction(k), _IMPROVEMENT_PRECISION)
+def _log2_k(k: int) -> int:
+    """log2 k scaled to the gain's precision; a sweep asks for the same few k."""
+    if as_natural(k) < 1:
+        raise ValueError("k must be >= 1")
+    return _log2_scaled(k, 1, _IMPROVEMENT_PRECISION)
 
 
 def benefit(

@@ -80,17 +80,13 @@ def test_fixed_decimal_from_fraction_rounds_to_nearest():
     assert FixedDecimal.from_fraction(Fraction(1, 2), 0).scaled == 1  # ties away
 
 
-def test_fixed_decimal_arithmetic_aligns_scales():
-    a = FixedDecimal(1500, 3)  # 1.500
-    b = FixedDecimal(25, 2)  # 0.25
-    assert str(a + b) == "1.750"
-    assert str(-a) == "-1.500"
-    assert str(2 * b) == "0.50"
-
-
 def test_fixed_decimal_error_paths():
     with pytest.raises(ValueError):
         FixedDecimal(1, -1)
+    # a record that would fail only when shown is refused when built
+    for scaled, digits in ((1.5, 2), (Fraction(3), 2), (True, 2), (15, 2.0), (15, True)):
+        with pytest.raises(TypeError, match="scaled and digits must be ints"):
+            FixedDecimal(scaled, digits)
 
 
 # ------------------------------------------------------------ max_q_quadratic
@@ -224,6 +220,9 @@ def test_log2_rejects_nonpositive_and_bad_precision():
         log2_rational(Fraction(-3, 2))
     with pytest.raises(ValueError):
         log2_rational(Fraction(3), 0)
+    for bad in (True, 2.5):
+        with pytest.raises(TypeError, match="natural number required"):
+            log2_rational(Fraction(3), bad)
 
 
 # ------------------------------------------------- the filtered log2 fast path
@@ -238,7 +237,7 @@ _wide_operands = st.integers(1, 1500).flatmap(lambda bits: st.integers(1, 1 << b
 @example(1, 1, 25)
 @example((1 << 1400) + 1, 3, 26)
 def test_filtered_log2_is_the_squaring_loop(p: int, q: int, digits: int):
-    assert exactmath._log2(p, q, digits) == exactmath._log2_squaring(p, q, digits)
+    assert exactmath._log2_scaled(p, q, digits) == exactmath._log2_squaring(p, q, digits)
 
 
 def _count_loop_calls(monkeypatch) -> list[tuple]:
@@ -268,19 +267,19 @@ def test_log2_next_to_a_rounding_midpoint_takes_the_loop(monkeypatch):
                 power = mpmath.power(2, mpmath.mpf(midpoint.numerator) / midpoint.denominator)
                 num = int(mpmath.floor(power * den))
                 before = len(calls)
-                got = exactmath._log2(num, den, digits)
+                got = exactmath._log2_scaled(num, den, digits)
                 assert calls[before:] == [(num, den, digits)]
-                assert abs(got.as_fraction() - midpoint) <= Fraction(1, 2 * scale)
+                assert abs(Fraction(got, scale) - midpoint) <= Fraction(1, 2 * scale)
                 cases += 1
     assert len(calls) == cases == 42
 
 
 def test_log2_fast_path_serves_up_to_25_digits(monkeypatch):
     calls = _count_loop_calls(monkeypatch)
-    assert str(exactmath._log2(3, 1, 12)) == "1.584962500721"
-    assert str(exactmath._log2(3, 1, 25)) == "1.5849625007211561814537389"
+    assert exactmath._log2_scaled(3, 1, 12) == 1_584962500721
+    assert exactmath._log2_scaled(3, 1, 25) == 1_5849625007211561814537389
     assert calls == []
-    assert str(exactmath._log2(3, 1, 26)) == "1.58496250072115618145373894"
+    assert exactmath._log2_scaled(3, 1, 26) == 1_58496250072115618145373894
     assert calls == [(3, 1, 26)]
 
 

@@ -12,12 +12,15 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from paper_formulas import paper_bound, paper_one_plus_x
 
 from qkdplan import planner
 from qkdplan.advmodel import EcbcDenominator, Mode, SecurityParams, bound_at
 from qkdplan.exactmath import log2_rational
 from qkdplan.planner import (
+    ImprovementReport,
     InfeasibleTargetError,
     benefit,
     blocks_per_file,
@@ -195,6 +198,35 @@ def test_improvement_k1_and_validation():
         improvement_bits(Mode.CTR, p, 1210759, 0)
     with pytest.raises(ValueError, match="idle"):
         improvement_bits(Mode.CTR, p, 10, 11)
+
+
+@settings(max_examples=200)
+@given(
+    st.sampled_from(list(Mode)),
+    st.integers(16, 128),
+    st.integers(10, 121),
+    st.integers(1, 96),
+    st.integers(3, 80),
+    st.integers(1, 1 << 20),
+)
+def test_reported_levels_and_brackets_come_from_one_log2(mode, lam, s_bits, blocks, target, k):
+    params = SecurityParams.from_bits(lam, s_bits, blocks, target_bits=target)
+    try:
+        plan = compute_q_star(mode, params)
+    except InfeasibleTargetError:
+        return
+    assert plan.worst_case_bits.scaled == -log2_rational(plan.eps_at_q_star).scaled
+    report = improvement_bits(mode, params, plan.q_star, min(k, plan.q_star))
+    assert report.lower_bound_bits == log2_rational(Fraction(report.k), 12)
+    assert report.upper_bound_bits.scaled == 2 * report.lower_bound_bits.scaled
+
+
+def test_a_bracket_of_a_record_with_no_valid_k_is_refused():
+    delta = improvement_bits(Mode.CTR, reference_params(), 1210759, 2).delta_bits
+    for bad, error in ((0, ValueError), (-3, ValueError), (2.5, TypeError)):
+        for bracket in ("lower_bound_bits", "upper_bound_bits"):
+            with pytest.raises(error):
+                getattr(ImprovementReport(bad, delta), bracket)
 
 
 # ------------------------------------------------------------------ benefit

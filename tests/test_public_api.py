@@ -94,6 +94,50 @@ def test_every_benchmark_span_names_a_package_function():
     assert missing == []
 
 
+def _resolve(module_name: str, name: str):
+    module = importlib.import_module(module_name)
+    if hasattr(module, name):
+        return getattr(module, name)
+    try:
+        return importlib.import_module(f"{module_name}.{name}")
+    except ModuleNotFoundError:
+        return None
+
+
+def test_every_package_name_the_benchmark_reads_resolves():
+    # bench/test_bench.py runs outside the default test paths; read the
+    # harness without importing it, so a package change that breaks it fails here
+    bench = Path(__file__).resolve().parents[1] / "bench"
+    imported, read, missing = [], [], []
+    for script in ("run.py", "workloads.py"):
+        tree = ast.parse((bench / script).read_text(encoding="utf-8"))
+        modules = {}  # local name -> package module
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and (node.module or "").partition(".")[0] == "qkdplan":
+                for alias in node.names:
+                    value = _resolve(node.module, alias.name)
+                    imported.append(f"{node.module}.{alias.name}")
+                    if value is None:
+                        missing.append(f"{script}: from {node.module} import {alias.name}")
+                    elif inspect.ismodule(value):
+                        modules[alias.asname or alias.name] = value
+            elif isinstance(node, ast.Import):
+                for alias in node.names:
+                    if alias.name.partition(".")[0] == "qkdplan":
+                        # "import qkdplan.x" binds qkdplan, "import qkdplan.x as y" binds x
+                        importlib.import_module(alias.name)
+                        bound = alias.name if alias.asname else "qkdplan"
+                        modules[alias.asname or "qkdplan"] = importlib.import_module(bound)
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name) and node.value.id in modules:
+                read.append(f"{modules[node.value.id].__name__}.{node.attr}")
+                if not hasattr(modules[node.value.id], node.attr):
+                    missing.append(f"{script}:{node.lineno}: {node.value.id}.{node.attr}")
+    assert {"qkdplan.empirics.ToyCipherParams", "qkdplan.advmodel.Mode", "qkdplan.cli"} <= set(imported)
+    assert {"qkdplan.planner.sweep_k", "qkdplan.rotation.encrypt_file", "qkdplan.cli.main"} <= set(read)
+    assert missing == []
+
+
 # each exported record's stored fields, in constructor order
 RECORD_FIELDS = {
     "EmpiricalResult": ("theoretical_bound", "trials", "collisions"),

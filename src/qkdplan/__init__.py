@@ -20,7 +20,7 @@ _EXPORTS = {
     "advmodel": ("EcbcDenominator", "Mode", "SecurityParams", "bound_at"),
     "empirics": (
         "EmpiricalResult", "ToyCipherParams", "TrialConfig", "cbc_encrypt", "ctr_encrypt",
-        "ecbc_mac", "estimate_collision_probability", "toy_prp",
+        "ecbc_mac", "estimate_collision_probability",
     ),
     "exactmath": ("FixedDecimal", "log2_rational", "max_q_quadratic"),
     "planner": (

@@ -57,7 +57,6 @@ from fractions import Fraction
 
 from .advmodel import Mode, bound_terms
 from .exactmath import _Record, as_natural
-from .planner import blocks_per_file
 
 _M64 = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
@@ -182,7 +181,9 @@ def _toy_block_bits(block_bits: int) -> int:
 
 
 class ToyCipherParams(_Record):
-    """Shape of the scaled-down cipher: block width and default key."""
+    """Shape of the scaled-down cipher for the one-shot mode functions, which
+    read its block width and take their keys as arguments.  key_seed is a
+    checked 64-bit seed that no package function reads."""
 
     __slots__ = _fields = ("block_bits", "key_seed")
 
@@ -344,23 +345,6 @@ def _permute_np(
     out |= right
 
 
-def _check_block(block_bits: int, value: int, what: str = "block") -> int:
-    if not 0 <= value < 1 << block_bits:
-        raise ValueError(f"{what} {value} outside [0, 2**{block_bits})")
-    return value
-
-
-def _check_blocks(block_bits: int, blocks: list[int]) -> None:
-    for block in blocks:
-        _check_block(block_bits, block)
-
-
-def toy_prp(params: ToyCipherParams, block: int) -> int:
-    """Permutation the params induce (keyed by key_seed)."""
-    block = _check_block(params.block_bits, block)
-    return _run(params.block_bits, _round_tables(params.block_bits, params.key_seed), [block])[0]
-
-
 # ------------------------------------------------------------ mode operations
 
 
@@ -368,8 +352,8 @@ def _mode_pass(mode: Mode, block_bits: int, tables1: list, tables2: list, iv: in
     """blocks under one mode, as one or two passes of _run: CTR XORs E(iv + j
     mod N) onto block j, CBC chains the blocks from iv, and ECBC-MAC gives a
     one-block tag, the last CBC output chained from 0 re-permuted under
-    tables2.  A session's blocks come from bytes; the public functions check
-    theirs first."""
+    tables2, which the other modes do not read.  A session's blocks come
+    from bytes; the public functions check theirs in _one_shot."""
     if mode is Mode.ECBC_MAC:
         return _run(block_bits, tables2, _run(block_bits, tables1, blocks, 0)[-1:])
     if mode is Mode.CTR:
@@ -415,10 +399,10 @@ class _KeySchedule:
     its material: an IV seed and the round tables of two subkeys (CTR and
     CBC use the first, ECBC-MAC both).
 
-    The first subkey's tables fill whole, each into a list, when the key's
-    budget, files_per_key files of planner.blocks_per_file blocks, reaches
-    an eighth of their 2**(block_bits/2) entries (session widths are whole
-    bytes); below it they fill lazily, as the second subkey's always do.
+    The first subkey's tables fill whole, each into a list, when
+    block_budget, the blocks the key may encrypt, reaches an eighth of their
+    2**(block_bits/2) entries (session widths are whole bytes); below it
+    they fill lazily, as the second subkey's always do.
     An eighth is where a key's lazy misses come to cost one fill: at widths
     16 and 24, CTR and CBC keys over files of 1 to 512 bytes ran faster
     lazily at 3/32 of the entries and faster filled at 1/8.  Every mode runs
@@ -427,7 +411,7 @@ class _KeySchedule:
 
     __slots__ = ("block_bits", "tables1", "tables2", "iv_seed")
 
-    def __init__(self, material: bytes, block_bits: int, files_per_key: int, max_file_bytes: int) -> None:
+    def __init__(self, material: bytes, block_bits: int, block_budget: int) -> None:
         import hashlib
 
         digest = hashlib.blake2b(material, digest_size=24, person=b"qkdplan-sess").digest()
@@ -435,7 +419,7 @@ class _KeySchedule:
         self.block_bits = block_bits
         self.tables1, self.tables2 = _round_tables(block_bits, k1), _round_tables(block_bits, k2)
         size = 1 << block_bits // 2
-        if 8 * files_per_key * blocks_per_file(max_file_bytes, block_bits) >= size:
+        if 8 * block_budget >= size:
             self.tables1 = [table.fill(size) for table in self.tables1]
 
     def encrypt(self, mode: Mode, file_index: int, data: bytes) -> bytes:
@@ -451,29 +435,33 @@ class _KeySchedule:
         return _join_blocks([iv, *_mode_pass(mode, block_bits, self.tables1, self.tables2, iv, blocks)], block_bytes)
 
 
+def _one_shot(mode: Mode, params: ToyCipherParams, keys: tuple[int, ...], iv: int, blocks: list[int]) -> list[int]:
+    """The one-shot functions' checked entry: lazy round tables for each
+    64-bit key, then the IV and every block checked to lie in [0, N), then
+    one _mode_pass under the first key's tables and the last's."""
+    w = params.block_bits
+    # the keys are checked last first, so ecbc_mac reports a bad key2 before a bad key1
+    tables = [_round_tables(w, as_u64(key, "key")) for key in reversed(keys)][::-1]
+    for what, value in (("iv", iv), *(("block", block) for block in blocks)):
+        if not 0 <= value < 1 << w:
+            raise ValueError(f"{what} {value} outside [0, 2**{w})")
+    return _mode_pass(mode, w, tables[0], tables[-1], iv, blocks)
+
+
 def ctr_encrypt(params: ToyCipherParams, key: int, iv: int, blocks: list[int]) -> list[int]:
     """Counter mode: block j is XOR-masked with E(iv + j mod N)."""
-    tables = _round_tables(params.block_bits, as_u64(key, "key"))
-    iv = _check_block(params.block_bits, iv, "iv")
-    _check_blocks(params.block_bits, blocks)
-    return _mode_pass(Mode.CTR, params.block_bits, tables, [], iv, blocks)
+    return _one_shot(Mode.CTR, params, (key,), iv, blocks)
 
 
 def cbc_encrypt(params: ToyCipherParams, key: int, iv: int, blocks: list[int]) -> list[int]:
-    tables = _round_tables(params.block_bits, as_u64(key, "key"))
-    iv = _check_block(params.block_bits, iv, "iv")
-    _check_blocks(params.block_bits, blocks)
-    return _mode_pass(Mode.CBC, params.block_bits, tables, [], iv, blocks)
+    return _one_shot(Mode.CBC, params, (key,), iv, blocks)
 
 
 def ecbc_mac(params: ToyCipherParams, key1: int, key2: int, blocks: list[int]) -> int:
     """Encrypted CBC-MAC: CBC chain under key1, final state re-encrypted under key2."""
     if not blocks:
         raise ValueError("ecbc_mac requires at least one block")
-    tables2 = _round_tables(params.block_bits, as_u64(key2, "key"))
-    tables1 = _round_tables(params.block_bits, as_u64(key1, "key"))
-    _check_blocks(params.block_bits, blocks)
-    return _mode_pass(Mode.ECBC_MAC, params.block_bits, tables1, tables2, 0, blocks)[0]
+    return _one_shot(Mode.ECBC_MAC, params, (key1, key2), 0, blocks)[0]
 
 
 # ------------------------------------------------------------------ trials

@@ -86,13 +86,17 @@ class ImprovementReport(_Record):
 
     delta_bits is the gain against one key, log2(bound(Q*) / bound(Q*/k)),
     bracketed by lower_bound_bits = log2 k and upper_bound_bits = 2 log2 k,
-    which are derived from k.  delta_bits - lower_bound_bits is the whole
-    schedule's gain, in (0, log2 k).
+    which are derived from k, an int >= 1.  delta_bits - lower_bound_bits is
+    the whole schedule's gain, in (0, log2 k).
     """
 
     __slots__ = _fields = ("k", "delta_bits")
 
     def __init__(self, k: int, delta_bits: FixedDecimal) -> None:
+        if type(k) is not int:
+            raise TypeError(f"k must be an int, got {type(k).__name__}")
+        if k < 1:
+            raise ValueError("k must be >= 1")
         object.__setattr__(self, "k", k)
         object.__setattr__(self, "delta_bits", delta_bits)
 
@@ -112,8 +116,7 @@ class SweepRow(ImprovementReport):
     _fields = ImprovementReport._fields + __slots__
 
     def __init__(self, k: int, delta_bits: FixedDecimal, benefit: FixedDecimal) -> None:
-        object.__setattr__(self, "k", k)
-        object.__setattr__(self, "delta_bits", delta_bits)
+        ImprovementReport.__init__(self, k, delta_bits)
         object.__setattr__(self, "benefit", benefit)
 
 
@@ -217,9 +220,8 @@ def _gain(mode: Mode, params: SecurityParams, q_star: int) -> Callable[[int], in
 
 @lru_cache(maxsize=256)
 def _log2_k(k: int) -> int:
-    """log2 k scaled to the gain's precision; a sweep asks for the same few k."""
-    if as_natural(k) < 1:
-        raise ValueError("k must be >= 1")
+    """log2 k, for an int k >= 1, scaled to the gain's precision; a sweep
+    asks for the same few k."""
     return _log2_scaled(k, 1, _IMPROVEMENT_PRECISION)
 
 

@@ -45,7 +45,7 @@ from operator import attrgetter
 from .advmodel import EcbcDenominator, Mode, SecurityParams, check_key_cost
 from .empirics import _P_KEY_MATERIAL, _KeySchedule, _toy_block_bits, as_u64, draw64
 from .exactmath import _Record, as_natural, parse_rational, render_rational
-from .planner import RotationPlan, compute_q_star
+from .planner import RotationPlan, blocks_per_file, compute_q_star
 
 STATE_VERSION = 3
 
@@ -307,9 +307,8 @@ def open_session(
 
 def _use_key(session: SessionState, material: bytes) -> None:
     """Make material the session's current key, dropping the old key's schedule."""
-    session._key_schedule = _KeySchedule(
-        material, session.toy_block_bits, session.per_key_cap, session.plan.file_size_bytes
-    )
+    budget = session.per_key_cap * blocks_per_file(session.plan.file_size_bytes, session.toy_block_bits)
+    session._key_schedule = _KeySchedule(material, session.toy_block_bits, budget)
 
 
 def encrypt_file(session: SessionState, data: bytes) -> tuple[bytes, RotationEvent | None]:

@@ -530,9 +530,9 @@ PLANNING = ["qkdplan", "qkdplan.advmodel", "qkdplan.cli", "qkdplan.exactmath", "
 def test_numpy_loads_only_for_monte_carlo(tmp_path):
     # One fresh interpreter per case, since this process imported everything
     # long ago.  Planning loads neither the Monte Carlo nor the rotation
-    # module, rotate runs the scalar cipher without numpy, and only simulate
-    # imports numpy.  No command loads dataclasses, and only numpy, in
-    # simulate, loads inspect.  hashlib (OpenSSL) loads with a session's
+    # module, the toy cipher loads without the planner, rotate runs the
+    # scalar cipher without numpy, and only simulate imports numpy.  No
+    # command loads dataclasses, and only numpy, in simulate, loads inspect.  hashlib (OpenSSL) loads with a session's
     # first key, so only rotate loads it; importing rotation does not.
     manifest = tmp_path / "manifest.txt"
     manifest.write_text("8\n8\n8\n8\n")
@@ -542,6 +542,7 @@ def test_numpy_loads_only_for_monte_carlo(tmp_path):
                 "--trials", "1000", "--seed", "3"]
     cases = [
         ("qkdplan", ["qkdplan"], False, False),
+        ("qkdplan.empirics", ["qkdplan", "qkdplan.advmodel", "qkdplan.empirics", "qkdplan.exactmath"], False, False),
         ("qkdplan.rotation", ["qkdplan", "qkdplan.advmodel", "qkdplan.empirics", "qkdplan.exactmath",
                               "qkdplan.planner", "qkdplan.rotation"], False, False),
         ([], PLANNING, False, False),

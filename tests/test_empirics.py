@@ -30,10 +30,9 @@ from qkdplan.empirics import (
     ecbc_mac,
     estimate_collision_probability,
     mix64,
-    toy_prp,
 )
 from qkdplan.empirics import (
-    _draw_np, _permute_np, _round_keys, _round_keys_np, _round_tables, _RoundTable, _stream_bases, _trial_lanes
+    _draw_np, _permute_np, _round_keys, _round_keys_np, _round_tables, _RoundTable, _run, _stream_bases, _trial_lanes
 )
 
 
@@ -57,6 +56,11 @@ def permute_batch(block_bits: int, keys, blocks: np.ndarray) -> np.ndarray:
     out = np.empty_like(x)
     _permute_np(block_bits, round_keys, x, out, tuple(np.empty_like(x) for _ in range(4)))
     return out[0]
+
+
+def toy_prp(params: ToyCipherParams, block: int) -> int:
+    """The scalar permutation under key_seed, through the round loop every mode runs."""
+    return _run(params.block_bits, _round_tables(params.block_bits, params.key_seed), [block])[0]
 
 
 def toy_prp_batch(params: ToyCipherParams, blocks: np.ndarray, key: int | None = None) -> np.ndarray:
@@ -303,7 +307,7 @@ def test_session_cipher_matches_an_independent_reference(mode, width, filled):
     # one file of one block stays below a round table's 2**(width/2)
     # entries; that many files of 64 bytes reach them
     files_per_key, max_file_bytes = (1 << width // 2, 64) if filled else (1, size)
-    schedule = empirics._KeySchedule(material, width, files_per_key, max_file_bytes)
+    schedule = empirics._KeySchedule(material, width, files_per_key * -(-max_file_bytes // size))
     assert all(isinstance(table, list) == filled for table in schedule.tables1)
     # the first file whose IV lies within 2048 counters of N: a CTR file of
     # 2048 blocks there wraps mod N

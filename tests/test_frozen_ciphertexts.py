@@ -16,7 +16,7 @@ import random
 import pytest
 
 from qkdplan.advmodel import Mode, SecurityParams
-from qkdplan.empirics import ToyCipherParams, cbc_encrypt, ctr_encrypt, ecbc_mac, toy_prp
+from qkdplan.empirics import ToyCipherParams, _round_tables, _run, cbc_encrypt, ctr_encrypt, ecbc_mac
 from qkdplan.planner import compute_q_star
 from qkdplan.rotation import encrypt_file, export_events, open_session, persist_state, simulate_pool
 
@@ -37,8 +37,8 @@ def _public_outputs(name: str, width: int) -> object:
     blocks = [0, top, 1, top - 1] + [rng.randrange(1 << width) for _ in range(60)]
     key, key2, iv = rng.getrandbits(64), rng.getrandbits(64), rng.randrange(1 << width)
     params = ToyCipherParams(width, key_seed=key)
-    if name == "toy_prp":
-        return [toy_prp(params, b) for b in blocks]
+    if name == "toy_prp":  # the permutation alone, as the retired public toy_prp gave it
+        return [_run(width, _round_tables(width, key), [b])[0] for b in blocks]
     if name == "ctr_encrypt":
         return [ctr_encrypt(params, key, top - 2, blocks), ctr_encrypt(params, key2, iv, blocks)]
     if name == "cbc_encrypt":

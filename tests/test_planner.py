@@ -22,6 +22,7 @@ from qkdplan.exactmath import log2_rational
 from qkdplan.planner import (
     ImprovementReport,
     InfeasibleTargetError,
+    SweepRow,
     benefit,
     blocks_per_file,
     compute_q_star,
@@ -223,10 +224,11 @@ def test_reported_levels_and_brackets_come_from_one_log2(mode, lam, s_bits, bloc
 
 def test_a_bracket_of_a_record_with_no_valid_k_is_refused():
     delta = improvement_bits(Mode.CTR, reference_params(), 1210759, 2).delta_bits
-    for bad, error in ((0, ValueError), (-3, ValueError), (2.5, TypeError)):
-        for bracket in ("lower_bound_bits", "upper_bound_bits"):
-            with pytest.raises(error):
-                getattr(ImprovementReport(bad, delta), bracket)
+    for bad, error in ((0, ValueError), (-3, ValueError), (2.5, TypeError), (True, TypeError)):
+        with pytest.raises(error):
+            ImprovementReport(bad, delta)
+        with pytest.raises(error):
+            SweepRow(bad, delta, delta)
 
 
 # ------------------------------------------------------------------ benefit

@@ -48,7 +48,6 @@ PUBLIC = [
     "persist_state",
     "simulate_pool",
     "sweep_k",
-    "toy_prp",
     "volume_kb",
     "volume_mb",
 ]
@@ -104,38 +103,79 @@ def _resolve(module_name: str, name: str):
         return None
 
 
+# the harness files that reach into the package; bench/test_bench.py runs
+# outside the default test paths, so these read them without importing them,
+# and a package change that breaks the benchmark fails here
+BENCH_SCRIPTS = ("run.py", "workloads.py", "test_bench.py")
+
+
+def _bench_tree(script: str):
+    """A harness file's AST, the package modules and the other package
+    objects it binds (local name -> value), the names it imports from the
+    package, and those that do not resolve."""
+    tree = ast.parse((Path(__file__).resolve().parents[1] / "bench" / script).read_text(encoding="utf-8"))
+    modules, objects, imported, missing = {}, {}, [], []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and (node.module or "").partition(".")[0] == "qkdplan":
+            for alias in node.names:
+                value = _resolve(node.module, alias.name)
+                imported.append(f"{node.module}.{alias.name}")
+                if value is None:
+                    missing.append(f"{script}: from {node.module} import {alias.name}")
+                else:
+                    bound = modules if inspect.ismodule(value) else objects
+                    bound[alias.asname or alias.name] = value
+        elif isinstance(node, ast.Import):
+            for alias in node.names:
+                if alias.name.partition(".")[0] == "qkdplan":
+                    # "import qkdplan.x" binds qkdplan, "import qkdplan.x as y" binds x
+                    importlib.import_module(alias.name)
+                    bound = alias.name if alias.asname else "qkdplan"
+                    modules[alias.asname or "qkdplan"] = importlib.import_module(bound)
+    return tree, modules, objects, imported, missing
+
+
 def test_every_package_name_the_benchmark_reads_resolves():
-    # bench/test_bench.py runs outside the default test paths; read the
-    # harness without importing it, so a package change that breaks it fails here
-    bench = Path(__file__).resolve().parents[1] / "bench"
-    imported, read, missing = [], [], []
-    for script in ("run.py", "workloads.py"):
-        tree = ast.parse((bench / script).read_text(encoding="utf-8"))
-        modules = {}  # local name -> package module
-        for node in ast.walk(tree):
-            if isinstance(node, ast.ImportFrom) and (node.module or "").partition(".")[0] == "qkdplan":
-                for alias in node.names:
-                    value = _resolve(node.module, alias.name)
-                    imported.append(f"{node.module}.{alias.name}")
-                    if value is None:
-                        missing.append(f"{script}: from {node.module} import {alias.name}")
-                    elif inspect.ismodule(value):
-                        modules[alias.asname or alias.name] = value
-            elif isinstance(node, ast.Import):
-                for alias in node.names:
-                    if alias.name.partition(".")[0] == "qkdplan":
-                        # "import qkdplan.x" binds qkdplan, "import qkdplan.x as y" binds x
-                        importlib.import_module(alias.name)
-                        bound = alias.name if alias.asname else "qkdplan"
-                        modules[alias.asname or "qkdplan"] = importlib.import_module(bound)
+    imported, read, missing = set(), set(), []
+    for script in BENCH_SCRIPTS:
+        tree, modules, _, names, unresolved = _bench_tree(script)
+        imported.update(names)
+        missing += unresolved
         for node in ast.walk(tree):
             if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name) and node.value.id in modules:
-                read.append(f"{modules[node.value.id].__name__}.{node.attr}")
+                read.add(f"{modules[node.value.id].__name__}.{node.attr}")
                 if not hasattr(modules[node.value.id], node.attr):
                     missing.append(f"{script}:{node.lineno}: {node.value.id}.{node.attr}")
-    assert {"qkdplan.empirics.ToyCipherParams", "qkdplan.advmodel.Mode", "qkdplan.cli"} <= set(imported)
-    assert {"qkdplan.planner.sweep_k", "qkdplan.rotation.encrypt_file", "qkdplan.cli.main"} <= set(read)
+    assert {"qkdplan.empirics.ToyCipherParams", "qkdplan.advmodel.Mode", "qkdplan.cli"} <= imported
+    assert {"qkdplan.planner.compute_q_star", "qkdplan.rotation.open_session"} <= imported  # test_bench.py's
+    assert {"qkdplan.planner.sweep_k", "qkdplan.rotation.encrypt_file", "qkdplan.cli.main"} <= read
     assert missing == []
+
+
+def test_every_benchmark_call_into_the_package_binds_to_its_signature():
+    # a renamed parameter or a dropped positional breaks a harness call even
+    # though every name still resolves; calls that spread * or ** are skipped
+    checked, unbound = set(), []
+    for script in BENCH_SCRIPTS:
+        tree, modules, objects, _, _ = _bench_tree(script)
+        for node in ast.walk(tree):
+            if not isinstance(node, ast.Call) or any(isinstance(arg, ast.Starred) for arg in node.args):
+                continue
+            func = node.func
+            if isinstance(func, ast.Attribute) and isinstance(func.value, ast.Name):
+                owner = modules.get(func.value.id) or objects.get(func.value.id)
+                callee = owner and getattr(owner, func.attr, None)
+            else:
+                callee = objects.get(getattr(func, "id", None))
+            if not callable(callee) or any(keyword.arg is None for keyword in node.keywords):
+                continue
+            checked.add(ast.unparse(func))
+            try:
+                inspect.signature(callee).bind(*node.args, **{keyword.arg: None for keyword in node.keywords})
+            except TypeError as error:
+                unbound.append(f"{script}:{node.lineno}: {ast.unparse(func)}: {error}")
+    assert {"ToyCipherParams", "SecurityParams.from_bits", "rotation.open_session", "open_session"} <= checked
+    assert unbound == []
 
 
 # each exported record's stored fields, in constructor order
